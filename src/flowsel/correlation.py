@@ -164,7 +164,12 @@ class MeritEvaluator:
 
     Holds the absolute feature-class row sums and the zero-diagonal
     absolute feature-feature block so a mask scores in a few vector ops.
-    Counts every evaluation.
+    Both paths share ``cfs_merit``'s arithmetic, so they give the same
+    floats.  ``merit_of_mask`` scores one mask and counts the call in
+    ``evaluations``.  ``merits_of_masks`` scores a block of masks, each
+    distinct mask once: its merit is remembered under the mask's packed
+    bits for the evaluator's lifetime.  It counts nothing, so callers that
+    score speculative moves in bulk count only the moves they keep.
     """
 
     def __init__(self, corr: CorrelationMatrix):
@@ -174,15 +179,33 @@ class MeritEvaluator:
             raise DataError("correlation matrix has no class columns")
         self._fc_rowsum, self._ff = _abs_blocks(corr)
         self._n_class_cols = corr.n_class_columns
+        self._memo: dict[bytes, float] = {}
         self.n_features = corr.class_boundary
         self.evaluations = 0
 
+    def _merit(self, mask: np.ndarray) -> float:
+        merit, _, _, _ = _merit_parts(self._fc_rowsum, self._ff, self._n_class_cols, mask)
+        return merit
+
     def merit_of_mask(self, mask) -> float:
         self.evaluations += 1
-        merit, _, _, _ = _merit_parts(
-            self._fc_rowsum, self._ff, self._n_class_cols, np.asarray(mask)
-        )
-        return merit
+        return self._merit(np.asarray(mask))
+
+    def merits_of_masks(self, masks) -> np.ndarray:
+        """Merits of the rows of a 2-d boolean array, through the memo;
+        not counted."""
+        masks = np.asarray(masks, dtype=bool)
+        width = (masks.shape[1] + 7) // 8
+        packed = np.packbits(masks, axis=1).tobytes()
+        memo = self._memo
+        merits = []
+        for i in range(len(masks)):
+            key = packed[i * width:(i + 1) * width]
+            merit = memo.get(key)
+            if merit is None:
+                merit = memo[key] = self._merit(masks[i])
+            merits.append(merit)
+        return np.array(merits, dtype=np.float64)
 
 
 def ig_sum(importances, indices) -> float:

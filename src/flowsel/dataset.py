@@ -43,13 +43,16 @@ class RawTable:
     """A parsed flow table: numeric feature columns plus one text label column.
 
     ``values`` is (rows, columns) float64 and may contain NaN or +/-inf;
-    cleaning decides what to do with those, not the parser.
+    cleaning decides what to do with those, not the parser.  ``dropped``
+    names the columns removed by name so far, unread by the parser or
+    dropped after it.
     """
 
     columns: tuple[str, ...]
     values: np.ndarray
     labels: tuple[str, ...]
     label_column: str
+    dropped: tuple[str, ...] = ()
 
     @property
     def n_rows(self) -> int:
@@ -105,12 +108,14 @@ def _parse_cell(text: str, path: str, line_no: int, column: str) -> float:
         ) from None
 
 
-def load_csv(path: str, label_column: str = "Label") -> RawTable:
+def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTable:
     """Parse a headered CSV into a RawTable.
 
-    Every non-label column must parse as a float (missing/inf tokens
-    included); anything else raises DataError with the offending line
-    number.  The label column is kept verbatim as text.
+    Columns named in ``drop_columns`` are skipped without being parsed, so
+    identifier columns may hold text.  Every other non-label column must
+    parse as a float (missing/inf tokens included); anything else raises
+    DataError with the offending line number.  The label column is kept
+    verbatim as text.
     """
     try:
         handle = open(path, "r", newline="", encoding="utf-8")
@@ -124,8 +129,12 @@ def load_csv(path: str, label_column: str = "Label") -> RawTable:
         header = [h.strip() for h in header]
         if label_column not in header:
             raise DataError(f"{path}: header has no column named {label_column!r}")
+        if label_column in drop_columns:
+            raise DataError(f"cannot drop the label column {label_column!r}")
         label_idx = header.index(label_column)
-        feature_cols = tuple(h for i, h in enumerate(header) if i != label_idx)
+        keep = [j for j, h in enumerate(header) if j != label_idx and h not in drop_columns]
+        feature_cols = tuple(header[j] for j in keep)
+        dropped = tuple(h for h in header if h in drop_columns)
 
         rows: list[list[float]] = []
         labels: list[str] = []
@@ -137,15 +146,9 @@ def load_csv(path: str, label_column: str = "Label") -> RawTable:
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
                 )
             labels.append(row[label_idx].strip())
-            rows.append(
-                [
-                    _parse_cell(cell, path, line_no, header[j])
-                    for j, cell in enumerate(row)
-                    if j != label_idx
-                ]
-            )
+            rows.append([_parse_cell(row[j], path, line_no, header[j]) for j in keep])
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_cols))
-    return RawTable(feature_cols, values, tuple(labels), label_column)
+    return RawTable(feature_cols, values, tuple(labels), label_column, dropped)
 
 
 def merge_tables(tables: list[RawTable]) -> RawTable:
@@ -163,7 +166,8 @@ def merge_tables(tables: list[RawTable]) -> RawTable:
             raise DataError("tables disagree on the label column name")
     values = np.vstack([t.values for t in tables])
     labels = tuple(l for t in tables for l in t.labels)
-    return RawTable(first.columns, values, labels, first.label_column)
+    dropped = tuple(dict.fromkeys(c for t in tables for c in t.dropped))
+    return RawTable(first.columns, values, labels, first.label_column, dropped)
 
 
 def drop_named_columns(table: RawTable, names) -> RawTable:
@@ -178,6 +182,7 @@ def drop_named_columns(table: RawTable, names) -> RawTable:
         table,
         columns=tuple(table.columns[i] for i in keep),
         values=table.values[:, keep],
+        dropped=table.dropped + tuple(c for c in table.columns if c in names),
     )
 
 
@@ -361,12 +366,11 @@ def binary_view(data: Dataset, benign_name: str = "benign") -> Dataset:
 
 def clean_table(table: RawTable, drop_columns=DEFAULT_DROP_COLUMNS):
     """Run the column/row hygiene passes and report what was removed."""
-    dropped_named = [c for c in table.columns if c in set(drop_columns)]
     t = drop_named_columns(table, drop_columns)
     t, removed_rows = drop_nonfinite_rows(t)
     t, dropped_const = drop_constant_columns(t)
     report = {
-        "columns_dropped_named": dropped_named,
+        "columns_dropped_named": list(t.dropped),
         "rows_removed_nonfinite": removed_rows,
         "columns_dropped_constant": dropped_const,
     }

@@ -101,6 +101,16 @@ def _hash_key(payload) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+def _config_key(config) -> dict:
+    """A nested config's share of a stage key: every field but ``seed``,
+    which the pipeline overwrites with a stage seed, and ``n_workers``,
+    which shares out work without changing the result."""
+    fields = dataclasses.asdict(config)
+    fields.pop("seed")
+    fields.pop("n_workers", None)
+    return fields
+
+
 def load_grouping(spec: str | None) -> dict | None:
     """Resolve the grouping argument: None, the packaged default, or a file."""
     if spec is None:
@@ -158,9 +168,8 @@ def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
         )
         return pair, artifacts
 
-    tables = [dataset.load_csv(p, cfg.label_column) for p in cfg.data_paths]
     # day files may disagree only on columns we drop anyway
-    tables = [dataset.drop_named_columns(t, cfg.drop_columns) for t in tables]
+    tables = [dataset.load_csv(p, cfg.label_column, cfg.drop_columns) for p in cfg.data_paths]
     table = dataset.merge_tables(tables)
     pair, report = dataset.prepare_splits(
         table,
@@ -197,12 +206,10 @@ def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
 
 
 def _importance_key(cfg: ExperimentConfig) -> str:
-    f = cfg.forest
     return _hash_key({
         "pre": _preprocess_key(cfg),
         "mode": cfg.mode,
-        "forest": [f.n_trees, f.max_depth, f.min_node_size,
-                   f.features_per_split, f.bootstrap, f.weighted_importance],
+        "forest": _config_key(cfg.forest),
         "seed": stage_seed(cfg.seed, "importance"),
     })
 
@@ -276,6 +283,19 @@ def load_importance(path: str, feature_names) -> tuple[np.ndarray, dict]:
     return imp, meta
 
 
+def _select_key(cfg: ExperimentConfig) -> str:
+    return _hash_key({
+        "pre": _preprocess_key(cfg),
+        "mode": cfg.mode,
+        "method": cfg.method,
+        "k": cfg.k,
+        "seed": stage_seed(cfg.seed, "select"),
+        "bat": _config_key(cfg.bat),
+        "aquila": _config_key(cfg.aquila),
+        "importance": _importance_key(cfg) if cfg.method == "rf-ig" else None,
+    })
+
+
 def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
                  importances=None, importance_seconds: float = 0.0):
     """Produce the feature subset for the configured method.
@@ -286,18 +306,7 @@ def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
     """
     names = pair.train.feature_names
     sel_seed = stage_seed(cfg.seed, "select")
-    key = _hash_key({
-        "pre": _preprocess_key(cfg),
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "k": cfg.k,
-        "seed": sel_seed,
-        "bat": [cfg.bat.n, cfg.bat.t_max, cfg.bat.alpha, cfg.bat.gamma,
-                cfg.bat.f_max, cfg.bat.loudness_init, cfg.bat.walk_scale,
-                cfg.bat.canonical_pulse],
-        "aquila": [cfg.aquila.n, cfg.aquila.t_max],
-        "importance": _importance_key(cfg) if cfg.method == "rf-ig" else None,
-    })
+    key = _select_key(cfg)
     subset_path = os.path.join(cfg.out_dir, f"subset_{key}.txt")
     trace_path = os.path.join(cfg.out_dir, f"trace_{key}.csv")
     artifacts = {"subset": subset_path}
@@ -354,21 +363,22 @@ def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) 
     )
 
 
-def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
-                subset: subset_search.FeatureSubset):
-    """Fit the configured model on the selected features; cached on disk."""
-    key = _hash_key({
+def _train_key(cfg: ExperimentConfig, subset: subset_search.FeatureSubset) -> str:
+    return _hash_key({
         "pre": _preprocess_key(cfg),
         "mode": cfg.mode,
         "subset": list(subset.indices),
         "model": cfg.model,
         "seed": stage_seed(cfg.seed, "train"),
-        "forest": [cfg.forest.n_trees, cfg.forest.max_depth, cfg.forest.min_node_size,
-                   cfg.forest.features_per_split, cfg.forest.bootstrap,
-                   cfg.forest.weighted_importance],
-        "mlp": [list(cfg.mlp.hidden_sizes), cfg.mlp.batch_size, cfg.mlp.epochs,
-                cfg.mlp.learning_rate, cfg.mlp.optimizer],
+        "forest": _config_key(cfg.forest),
+        "mlp": _config_key(cfg.mlp),
     })
+
+
+def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
+                subset: subset_search.FeatureSubset):
+    """Fit the configured model on the selected features; cached on disk."""
+    key = _train_key(cfg, subset)
     path = os.path.join(cfg.out_dir, f"model_{key}.bin")
     train_view = _slice_features(_train_view(cfg, pair), subset)
     seed = stage_seed(cfg.seed, "train")
@@ -495,10 +505,11 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     except Exception as exc:
         raise PipelineError(stage, str(exc), completed) from exc
 
+    # keyed on the subset and the model it came from, so runs that differ
+    # only in a search, forest or MLP setting keep a record each
     key = _hash_key({
-        "pre": _preprocess_key(cfg), "mode": cfg.mode, "method": cfg.method,
-        "model": cfg.model, "seed": cfg.seed, "averaging": cfg.averaging,
-        "collapse": cfg.collapse, "k": cfg.k,
+        "select": _select_key(cfg), "train": _train_key(cfg, subset),
+        "seed": cfg.seed, "averaging": cfg.averaging, "collapse": cfg.collapse,
     })
     cm_path = os.path.join(cfg.out_dir, f"cm_{key}.csv")
     metrics.save_confusion(cm, cm_path)

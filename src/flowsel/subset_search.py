@@ -159,11 +159,12 @@ def bat_init(config: BatConfig, n_features: int) -> BatPopulation:
 
 def seed_incumbent(pop: BatPopulation, evaluator: MeritEvaluator) -> None:
     """Score every bat once and adopt the best strict improvement."""
-    for i in range(pop.x.shape[0]):
-        merit = evaluator.merit_of_mask(decode_mask(pop.x[i]))
-        if merit > pop.best_merit:
-            pop.best_merit = merit
-            pop.best_x = pop.x[i].copy()
+    merits = evaluator.merits_of_masks(decode_mask(pop.x))
+    evaluator.evaluations += len(merits)
+    i = int(np.argmax(merits))
+    if merits[i] > pop.best_merit:
+        pop.best_merit = float(merits[i])
+        pop.best_x = pop.x[i].copy()
 
 
 def _pulse_value(r0: float, epoch: int, config: BatConfig) -> float:
@@ -183,35 +184,66 @@ def bat_epoch(pop: BatPopulation, evaluator: MeritEvaluator, config: BatConfig, 
     The incumbent may move mid-epoch; later bats chase the moved target.
     Every bat's draws for the epoch are fixed up front, whichever branch it
     takes.
+
+    A bat's pulse and loudness change only on its own acceptance, after its
+    move, so its branch, walk step and acceptance gate are known at the
+    start of the epoch; only the incumbent moves under it.  The pass is
+    therefore scored in blocks: bats s..n-1 all move against the current
+    incumbent, the moves up to and including the first acceptance are kept,
+    and the rest are redone against the new incumbent.  The result is the
+    bat-by-bat pass, bit for bit.
     """
     n, _ = pop.x.shape
     rng = _epoch_rng(config.seed, epoch, stream=0)
-    freq_draw = rng.uniform(0.0, config.f_max, n)
+    pop.freq[:] = rng.uniform(0.0, config.f_max, n)
     gate_walk = rng.uniform(0.0, 1.0, n)
     walk_steps = rng.uniform(-config.walk_scale, config.walk_scale, pop.x.shape)
     gate_accept = rng.uniform(0.0, 1.0, n)
 
-    for i in range(n):
-        pop.freq[i] = freq_draw[i]
-        v = pop.v[i] + (pop.x[i] - pop.best_x) * pop.freq[i]
+    cruise = (pop.pulse >= gate_walk)[:, None]
+    # local walk around the incumbent (eq. 5): eps drawn from
+    # [-walk_scale, walk_scale], scaled by each bat's loudness
+    walk = walk_steps * pop.loudness[:, None]
+    may_accept = pop.loudness > gate_accept
+    s = 0
+    while s < n:
+        v = pop.v[s:] + (pop.x[s:] - pop.best_x) * pop.freq[s:, None]
         np.clip(v, -1.0, 1.0, out=v)
-        pop.v[i] = v
-        if pop.pulse[i] >= gate_walk[i]:
-            x = pop.x[i] + v  # cruise along the velocity
-        else:
-            # local walk around the incumbent (eq. 5): eps drawn from
-            # [-walk_scale, walk_scale], scaled by this bat's loudness
-            x = pop.best_x + walk_steps[i] * pop.loudness[i]
+        # cruise along the velocity, or walk
+        x = np.where(cruise[s:], pop.x[s:] + v, pop.best_x + walk[s:])
         np.clip(x, -1.0, 1.0, out=x)
-        pop.x[i] = x
-        merit = evaluator.merit_of_mask(x >= SELECT_THRESHOLD)
-        if pop.loudness[i] > gate_accept[i] and merit > pop.best_merit:
-            pop.best_x = x.copy()
-            pop.best_merit = merit
+        merits = evaluator.merits_of_masks(x >= SELECT_THRESHOLD)
+        accepted = np.flatnonzero(may_accept[s:] & (merits > pop.best_merit))
+        kept = n - s if accepted.size == 0 else int(accepted[0]) + 1
+        pop.v[s:s + kept] = v[:kept]
+        pop.x[s:s + kept] = x[:kept]
+        evaluator.evaluations += kept
+        s += kept
+        if accepted.size:
+            i = s - 1
+            pop.best_x = x[kept - 1].copy()
+            pop.best_merit = float(merits[kept - 1])
             pop.accept_counts[i] += 1
             pop.pulse[i] = _pulse_value(pop.pulse_init[i], epoch, config)
             pop.loudness[i] = config.alpha * pop.loudness[i]
     return pop
+
+
+def _search_result(corr: CorrelationMatrix, start: float, best_x, best_merit: float,
+                   trace: list, evaluator: MeritEvaluator, method: str, seed: int) -> SearchResult:
+    """A finished search: decode the incumbent and score it off the matrix."""
+    elapsed = time.perf_counter() - start
+    subset = decode(best_x)
+    subset = replace(subset, cfs=cfs_merit(corr, subset.indices))
+    return SearchResult(
+        best=subset,
+        best_merit=best_merit,
+        merit_trace=tuple(trace),
+        evaluations=evaluator.evaluations,
+        elapsed=elapsed,
+        method=method,
+        seed=seed,
+    )
 
 
 def bat_run(corr: CorrelationMatrix, config: BatConfig) -> SearchResult:
@@ -224,18 +256,8 @@ def bat_run(corr: CorrelationMatrix, config: BatConfig) -> SearchResult:
     for t in range(1, config.t_max + 1):
         bat_epoch(pop, evaluator, config, t)
         trace.append(pop.best_merit)
-    elapsed = time.perf_counter() - start
-    subset = decode(pop.best_x)
-    subset = replace(subset, cfs=cfs_merit(corr, subset.indices))
-    return SearchResult(
-        best=subset,
-        best_merit=pop.best_merit,
-        merit_trace=tuple(trace),
-        evaluations=evaluator.evaluations,
-        elapsed=elapsed,
-        method="ba",
-        seed=config.seed,
-    )
+    return _search_result(corr, start, pop.best_x, pop.best_merit, trace, evaluator,
+                          "ba", config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -266,110 +288,188 @@ class AquilaConfig:
             raise ValueError("t_max must be nonnegative")
 
 
+@dataclass
+class AquilaPopulation:
+    """Mutable population state: positions, their merits, the incumbent."""
+
+    positions: np.ndarray
+    fitness: np.ndarray
+    best_x: np.ndarray
+    best_merit: float
+
+
+def aquila_init(config: AquilaConfig, evaluator: MeritEvaluator) -> AquilaPopulation:
+    """Draw positions ~ U(-1, 1), score each once, and adopt the first best."""
+    rng = np.random.default_rng(config.seed)
+    positions = rng.uniform(-1.0, 1.0, (config.n, evaluator.n_features))
+    fitness = evaluator.merits_of_masks(positions >= SELECT_THRESHOLD)
+    evaluator.evaluations += config.n
+    best_i = int(np.argmax(fitness))
+    return AquilaPopulation(positions, fitness, positions[best_i].copy(), float(fitness[best_i]))
+
+
 def _levy_sigma(beta: float) -> float:
     num = math.gamma(1 + beta) * math.sin(math.pi * beta / 2)
     den = math.gamma((1 + beta) / 2) * beta * 2 ** ((beta - 1) / 2)
     return (num / den) ** (1 / beta)
 
 
-def _levy(rng: np.random.Generator, k: int, beta: float, scale: float) -> np.ndarray:
-    u = rng.normal(0.0, _levy_sigma(beta), k)
-    v = rng.normal(0.0, 1.0, k)
-    return scale * u / np.abs(v) ** (1 / beta)
+def _levy(u: np.ndarray, v: np.ndarray, config: AquilaConfig) -> np.ndarray:
+    # Mantegna's levy step from its two normal draws, u ~ N(0, sigma^2) and
+    # v ~ N(0, 1); rows that drew none hold u = 0, v = 1 and step 0
+    return config.levy_scale * u / np.abs(v) ** (1 / config.levy_beta)
 
 
-def _spiral(rng: np.random.Generator, k: int):
-    # log-spiral sampling used by the contour-flight move
+def _exploration(rng: np.random.Generator, pop: AquilaPopulation, config: AquilaConfig,
+                 t: int, mean_x: np.ndarray):
+    """Replay an exploration epoch's draws, candidate by candidate.
+
+    Returns each candidate's peer (its own row unless it flies off a random
+    peer) and the function giving the moves of candidates s.. against the
+    current incumbent and positions.
+    """
+    n, k = pop.positions.shape
+    sigma = _levy_sigma(config.levy_beta)
+    expand = np.zeros(n, dtype=bool)
+    peer = np.arange(n)
+    r = np.zeros(n)
+    radius = np.zeros(n)
+    u = np.zeros((n, k))
+    v = np.ones((n, k))
+    for i in range(n):
+        if rng.random() < 0.5:
+            expand[i] = True
+            r[i] = rng.random()
+        else:
+            peer[i] = rng.integers(n)
+            radius[i] = 1.0 + 19.0 * rng.random()
+            u[i] = rng.normal(0.0, sigma, k)
+            v[i] = rng.normal(0.0, 1.0, k)
+            r[i] = rng.random()
+    levy = _levy(u, v, config)
+    # log-spiral offset of the contour flight: (y - x) * r on the spiral
+    # of radius r1 + 0.00565 d at angle 1.5 pi - 0.005 d, d = 1..k
     d1 = np.arange(1, k + 1, dtype=np.float64)
-    r1 = rng.uniform(1.0, 20.0)
-    r = r1 + 0.00565 * d1
     theta = -0.005 * d1 + 1.5 * math.pi
-    return r * np.cos(theta), r * np.sin(theta)  # (y, x)
+    rho = radius[:, None] + 0.00565 * d1
+    spiral = (rho * np.cos(theta) - rho * np.sin(theta)) * r[:, None]
+    shrink = 1.0 - t / config.t_max
+
+    def moves(s: int) -> np.ndarray:
+        best = pop.best_x
+        return np.where(
+            expand[s:, None],
+            # expanded exploration: sink toward the incumbent, offset by the
+            # population mean
+            best * shrink + (mean_x - best * r[s:, None]),
+            # narrowed exploration: levy flight around the incumbent plus a
+            # random peer and a spiral offset
+            best * levy[s:] + pop.positions[peer[s:]] + spiral[s:],
+        )
+
+    return peer, moves
+
+
+def _exploitation(rng: np.random.Generator, pop: AquilaPopulation, config: AquilaConfig,
+                  t: int, mean_x: np.ndarray):
+    """Replay an exploitation epoch's draws; returns as ``_exploration``."""
+    n, k = pop.positions.shape
+    sigma = _levy_sigma(config.levy_beta)
+    expand = np.zeros(n, dtype=bool)
+    qf = np.zeros(n)
+    g1 = np.zeros(n)
+    # a and b: the expanded move's two uniforms, or the narrowed move's
+    # uniforms drawn before and after its levy step
+    a = np.zeros(n)
+    b = np.zeros(n)
+    u = np.zeros((n, k))
+    v = np.ones((n, k))
+    for i in range(n):
+        if rng.random() < 0.5:
+            expand[i] = True
+            a[i] = rng.random()
+            b[i] = rng.random()
+        else:
+            qf[i] = t ** ((2.0 * rng.random() - 1.0) / (1.0 - config.t_max) ** 2)
+            g1[i] = 2.0 * rng.random() - 1.0
+            a[i] = rng.random()
+            u[i] = rng.normal(0.0, sigma, k)
+            v[i] = rng.normal(0.0, 1.0, k)
+            b[i] = rng.random()
+    g2 = 2.0 * (1.0 - t / config.t_max)
+    offset = (2.0 * b - 1.0) * config.exploit_delta
+    levy = g2 * _levy(u, v, config)
+    tail = b * g1
+
+    def moves(s: int) -> np.ndarray:
+        best = pop.best_x
+        return np.where(
+            expand[s:, None],
+            # expanded exploitation: shrunk incumbent/mean gap plus a
+            # bounded random offset
+            (best - mean_x) * config.exploit_alpha - a[s:, None] + offset[s:, None],
+            # narrowed exploitation: quality-function swoop at the incumbent
+            qf[s:, None] * best - g1[s:, None] * pop.positions[s:] * a[s:, None] - levy[s:]
+            + tail[s:, None],
+        )
+
+    return np.arange(n), moves
+
+
+def aquila_epoch(pop: AquilaPopulation, evaluator: MeritEvaluator, config: AquilaConfig,
+                 t: int) -> AquilaPopulation:
+    """One pass over the population, candidates moved in index order.
+
+    A move is kept only when it improves its candidate, and a kept move
+    that beats the incumbent replaces it for the candidates after it.  The
+    epoch's draws are replayed first; the moves are then scored in blocks
+    against the current state.  A block ends after the first candidate
+    that raises the incumbent, or before the first candidate whose peer
+    was replaced earlier in the same block, and the next block starts from
+    there, so the result is the candidate-by-candidate pass, bit for bit.
+    """
+    n = pop.positions.shape[0]
+    rng = _epoch_rng(config.seed, t, stream=1)
+    mean_x = pop.positions.mean(axis=0)
+    phase = _exploration if t <= (2.0 / 3.0) * config.t_max else _exploitation
+    peer, moves = phase(rng, pop, config, t, mean_x)
+    s = 0
+    while s < n:
+        x = np.clip(moves(s), -1.0, 1.0)
+        merits = evaluator.merits_of_masks(x >= SELECT_THRESHOLD)
+        improved = merits > pop.fitness[s:]
+        raised = improved & (merits > pop.best_merit)
+        # stale: the move read a peer that an earlier move of this block replaced
+        rel = peer[s:] - s
+        stale = (rel >= 0) & (rel < np.arange(n - s))
+        stale[stale] = improved[rel[stale]]
+        kept = n - s
+        if raised.any():
+            kept = int(np.argmax(raised)) + 1
+        if stale[:kept].any():
+            kept = int(np.argmax(stale))
+        rows = np.flatnonzero(improved[:kept])
+        pop.positions[s + rows] = x[rows]
+        pop.fitness[s + rows] = merits[rows]
+        if raised[kept - 1]:
+            pop.best_merit = float(merits[kept - 1])
+            pop.best_x = x[kept - 1].copy()
+        evaluator.evaluations += kept
+        s += kept
+    return pop
 
 
 def aquila_run(corr: CorrelationMatrix, config: AquilaConfig) -> SearchResult:
     """Aquila search sharing the bat searcher's decode and fitness contract."""
     evaluator = MeritEvaluator(corr)
-    k = evaluator.n_features
-    lb, ub = -1.0, 1.0
     start = time.perf_counter()
-
-    rng0 = np.random.default_rng(config.seed)
-    positions = rng0.uniform(lb, ub, (config.n, k))
-    fitness = np.array(
-        [evaluator.merit_of_mask(row >= SELECT_THRESHOLD) for row in positions]
-    )
-    best_i = int(np.argmax(fitness))
-    best_x = positions[best_i].copy()
-    best_merit = float(fitness[best_i])
-    trace = [best_merit]
-
-    t_max = config.t_max
-    switch = (2.0 / 3.0) * t_max
-    for t in range(1, t_max + 1):
-        rng = _epoch_rng(config.seed, t, stream=1)
-        mean_x = positions.mean(axis=0)
-        for i in range(config.n):
-            if t <= switch:
-                if rng.uniform() < 0.5:
-                    # expanded exploration: sink toward the incumbent,
-                    # offset by the population mean
-                    x_new = best_x * (1.0 - t / t_max) + (
-                        mean_x - best_x * rng.uniform()
-                    )
-                else:
-                    # narrowed exploration: levy flight around the incumbent
-                    # plus a random peer and a spiral offset
-                    peer = positions[rng.integers(config.n)]
-                    y_s, x_s = _spiral(rng, k)
-                    x_new = (
-                        best_x * _levy(rng, k, config.levy_beta, config.levy_scale)
-                        + peer
-                        + (y_s - x_s) * rng.uniform()
-                    )
-            else:
-                if rng.uniform() < 0.5:
-                    # expanded exploitation: shrunk incumbent/mean gap plus a
-                    # bounded random offset
-                    x_new = (
-                        (best_x - mean_x) * config.exploit_alpha
-                        - rng.uniform()
-                        + ((ub - lb) * rng.uniform() + lb) * config.exploit_delta
-                    )
-                else:
-                    # narrowed exploitation: quality-function swoop at the
-                    # incumbent
-                    qf = t ** ((2.0 * rng.uniform() - 1.0) / (1.0 - t_max) ** 2)
-                    g1 = 2.0 * rng.uniform() - 1.0
-                    g2 = 2.0 * (1.0 - t / t_max)
-                    x_new = (
-                        qf * best_x
-                        - (g1 * positions[i] * rng.uniform())
-                        - g2 * _levy(rng, k, config.levy_beta, config.levy_scale)
-                        + rng.uniform() * g1
-                    )
-            x_new = np.clip(np.asarray(x_new, dtype=np.float64), lb, ub)
-            merit = evaluator.merit_of_mask(x_new >= SELECT_THRESHOLD)
-            if merit > fitness[i]:  # keep a move only when it improves
-                positions[i] = x_new
-                fitness[i] = merit
-            if fitness[i] > best_merit:
-                best_merit = float(fitness[i])
-                best_x = positions[i].copy()
-        trace.append(best_merit)
-
-    elapsed = time.perf_counter() - start
-    subset = decode(best_x)
-    subset = replace(subset, cfs=cfs_merit(corr, subset.indices))
-    return SearchResult(
-        best=subset,
-        best_merit=best_merit,
-        merit_trace=tuple(trace),
-        evaluations=evaluator.evaluations,
-        elapsed=elapsed,
-        method="ao",
-        seed=config.seed,
-    )
+    pop = aquila_init(config, evaluator)
+    trace = [pop.best_merit]
+    for t in range(1, config.t_max + 1):
+        aquila_epoch(pop, evaluator, config, t)
+        trace.append(pop.best_merit)
+    return _search_result(corr, start, pop.best_x, pop.best_merit, trace, evaluator,
+                          "ao", config.seed)
 
 
 # ---------------------------------------------------------------------------

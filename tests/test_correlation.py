@@ -12,6 +12,8 @@ from flowsel.correlation import (
     CfsScore,
     CorrelationMatrix,
     MeritEvaluator,
+    _abs_blocks,
+    _merit_parts,
     average_ranks,
     cfs_merit,
     export_heatmap,
@@ -245,6 +247,28 @@ class TestMeritEvaluator:
         for _ in range(5):
             ev.merit_of_mask(np.array([True, False, True]))
         assert ev.evaluations == 5
+
+    @pytest.mark.parametrize("k", [1, 9, 63])
+    def test_block_merits_are_the_scalar_floats_uncounted(self, k):
+        """Block merits, memoised or not, are _merit_parts' floats exactly,
+        and only scalar calls count; merit_of_mask returns a plain float."""
+        rng = np.random.default_rng(k)
+        feats = rng.normal(size=(50, k))
+        cls = np.eye(3)[np.arange(50) % 3]
+        m = spearman_matrix(feats, cls, tuple(f"f{i}" for i in range(k)), ("u", "v", "w"))
+        ev = MeritEvaluator(m)
+        fc_rowsum, ff = _abs_blocks(m)
+        masks = rng.random((40, k)) < 0.5
+        masks = np.vstack([masks, masks[::3], np.zeros((1, k), dtype=bool)])  # repeats hit the memo
+        want = [_merit_parts(fc_rowsum, ff, 3, mask)[0] for mask in masks]
+        for _ in range(2):
+            got = ev.merits_of_masks(masks)
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+        assert ev.evaluations == 0
+        merit = ev.merit_of_mask(masks[0])
+        assert type(merit) is float and merit == want[0]
+        assert ev.evaluations == 1
 
     def test_rejects_matrix_without_class_columns(self):
         v = np.eye(3)

@@ -6,13 +6,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsel.cli import main
-from flowsel.dataset import load_csv
+from flowsel.dataset import load_csv, load_dataset
 from flowsel.errors import DataError, PipelineError
 from flowsel.neural_net import MlpConfig
 from flowsel.pipeline import (
     ExperimentConfig,
+    _select_key,
     compare,
     depth_sweep,
     load_records,
@@ -211,6 +214,36 @@ class TestRunPipeline:
             assert exc.completed == {}
 
 
+@st.composite
+def another_value(draw, value):
+    """A valid setting different from ``value``, typed like it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return draw(st.integers(1, 5000).filter(lambda v: v != value))
+    if isinstance(value, float):
+        return draw(st.floats(0.01, 1.0).filter(lambda v: v != value))
+    lo = draw(st.floats(0.01, 2.0))  # a (lo, hi) loudness range
+    return draw(st.tuples(st.just(lo), st.floats(lo, 4.0)).filter(lambda v: v != value))
+
+
+class TestSelectKey:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), search=st.sampled_from(["bat", "aquila"]))
+    def test_every_search_field_but_the_seed_changes_it(self, data, search):
+        """A changed search setting must not be served a cached subset;
+        the nested seed is a placeholder the pipeline overwrites."""
+        cfg = ExperimentConfig(data_paths=("flows.csv",), method="ba")
+        nested = getattr(cfg, search)
+        name = data.draw(st.sampled_from(
+            [f.name for f in dataclasses.fields(nested) if f.name != "seed"]))
+        changed = dataclasses.replace(
+            nested, **{name: data.draw(another_value(getattr(nested, name)))})
+        assert _select_key(dataclasses.replace(cfg, **{search: changed})) != _select_key(cfg)
+        reseeded = dataclasses.replace(nested, seed=nested.seed + 1)
+        assert _select_key(dataclasses.replace(cfg, **{search: reseeded})) == _select_key(cfg)
+
+
 def fake_record(method, indices, universe=6):
     return {
         "methodology": f"cat.{method}.rf",
@@ -296,6 +329,47 @@ class TestCli:
         lines = open(os.path.join(out, "report.csv")).read().splitlines()
         assert len(lines) == 3  # header + two runs
         assert len(load_records(out)) == 2
+
+    def test_each_trained_model_keeps_its_record(self, fixture_csv, tmp_path):
+        """Runs that differ only in the forest or the MLP are four models
+        and four report rows, not two overwritten records."""
+        csv_path, _ = fixture_csv
+        out = str(tmp_path / "runs")
+        base = ["--data", csv_path, "--out", out, "--max-depth", "6"]
+        for flags in (["--trees", "2"], ["--trees", "3"],
+                      ["--model", "mlp", "--hidden", "8"], ["--model", "mlp", "--hidden", "16"]):
+            assert main(["run", *base, *flags]) == 0
+        assert main(["report", "--out", out]) == 0
+        lines = open(os.path.join(out, "report.csv")).read().splitlines()
+        assert len(lines) == 5  # header + four runs
+
+    def test_text_identifier_columns_are_dropped_unparsed(self, fixture_csv, tmp_path):
+        """CIC day files carry text flow ids, addresses and timestamps; they
+        are dropped by name before any cell is parsed, so the file splits
+        exactly like a twin whose identifier columns are numbers."""
+        csv_path, _ = fixture_csv
+        header, *rows = open(csv_path).read().splitlines()
+        twins = {
+            "text": lambda i: f"10.0.0.{i}-172.16.0.1-{i}-80-6,10.0.0.{i},02/03/2018 08:47:{i % 60:02d}",
+            "numeric": lambda i: f"{i},{i * 7},{i * 13}",
+        }
+        splits = {}
+        for name, ids in twins.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(
+                ["Flow ID,Src IP,Timestamp," + header]
+                + [f"{ids(i)},{row}" for i, row in enumerate(rows)]) + "\n")
+            out = tmp_path / name
+            assert main(["preprocess", "--data", str(path), "--out", str(out)]) == 0
+            (report,) = out.glob("preprocess_*.json")
+            assert json.load(open(report))["columns_dropped_named"] == [
+                "Flow ID", "Src IP", "Timestamp"]
+            splits[name] = [load_dataset(str(p)) for p in sorted(out.glob("clean_*.ds"))]
+        for text, numeric in zip(splits["text"], splits["numeric"]):
+            assert text.feature_names == numeric.feature_names
+            np.testing.assert_array_equal(text.features, numeric.features)
+            np.testing.assert_array_equal(text.labels_cat, numeric.labels_cat)
+        assert len(splits["text"]) == 2
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as err:

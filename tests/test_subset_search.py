@@ -10,16 +10,21 @@ import math
 import numpy as np
 import pytest
 
-from flowsel.correlation import CorrelationMatrix, cfs_merit, spearman_matrix
+from flowsel.correlation import CorrelationMatrix, MeritEvaluator, cfs_merit, spearman_matrix
 from flowsel.dataset import one_hot
 from flowsel.errors import DataError
 from flowsel.subset_search import (
+    SELECT_THRESHOLD,
     AquilaConfig,
+    AquilaPopulation,
     BatConfig,
     BatPopulation,
     FeatureSubset,
     _epoch_rng,
+    _levy_sigma,
     _pulse_value,
+    aquila_epoch,
+    aquila_init,
     aquila_run,
     bat_epoch,
     bat_init,
@@ -71,6 +76,142 @@ def random_corr(rng, n_features, n_classes, rows=40):
 def one_feature_matrix(r=0.6):
     v = np.array([[1.0, r], [r, 1.0]])
     return CorrelationMatrix(v, ("f", "c"), 1)
+
+
+# ---------------------------------------------------------------------------
+# sequential reference: the bat-by-bat and candidate-by-candidate passes
+# the block-scored epochs must reproduce bit for bit
+
+
+def reference_seed_incumbent(pop, evaluator):
+    for i in range(pop.x.shape[0]):
+        merit = evaluator.merit_of_mask(decode_mask(pop.x[i]))
+        if merit > pop.best_merit:
+            pop.best_merit = merit
+            pop.best_x = pop.x[i].copy()
+
+
+def reference_bat_epoch(pop, evaluator, config, epoch):
+    n, _ = pop.x.shape
+    rng = _epoch_rng(config.seed, epoch, stream=0)
+    freq_draw = rng.uniform(0.0, config.f_max, n)
+    gate_walk = rng.uniform(0.0, 1.0, n)
+    walk_steps = rng.uniform(-config.walk_scale, config.walk_scale, pop.x.shape)
+    gate_accept = rng.uniform(0.0, 1.0, n)
+    for i in range(n):
+        pop.freq[i] = freq_draw[i]
+        v = pop.v[i] + (pop.x[i] - pop.best_x) * pop.freq[i]
+        np.clip(v, -1.0, 1.0, out=v)
+        pop.v[i] = v
+        if pop.pulse[i] >= gate_walk[i]:
+            x = pop.x[i] + v
+        else:
+            x = pop.best_x + walk_steps[i] * pop.loudness[i]
+        np.clip(x, -1.0, 1.0, out=x)
+        pop.x[i] = x
+        merit = evaluator.merit_of_mask(x >= SELECT_THRESHOLD)
+        if pop.loudness[i] > gate_accept[i] and merit > pop.best_merit:
+            pop.best_x = x.copy()
+            pop.best_merit = merit
+            pop.accept_counts[i] += 1
+            pop.pulse[i] = _pulse_value(pop.pulse_init[i], epoch, config)
+            pop.loudness[i] = config.alpha * pop.loudness[i]
+    return pop
+
+
+def reference_levy(rng, k, beta, scale):
+    u = rng.normal(0.0, _levy_sigma(beta), k)
+    v = rng.normal(0.0, 1.0, k)
+    return scale * u / np.abs(v) ** (1 / beta)
+
+
+def reference_spiral(rng, k):
+    d1 = np.arange(1, k + 1, dtype=np.float64)
+    r1 = rng.uniform(1.0, 20.0)
+    r = r1 + 0.00565 * d1
+    theta = -0.005 * d1 + 1.5 * math.pi
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def reference_aquila_init(config, evaluator):
+    positions = np.random.default_rng(config.seed).uniform(
+        -1.0, 1.0, (config.n, evaluator.n_features)
+    )
+    fitness = np.array(
+        [evaluator.merit_of_mask(row >= SELECT_THRESHOLD) for row in positions]
+    )
+    best_i = int(np.argmax(fitness))
+    return AquilaPopulation(positions, fitness, positions[best_i].copy(), float(fitness[best_i]))
+
+
+def reference_aquila_epoch(pop, evaluator, config, t):
+    k = pop.positions.shape[1]
+    lb, ub = -1.0, 1.0
+    t_max = config.t_max
+    positions, fitness = pop.positions, pop.fitness
+    best_x, best_merit = pop.best_x, pop.best_merit
+    rng = _epoch_rng(config.seed, t, stream=1)
+    mean_x = positions.mean(axis=0)
+    for i in range(config.n):
+        if t <= (2.0 / 3.0) * t_max:
+            if rng.uniform() < 0.5:
+                x_new = best_x * (1.0 - t / t_max) + (mean_x - best_x * rng.uniform())
+            else:
+                peer = positions[rng.integers(config.n)]
+                y_s, x_s = reference_spiral(rng, k)
+                x_new = (
+                    best_x * reference_levy(rng, k, config.levy_beta, config.levy_scale)
+                    + peer
+                    + (y_s - x_s) * rng.uniform()
+                )
+        else:
+            if rng.uniform() < 0.5:
+                x_new = (
+                    (best_x - mean_x) * config.exploit_alpha
+                    - rng.uniform()
+                    + ((ub - lb) * rng.uniform() + lb) * config.exploit_delta
+                )
+            else:
+                qf = t ** ((2.0 * rng.uniform() - 1.0) / (1.0 - t_max) ** 2)
+                g1 = 2.0 * rng.uniform() - 1.0
+                g2 = 2.0 * (1.0 - t / t_max)
+                x_new = (
+                    qf * best_x
+                    - (g1 * positions[i] * rng.uniform())
+                    - g2 * reference_levy(rng, k, config.levy_beta, config.levy_scale)
+                    + rng.uniform() * g1
+                )
+        x_new = np.clip(np.asarray(x_new, dtype=np.float64), lb, ub)
+        merit = evaluator.merit_of_mask(x_new >= SELECT_THRESHOLD)
+        if merit > fitness[i]:
+            positions[i] = x_new
+            fitness[i] = merit
+        if fitness[i] > best_merit:
+            best_merit = float(fitness[i])
+            best_x = positions[i].copy()
+    pop.best_x, pop.best_merit = best_x, best_merit
+    return pop
+
+
+class BlockCounter(MeritEvaluator):
+    """An evaluator that counts the blocks an epoch scores."""
+
+    blocks = 0
+
+    def merits_of_masks(self, masks):
+        self.blocks += 1
+        return super().merits_of_masks(masks)
+
+
+def assert_same_state(got, want):
+    """Every field bitwise equal, floats compared by their bytes."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and other.shape == value.shape, name
+            assert other.tobytes() == value.tobytes(), name
+        else:
+            assert type(other) is type(value) and other == value, name
 
 
 class TestDecode:
@@ -374,6 +515,93 @@ class TestAquilaRun:
             AquilaConfig(n=0)
         with pytest.raises(ValueError):
             AquilaConfig(t_max=-1)
+
+
+class TestBlockEpochsMatchSequential:
+    """The block-scored epochs reproduce the sequential passes bit for bit:
+    traces, subsets, evaluation counts and the final population state."""
+
+    @pytest.mark.parametrize("k", [1, 4, 12, 63])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bat(self, k, seed):
+        corr = random_corr(np.random.default_rng(100 + k), k, 3, rows=80)
+        cfg = BatConfig(n=12, t_max=40, seed=seed)
+        got_ev, want_ev = MeritEvaluator(corr), MeritEvaluator(corr)
+        got, want = bat_init(cfg, k), bat_init(cfg, k)
+        seed_incumbent(got, got_ev)
+        reference_seed_incumbent(want, want_ev)
+        trace = [want.best_merit]
+        for epoch in range(1, cfg.t_max + 1):
+            bat_epoch(got, got_ev, cfg, epoch)
+            reference_bat_epoch(want, want_ev, cfg, epoch)
+            assert got.best_merit == want.best_merit
+            trace.append(want.best_merit)
+        assert_same_state(got, want)
+        assert got_ev.evaluations == want_ev.evaluations == cfg.n * (cfg.t_max + 1)
+
+        res = bat_run(corr, cfg)
+        assert res.merit_trace == tuple(trace)
+        assert res.best.indices == decode(want.best_x).indices
+        assert res.evaluations == want_ev.evaluations
+
+    @pytest.mark.parametrize("k", [1, 4, 12, 63])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_aquila(self, k, seed):
+        corr = random_corr(np.random.default_rng(200 + k), k, 3, rows=80)
+        cfg = AquilaConfig(n=12, t_max=40, seed=seed)  # both phases
+        got_ev, want_ev = MeritEvaluator(corr), MeritEvaluator(corr)
+        got = aquila_init(cfg, got_ev)
+        want = reference_aquila_init(cfg, want_ev)
+        assert_same_state(got, want)
+        trace = [want.best_merit]
+        for t in range(1, cfg.t_max + 1):
+            aquila_epoch(got, got_ev, cfg, t)
+            reference_aquila_epoch(want, want_ev, cfg, t)
+            assert got.best_merit == want.best_merit
+            trace.append(want.best_merit)
+        assert_same_state(got, want)
+        assert got_ev.evaluations == want_ev.evaluations == cfg.n * (cfg.t_max + 1)
+
+        res = aquila_run(corr, cfg)
+        assert res.merit_trace == tuple(trace)
+        assert res.best.indices == decode(want.best_x).indices
+        assert res.evaluations == want_ev.evaluations
+
+    def test_bat_epoch_with_several_acceptances(self):
+        """From an empty incumbent the first epoch accepts again and again;
+        each acceptance ends a block and the rest is redone."""
+        corr = random_corr(np.random.default_rng(0), 8, 3)
+        cfg = BatConfig(n=30, seed=2)
+        got, want = bat_init(cfg, 8), bat_init(cfg, 8)
+        ev = BlockCounter(corr)
+        bat_epoch(got, ev, cfg, 1)
+        reference_bat_epoch(want, MeritEvaluator(corr), cfg, 1)
+        assert want.accept_counts.sum() >= 5
+        assert ev.blocks >= want.accept_counts.sum()
+        assert ev.evaluations == cfg.n
+        assert_same_state(got, want)
+
+    def test_aquila_block_cut_on_a_peer_conflict(self):
+        """With the incumbent at the optimum no move can raise it, so every
+        block after the first was cut before a candidate whose peer an
+        earlier candidate of the block had just replaced."""
+        corr = random_corr(np.random.default_rng(9), 6, 3)
+        oracle = brute_force_best(corr)
+        cfg = AquilaConfig(n=30, t_max=30, seed=4)
+
+        def start():
+            positions = np.random.default_rng(1).uniform(-1.0, 1.0, (cfg.n, 6))
+            best_x = np.where(oracle.best.mask(6), 0.75, 0.25)
+            return AquilaPopulation(positions, np.zeros(cfg.n), best_x, oracle.best_merit)
+
+        got, want = start(), start()
+        ev = BlockCounter(corr)
+        aquila_epoch(got, ev, cfg, 1)
+        reference_aquila_epoch(want, MeritEvaluator(corr), cfg, 1)
+        assert want.best_merit == oracle.best_merit
+        assert ev.blocks >= 2
+        assert ev.evaluations == cfg.n
+        assert_same_state(got, want)
 
 
 class TestBruteForce:
