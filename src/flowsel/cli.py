@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands map onto pipeline stages (preprocess, correlate, select,
-train, evaluate), plus report/sweep-depth/synth utilities and `run` for
-the whole chain.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+Subcommands map onto pipeline stages (preprocess, correlate, select),
+plus report/sweep-depth/synth utilities and `run` for the whole chain,
+which trains and scores the model.  Exit codes: 0 success, 1 usage error
+(including a setting out of its range), 2 data error, 3 numeric failure.
 
 Settings resolve in three layers: built-in defaults, then an INI config
 file (--config), then explicit command-line flags.
@@ -28,6 +28,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+
+class UsageError(Exception):
+    """A setting that parsed but lies outside its documented range."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,19 +115,11 @@ def build_parser() -> _Parser:
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
 
-    p = sub.add_parser("train", help="fit a model on the selected features")
-    _add_common(p); _add_data(p); _add_mode(p); _add_selection(p); _add_model(p)
-
-    p = sub.add_parser("evaluate", help="score a trained model on the test split")
+    p = sub.add_parser("run", help="run the full pipeline end to end")
     _add_common(p); _add_data(p); _add_mode(p); _add_selection(p); _add_model(p)
     p.add_argument("--averaging", choices=pipeline.AVERAGINGS, default=None)
     p.add_argument("--collapse", action="store_true", default=None,
                    help="score a categorical model as a binary detector")
-
-    p = sub.add_parser("run", help="run the full pipeline end to end")
-    _add_common(p); _add_data(p); _add_mode(p); _add_selection(p); _add_model(p)
-    p.add_argument("--averaging", choices=pipeline.AVERAGINGS, default=None)
-    p.add_argument("--collapse", action="store_true", default=None)
 
     p = sub.add_parser("report", help="tabulate run records and subset overlap")
     _add_common(p)
@@ -179,6 +175,14 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise DataError(f"bad hidden layer spec {text!r}") from None
 
 
+def _settings(section: str, cls, **values):
+    """Construct one config section; an out-of-range value is a usage error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(f"bad {section} setting: {exc}") from None
+
+
 def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     """Defaults, then config file, then flags."""
     cfg = pipeline.ExperimentConfig()
@@ -227,7 +231,8 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     cfg.out_dir = pick(getattr(args, "out", None), file_get("run.out_dir"), cfg.out_dir)
     cfg.force = bool(getattr(args, "force", False))
 
-    cfg.bat = BatConfig(
+    cfg.bat = _settings(
+        "bat", BatConfig,
         n=pick(getattr(args, "bat_n", None), file_get("bat.n", int), cfg.bat.n),
         t_max=pick(getattr(args, "bat_epochs", None), file_get("bat.t_max", int), cfg.bat.t_max),
         alpha=pick(getattr(args, "alpha", None), file_get("bat.alpha", float), cfg.bat.alpha),
@@ -236,12 +241,14 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
                              file_get("bat.canonical_pulse", _parse_bool),
                              cfg.bat.canonical_pulse),
     )
-    cfg.aquila = AquilaConfig(
+    cfg.aquila = _settings(
+        "aquila", AquilaConfig,
         n=pick(getattr(args, "aquila_n", None), file_get("aquila.n", int), cfg.aquila.n),
         t_max=pick(getattr(args, "aquila_epochs", None),
                    file_get("aquila.t_max", int), cfg.aquila.t_max),
     )
-    cfg.forest = ForestConfig(
+    cfg.forest = _settings(
+        "forest", ForestConfig,
         n_trees=pick(getattr(args, "trees", None), file_get("forest.n_trees", int),
                      cfg.forest.n_trees),
         max_depth=pick(getattr(args, "max_depth", None),
@@ -252,7 +259,8 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
         n_workers=pick(getattr(args, "workers", None),
                        file_get("forest.n_workers", int), cfg.forest.n_workers),
     )
-    cfg.mlp = MlpConfig(
+    cfg.mlp = _settings(
+        "mlp", MlpConfig,
         hidden_sizes=pick(
             _parse_hidden(args.hidden) if getattr(args, "hidden", None) else None,
             file_get("mlp.hidden_sizes", _parse_hidden),
@@ -378,8 +386,6 @@ _COMMANDS = {
     "preprocess": _cmd_preprocess,
     "correlate": _cmd_correlate,
     "select": _cmd_select,
-    "train": _cmd_run,  # training ends with a scored run record
-    "evaluate": _cmd_run,
     "run": _cmd_run,
     "report": _cmd_report,
     "sweep-depth": _cmd_sweep_depth,
@@ -392,6 +398,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PipelineError as exc:
         cause = exc.__cause__
         print(f"error: {exc}", file=sys.stderr)

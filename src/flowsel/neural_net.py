@@ -61,15 +61,15 @@ class MlpConfig:
 
     def __post_init__(self):
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
+            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
+            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
 
 @dataclass

@@ -64,18 +64,20 @@ class ForestConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("need at least one tree")
+            raise ValueError(f"need at least one tree, got n_trees={self.n_trees}")
         if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
+            raise ValueError(f"max_depth must be positive, got {self.max_depth}")
         if self.min_node_size < 1:
-            raise ValueError("min_node_size must be positive")
+            raise ValueError(f"min_node_size must be positive, got {self.min_node_size}")
         if self.n_workers < 1:
-            raise ValueError("n_workers must be positive")
+            raise ValueError(f"n_workers must be positive, got {self.n_workers}")
         if isinstance(self.features_per_split, str):
             if self.features_per_split not in ("sqrt", "all"):
-                raise ValueError("features_per_split must be 'sqrt', 'all', or an int")
+                raise ValueError("features_per_split must be 'sqrt', 'all', or an int, "
+                                 f"got {self.features_per_split!r}")
         elif self.features_per_split < 1:
-            raise ValueError("features_per_split must be positive")
+            raise ValueError(
+                f"features_per_split must be positive, got {self.features_per_split}")
 
 
 @dataclass
@@ -102,46 +104,57 @@ class TreeNode:
         return self.feature is None
 
 
+# Cells (candidates x rows x classes) that best_split scores in one block.
+# A block is at least one candidate wide, so a temporary array holds at most
+# max(BLOCK_CELLS, rows x classes) float64 cells: 8 MB at 1 << 20, more on a
+# node with over 2^20 rows x classes.
+BLOCK_CELLS = 1 << 20
+
+
 def best_split(X, y, n_classes: int, candidates):
     """Best (feature, threshold) by size-weighted child gini.
 
     Thresholds are midpoints between consecutive distinct sorted values.
-    Candidates are scanned in ascending feature order and thresholds in
-    ascending value order, so exact ties already sit on the winner when
-    later ones only match.  Returns (feature, threshold, weighted_gini) or
-    None when nothing beats the node's own impurity strictly.
+    Candidates are scored in ascending feature order and thresholds in
+    ascending value order, a block of candidates at a time, so exact ties
+    already sit on the winner when later ones only match.  Returns
+    (feature, threshold, weighted_gini) or None when nothing beats the
+    node's own impurity strictly.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n = y.size
     parent = gini(np.bincount(y, minlength=n_classes))
+    cand = sorted({int(c) for c in candidates})
+    if n < 2 or not cand:
+        return None
+    nl = np.arange(1, n, dtype=np.float64)  # left-side size at each cut
+    nr = n - nl
+    width = max(1, BLOCK_CELLS // (n * n_classes))
     best = None
-    for f in sorted(int(c) for c in candidates):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sc = col[order]
-        sy = y[order]
-        cut = np.flatnonzero(sc[1:] != sc[:-1]) + 1  # left-side sizes
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[np.arange(n), sy] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cut - 1]
-        right = cum[-1] - left
-        nl = cut.astype(np.float64)
-        nr = n - nl
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+    for start in range(0, len(cand), width):
+        block = cand[start:start + width]
+        cols = X[:, block]
+        order = np.argsort(cols, axis=0, kind="stable")
+        sc = cols[order, np.arange(len(block))]
+        onehot = y[order.T][:, :, None] == np.arange(n_classes)  # (block, n, C)
+        cum = onehot.cumsum(axis=1, dtype=np.float64)
+        left = cum[:, :-1]
+        right = cum[:, -1:] - left
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=-1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=-1)
         weighted = (nl * gini_l + nr * gini_r) / n
-        j = int(np.argmin(weighted))  # first minimum = lowest threshold
-        if best is not None and weighted[j] >= best[0]:
+        weighted[(sc[1:] == sc[:-1]).T] = np.inf  # no threshold between ties
+        # first minimum: lowest feature of the block, then lowest threshold
+        f, j = divmod(int(np.argmin(weighted)), n - 1)
+        score = weighted[f, j]
+        if score == np.inf or (best is not None and score >= best[0]):
             continue
-        a, b = sc[cut[j] - 1], sc[cut[j]]
+        a, b = sc[j, f], sc[j + 1, f]
         thr = a + (b - a) / 2.0
         if not (a <= thr < b):
             thr = a  # adjacent floats can round the midpoint onto b
-        best = (float(weighted[j]), f, float(thr))
+        best = (float(score), block[f], float(thr))
     if best is None or best[0] >= parent:
         return None
     weighted_gini, feature, threshold = best

@@ -102,14 +102,15 @@ class BatConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need at least one bat")
+            raise ValueError(f"need at least one bat, got n={self.n}")
         if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+            raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
         if not 0 < self.alpha <= 1 or not 0 < self.gamma <= 1:
-            raise ValueError("alpha and gamma must be in (0, 1]")
+            raise ValueError(
+                f"alpha and gamma must be in (0, 1], got {self.alpha} and {self.gamma}")
         lo, hi = self.loudness_init
         if not 0 < lo <= hi:
-            raise ValueError("bad loudness range")
+            raise ValueError(f"bad loudness range {self.loudness_init}")
 
 
 @dataclass
@@ -283,9 +284,10 @@ class AquilaConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need at least one candidate")
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+            raise ValueError(f"need at least one candidate, got n={self.n}")
+        # the exploitation's quality function divides by (1 - t_max)^2
+        if self.t_max < 0 or self.t_max == 1:
+            raise ValueError(f"t_max must be 0 or at least 2, got {self.t_max}")
 
 
 @dataclass

@@ -216,11 +216,13 @@ class TestRunPipeline:
 
 @st.composite
 def another_value(draw, value):
-    """A valid setting different from ``value``, typed like it."""
+    """A valid setting different from ``value``, typed like it.
+
+    Integers start at 2, since ``AquilaConfig`` rejects ``t_max`` 1."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
-        return draw(st.integers(1, 5000).filter(lambda v: v != value))
+        return draw(st.integers(2, 5000).filter(lambda v: v != value))
     if isinstance(value, float):
         return draw(st.floats(0.01, 1.0).filter(lambda v: v != value))
     lo = draw(st.floats(0.01, 2.0))  # a (lo, hi) loudness range
@@ -378,6 +380,32 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 1
+
+    def test_alias_subcommands_are_gone(self, capsys):
+        """`run` trains and scores; `train` and `evaluate` are not commands."""
+        for command in ("train", "evaluate"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--data", "flows.csv"])
+            assert err.value.code == 1
+            assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs", ["1", "-1"])
+    def test_out_of_range_setting_exits_1(self, tmp_path, capsys, epochs):
+        """An aquila search of one epoch would divide by (1 - t_max)^2 = 0; it
+        and a negative epoch count are usage errors with one message line."""
+        out = str(tmp_path / "runs")
+        main(["synth", "--out", out, "--stem", "flows", "--rows", "60",
+              "--informative", "2", "--noise", "2", "--seed", "3"])
+        capsys.readouterr()
+        code = main(["select", "--data", os.path.join(out, "flows.csv"), "--out", out,
+                     "--method", "ao", "--aquila-epochs", epochs])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: bad aquila setting: t_max")
+        assert lines[0].endswith(f"got {epochs}")
 
     def test_data_error_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowsel import random_forest
 from flowsel.dataset import Dataset
 from flowsel.errors import DataError, NumericError
 from flowsel.random_forest import (
@@ -103,6 +106,128 @@ class TestBestSplit:
     def test_constant_feature_returns_none(self):
         X = np.ones((4, 1))
         assert best_split(X, np.array([0, 1, 0, 1]), 2, [0]) is None
+
+
+def reference_best_split(X, y, n_classes, candidates):
+    """The per-candidate scan that the block kernel must reproduce bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    n = y.size
+    parent = gini(np.bincount(y, minlength=n_classes))
+    best = None
+    for f in sorted(int(c) for c in candidates):
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        sc = col[order]
+        sy = y[order]
+        cut = np.flatnonzero(sc[1:] != sc[:-1]) + 1  # left-side sizes
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes), dtype=np.float64)
+        onehot[np.arange(n), sy] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[cut - 1]
+        right = cum[-1] - left
+        nl = cut.astype(np.float64)
+        nr = n - nl
+        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        weighted = (nl * gini_l + nr * gini_r) / n
+        j = int(np.argmin(weighted))
+        if best is not None and weighted[j] >= best[0]:
+            continue
+        a, b = sc[cut[j] - 1], sc[cut[j]]
+        thr = a + (b - a) / 2.0
+        if not (a <= thr < b):
+            thr = a
+        best = (float(weighted[j]), f, float(thr))
+    if best is None or best[0] >= parent:
+        return None
+    weighted_gini, feature, threshold = best
+    return feature, threshold, weighted_gini
+
+
+def split_bits(found):
+    """A split result with its floats spelled out exactly."""
+    if found is None:
+        return None
+    feature, threshold, weighted = found
+    assert type(feature) is int
+    return feature, float(threshold).hex(), float(weighted).hex()
+
+
+def split_problem(data):
+    """Rows, labels, class count and a candidate list drawn for one node.
+
+    Columns are continuous, rounded to a few integers (heavy ties),
+    constant, or a copy of column 0 (features that tie on every cut); the
+    candidate list is unsorted and may repeat features."""
+    n = data.draw(st.integers(1, 200), label="rows")
+    n_classes = data.draw(st.sampled_from([2, 5, 9, 15]), label="classes")
+    p = data.draw(st.integers(1, 6), label="features")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    present = data.draw(st.integers(1, n_classes), label="classes present")
+    y = rng.integers(0, present, n)
+    X = rng.normal(size=(n, p)) + 0.4 * y[:, None]
+    for f in range(p):
+        kind = data.draw(st.sampled_from(["continuous", "ties", "constant", "copy"]))
+        if kind == "ties":
+            X[:, f] = np.round(X[:, f])
+        elif kind == "constant":
+            X[:, f] = 1.5
+        elif kind == "copy":
+            X[:, f] = X[:, 0]
+    candidates = data.draw(
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p), label="candidates"
+    )
+    return X, y, n_classes, candidates
+
+
+class TestBlockSplitMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_the_per_candidate_scan(self, data):
+        X, y, n_classes, candidates = split_problem(data)
+        want = split_bits(reference_best_split(X, y, n_classes, candidates))
+        assert split_bits(best_split(X, y, n_classes, candidates)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_with_one_candidate_per_block(self, data):
+        X, y, n_classes, candidates = split_problem(data)
+        want = split_bits(reference_best_split(X, y, n_classes, candidates))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(random_forest, "BLOCK_CELLS", 1)
+            assert split_bits(best_split(X, y, n_classes, candidates)) == want
+
+    @staticmethod
+    def forest_bytes(data, config, tmp_path, name):
+        forest = train_forest(data, config)
+        forest.build_seconds = 0.0
+        path = tmp_path / name
+        save_forest(forest, str(path))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("n_classes", [5, 9])
+    @pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
+    def test_forest_bytes_equal_the_reference_forest(
+        self, tmp_path, monkeypatch, n_classes, features_per_split
+    ):
+        rng = np.random.default_rng(n_classes)
+        labels = rng.integers(0, n_classes, 300)
+        feats = rng.normal(size=(300, 9)) + 0.5 * (labels[:, None] % 3)
+        feats[:, 1::3] = np.round(feats[:, 1::3])  # tied columns
+        data = Dataset(
+            features=feats,
+            feature_names=tuple(f"f{i}" for i in range(9)),
+            labels_cat=labels.astype(np.int64),
+            labels_bin=labels != 0,
+            class_names=tuple(f"c{i}" for i in range(n_classes)),
+        )
+        config = ForestConfig(n_trees=3, seed=4, features_per_split=features_per_split)
+        block = self.forest_bytes(data, config, tmp_path, "block.rf")
+        monkeypatch.setattr(random_forest, "best_split", reference_best_split)
+        assert self.forest_bytes(data, config, tmp_path, "reference.rf") == block
 
 
 class TestGrowTree:

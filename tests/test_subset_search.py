@@ -515,6 +515,10 @@ class TestAquilaRun:
             AquilaConfig(n=0)
         with pytest.raises(ValueError):
             AquilaConfig(t_max=-1)
+        with pytest.raises(ValueError, match="got 1"):
+            AquilaConfig(t_max=1)  # the quality function divides by (1 - t_max)^2
+        AquilaConfig(t_max=0)
+        AquilaConfig(t_max=2)
 
 
 class TestBlockEpochsMatchSequential:
