@@ -189,9 +189,12 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
     def file_get(key, convert=str):
-        if key in file_values:
+        if key not in file_values:
+            return None
+        try:
             return convert(file_values[key])
-        return None
+        except (ValueError, DataError) as exc:
+            raise DataError(f"{args.config}: bad value for {key}: {exc}") from None
 
     def pick(flag_value, file_value, default):
         if flag_value is not None:

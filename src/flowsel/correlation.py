@@ -59,14 +59,11 @@ def average_ranks(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("average_ranks expects a 1-d array")
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.arange(1, n + 1, dtype=np.float64)
-    _, inverse = np.unique(values, return_inverse=True)
-    sums = np.bincount(inverse, weights=ranks)
-    counts = np.bincount(inverse)
-    return (sums / counts)[inverse]
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # A tie group holds the ranks ends - counts + 1 .. ends; their mean is a
+    # half-integer, so it is exact.
+    ends = np.cumsum(counts)
+    return ((ends - counts + ends + 1) / 2)[inverse]
 
 
 def spearman_matrix(features, class_columns, feature_names, class_names) -> CorrelationMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -108,34 +109,46 @@ def _parse_cell(text: str, path: str, line_no: int, column: str) -> float:
         ) from None
 
 
-def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTable:
-    """Parse a headered CSV into a RawTable.
-
-    Columns named in ``drop_columns`` are skipped without being parsed, so
-    identifier columns may hold text.  Every other non-label column must
-    parse as a float (missing/inf tokens included); anything else raises
-    DataError with the offending line number.  The label column is kept
-    verbatim as text.
-    """
+def _open_csv(path: str):
     try:
-        handle = open(path, "r", newline="", encoding="utf-8")
+        return open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, no header row")
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataError(f"{path}: header has no column named {label_column!r}")
-        if label_column in drop_columns:
-            raise DataError(f"cannot drop the label column {label_column!r}")
-        label_idx = header.index(label_column)
-        keep = [j for j, h in enumerate(header) if j != label_idx and h not in drop_columns]
-        feature_cols = tuple(header[j] for j in keep)
-        dropped = tuple(h for h in header if h in drop_columns)
 
+
+def _read_header(reader, path: str, label_column: str, drop_columns):
+    """Check the header row; returns (names, label index, kept indices)."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, no header row")
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise DataError(f"{path}: header has no column named {label_column!r}")
+    if label_column in drop_columns:
+        raise DataError(f"cannot drop the label column {label_column!r}")
+    label_idx = header.index(label_column)
+    keep = [j for j, h in enumerate(header) if j != label_idx and h not in drop_columns]
+    return header, label_idx, keep
+
+
+def _table(header, keep, values, labels, label_column, drop_columns) -> RawTable:
+    return RawTable(
+        tuple(header[j] for j in keep),
+        values,
+        tuple(labels),
+        label_column,
+        tuple(h for h in header if h in drop_columns),
+    )
+
+
+def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
+    """The reference parser: one ``float()`` per kept cell, row by row.
+
+    Every cell and row error of ``load_csv`` comes from here.
+    """
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
         rows: list[list[float]] = []
         labels: list[str] = []
         for line_no, row in enumerate(reader, start=2):
@@ -147,8 +160,64 @@ def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTabl
                 )
             labels.append(row[label_idx].strip())
             rows.append([_parse_cell(row[j], path, line_no, header[j]) for j in keep])
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(feature_cols))
-    return RawTable(feature_cols, values, tuple(labels), label_column, dropped)
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(keep))
+    return _table(header, keep, values, labels, label_column, drop_columns)
+
+
+def _load_csv_fast(path: str, label_column: str, drop_columns) -> RawTable | None:
+    """``load_csv`` without ``float()``; None when the file needs the scanner."""
+    if not os.path.isfile(path):
+        return None  # a pipe cannot be read twice; a missing file is the scanner's error
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
+        header_lines = reader.line_num
+        labels: list[str] = []
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    return None  # np.loadtxt(usecols=...) would take a long row
+                labels.append(row[label_idx].strip())
+        except (ValueError, csv.Error):
+            return None
+    if keep and labels:
+        try:
+            # quotechar keeps a quoted comma inside its cell; comments=None
+            # stops '#' from truncating one.  skiprows counts lines, and a
+            # header with a quoted line break spans more than one.
+            values = np.loadtxt(
+                path, dtype=np.float64, delimiter=",", skiprows=header_lines,
+                usecols=keep, quotechar='"', comments=None, encoding="utf-8", ndmin=2,
+            )
+        except ValueError:
+            return None
+        if values.shape[0] != len(labels):
+            return None
+    else:
+        values = np.empty((len(labels), len(keep)), dtype=np.float64)
+    return _table(header, keep, values, labels, label_column, drop_columns)
+
+
+def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTable:
+    """Parse a headered CSV into a RawTable.
+
+    Columns named in ``drop_columns`` are skipped without being parsed, so
+    identifier columns may hold text.  Every other non-label column must
+    parse as a float (missing/inf tokens included); anything else raises
+    DataError with the offending line number.  The label column is kept
+    verbatim as text.
+
+    One ``csv.reader`` pass checks the header and every row's cell count
+    and collects the labels; ``np.loadtxt`` then streams the kept columns
+    from the file.  A file that either pass cannot take exactly (empty
+    cells, underscores, non-ASCII digits, ragged rows, ...) is rescanned by
+    ``_scan_csv``, which gives the same table or the same error.  A path
+    that is not a regular file, such as a pipe, goes to the scanner alone.
+    """
+    table = _load_csv_fast(path, label_column, drop_columns)
+    return table if table is not None else _scan_csv(path, label_column, drop_columns)
 
 
 def merge_tables(tables: list[RawTable]) -> RawTable:

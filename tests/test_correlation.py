@@ -7,7 +7,10 @@ the module under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowsel import correlation
 from flowsel.correlation import (
     CfsScore,
     CorrelationMatrix,
@@ -78,6 +81,72 @@ class TestAverageRanks:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
             average_ranks(np.zeros((2, 2)))
+
+
+def reference_average_ranks(values):
+    """The earlier two-sort ranking: stable argsort positions, averaged over
+    each ``np.unique`` group by ``bincount``."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.arange(1, n + 1, dtype=np.float64)
+    _, inverse = np.unique(values, return_inverse=True)
+    sums = np.bincount(inverse, weights=ranks)
+    counts = np.bincount(inverse)
+    return (sums / counts)[inverse]
+
+
+def rank_column(data, n):
+    """A column of heavy ties, rounded values, signed zeros, NaN or one value."""
+    kind = data.draw(st.sampled_from(["ties", "rounded", "zeros", "nan", "constant", "floats"]))
+    if kind == "ties":
+        cells = st.integers(0, 3).map(float)
+    elif kind == "rounded":
+        cells = st.floats(-5, 5).map(lambda v: round(v, 1))
+    elif kind == "zeros":
+        cells = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    elif kind == "nan":
+        cells = st.sampled_from([np.nan, 0.0, -0.0, 2.5, np.inf, -np.inf])
+    elif kind == "constant":
+        value = data.draw(st.floats(allow_nan=True))
+        return np.full(n, value)
+    else:
+        cells = st.floats(allow_nan=True, allow_infinity=True)
+    return np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+
+
+class TestRanksMatchReference:
+    """One ``np.unique`` with group ends gives the reference's exact bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_bytes_as_two_sorts(self, data):
+        n = data.draw(st.sampled_from([1, 2, 3, 7, 40, 200]))
+        column = rank_column(data, n)
+        assert average_ranks(column).tobytes() == reference_average_ranks(column).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_spearman_matrix_same_bytes_on_tied_columns(self, data):
+        rows = data.draw(st.integers(5, 300))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        feats = np.round(rng.normal(size=(rows, 63)), data.draw(st.integers(0, 2)))
+        feats[:, ::7] = rng.integers(0, 3, size=(rows, 9))
+        feats[0] = feats[1] + 1.0  # no constant column
+        labels = rng.integers(0, 5, size=rows)
+        cls = (labels[:, None] == np.arange(5)).astype(np.float64)
+        names = tuple(f"f{j}" for j in range(63))
+        classes = tuple(f"c{j}" for j in range(5))
+        got = spearman_matrix(feats, cls, names, classes)
+        real = correlation.average_ranks
+        correlation.average_ranks = reference_average_ranks
+        try:
+            want = spearman_matrix(feats, cls, names, classes)
+        finally:
+            correlation.average_ranks = real
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestSpearmanMatrix:

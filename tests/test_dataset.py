@@ -1,10 +1,15 @@
 """CSV ingestion, cleaning, normalization, label encoding, splitting."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowsel import dataset
 from flowsel.dataset import (
     DEFAULT_DROP_COLUMNS,
     Dataset,
@@ -31,9 +36,29 @@ from flowsel.errors import DataError
 
 
 def write_csv(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return str(path)
+
+
+def same_as_scanner(path, label_column="Label", drop_columns=()):
+    """``load_csv``'s table, or its DataError message, equals the row-by-row
+    scanner's; returns the table, or the message."""
+    try:
+        want = dataset._scan_csv(path, label_column, drop_columns)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(path, label_column, drop_columns)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = load_csv(path, label_column, drop_columns)
+    assert got.columns == want.columns
+    assert got.labels == want.labels
+    assert got.label_column == want.label_column
+    assert got.dropped == want.dropped
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    return got
 
 
 def small_table():
@@ -43,6 +68,74 @@ def small_table():
         labels=("x", "y", "x", "y"),
         label_column="Label",
     )
+
+
+NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**53), 2**53).map(str),
+    st.sampled_from(["NaN", "nan", "-nan", "+NaN", "Infinity", "-Infinity", "inf",
+                     "+inf", "-iNf", "iNfInItY", "1e308", "1e400", "-0", "0.5e-320",
+                     ".5", "5.", "1_0", "1_000.25", "1__0", "_1", "\u0661\u0662",
+                     "", " ", "#1", "1#", "1 2", "0x10", "abc", '"3"', '"4,5"']),
+)
+TEXT_CELLS = st.text(alphabet='ab0. :,"#-\t', max_size=8)
+PADDING = st.sampled_from(["", "", " ", "  ", "\t", " \t"])
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def text_cell(data):
+    """A text identifier, quoted when it must be and sometimes when not; an
+    unquoted one may hold a quote after its first character."""
+    text = data.draw(TEXT_CELLS)
+    if "," in text or text.startswith('"') or data.draw(st.booleans()):
+        return quoted(text)
+    return text
+
+
+def csv_draw(data):
+    """A headered CSV text and the names of its text identifier columns.
+
+    It draws numeric cells with padding and every NaN/Infinity spelling,
+    underscores, empty cells, identifier cells with quoted commas, short
+    and long rows, blank lines, and either line ending."""
+    n_numeric = data.draw(st.integers(0, 3))
+    n_ids = data.draw(st.integers(0, 2))
+    kinds = ["num"] * n_numeric + ["id"] * n_ids + ["label"]
+    kinds = data.draw(st.permutations(kinds))
+    names, ids = [], []
+    for j, kind in enumerate(kinds):
+        names.append({"num": f"c{j}", "id": f"id {j}", "label": "Label"}[kind])
+        if kind == "id":
+            ids.append(names[-1])
+    lines = [",".join(names)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        shape = data.draw(st.sampled_from(["row"] * 6 + ["short", "long", "blank", "spaces"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        if shape == "spaces":
+            lines.append(data.draw(PADDING))
+            continue
+        cells = []
+        for kind in kinds:
+            if kind == "num":
+                cell = data.draw(PADDING) + data.draw(NUMERIC_CELLS) + data.draw(PADDING)
+            elif kind == "id":
+                cell = text_cell(data)
+            else:
+                cell = data.draw(PADDING) + data.draw(st.sampled_from(["Benign", "DoS", "#x"]))
+            cells.append(cell)
+        if shape == "short":
+            cells.pop()
+        elif shape == "long":
+            cells.append(data.draw(NUMERIC_CELLS))
+        lines.append(",".join(cells))
+    ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
+    return text, tuple(ids)
 
 
 class TestLoadCsv:
@@ -94,6 +187,92 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_csv(str(tmp_path / "absent.csv"))
+
+    # Inputs on which np.loadtxt alone and the scanner disagree: the fast
+    # path must give the scanner's table or its error.
+    def test_row_with_one_extra_cell(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,b,Label\n1,2,x\n3,4,y,5\n")
+        assert same_as_scanner(path).endswith(":3: expected 3 cells, got 4")
+
+    def test_quoted_comma_spanning_two_dropped_id_columns(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv",
+                         'Flow ID,Src IP,a,Label\n"7,8",9,5,x\n"1,2",3,4,y\n')
+        table = same_as_scanner(path, drop_columns=("Flow ID", "Src IP"))
+        np.testing.assert_array_equal(table.values, [[5.0], [4.0]])
+
+    def test_cell_starting_with_hash(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "Flow ID,a,Label\n#7,1,#x\n")
+        table = same_as_scanner(path, drop_columns=("Flow ID",))
+        assert table.labels == ("#x",)
+        path = write_csv(tmp_path / "g.csv", "a,Label\n#1,x\n")
+        assert same_as_scanner(path).endswith(":2: column 'a' has non-numeric cell '#1'")
+
+    def test_underscore_digits(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,Label\n1_0,x\n2,y\n")
+        np.testing.assert_array_equal(same_as_scanner(path).values, [[10.0], [2.0]])
+
+    def test_unicode_digits(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,Label\n\u0661\u0662,x\n")
+        np.testing.assert_array_equal(same_as_scanner(path).values, [[12.0]])
+
+    def test_empty_cell(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,b,Label\n,2,x\n3, ,y\n")
+        values = same_as_scanner(path).values
+        assert math.isnan(values[0, 0]) and math.isnan(values[1, 1])
+
+    def test_whitespace_only_line(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,Label\n1,x\n   \n2,y\n")
+        assert same_as_scanner(path).endswith(":3: expected 2 cells, got 1")
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,Label\r\n1,x\r\n\r\n2.5,y\r\n")
+        table = same_as_scanner(path)
+        np.testing.assert_array_equal(table.values, [[1.0], [2.5]])
+        assert table.labels == ("x", "y")
+
+    def test_row_count_disagreement_rescans(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "f.csv", "a,Label\n1,x\n2,y\n")
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: loadtxt(*args, **kw)[:-1])
+        np.testing.assert_array_equal(same_as_scanner(path).values, [[1.0], [2.0]])
+
+    def test_clean_file_skips_the_scanner(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "f.csv",
+                         'Flow ID,a,b,Label\n"1,2", 1.5 ,NaN,x\n3,-Infinity,"4",y\n')
+
+        def no_scan(*args):
+            raise AssertionError("rescanned a file np.loadtxt parses exactly")
+
+        monkeypatch.setattr(dataset, "_scan_csv", no_scan)
+        table = load_csv(path, drop_columns=("Flow ID",))
+        assert table.values.tobytes() == np.array([[1.5, np.nan], [-np.inf, 4.0]]).tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        """A pipe holds its rows for one reader only, so it is not read twice."""
+        read_fd, write_fd = os.pipe()
+
+        def feed():
+            with os.fdopen(write_fd, "w", encoding="utf-8") as fh:
+                fh.write("a,Label\n1,x\n2.5,y\n")
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            table = load_csv(f"/dev/fd/{read_fd}")
+        finally:
+            writer.join(timeout=10)
+            os.close(read_fd)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(table.values, [[1.0], [2.5]])
+        assert table.labels == ("x", "y")
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_same_table_or_same_error(self, data, tmp_path_factory):
+        text, ids = csv_draw(data)
+        path = write_csv(tmp_path_factory.mktemp("draw") / "flows.csv", text)
+        same_as_scanner(path, drop_columns=ids)
 
 
 class TestMergeTables:

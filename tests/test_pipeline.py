@@ -469,6 +469,23 @@ class TestCli:
         assert cfg.mlp.hidden_sizes == (12, 6)
         assert cfg.ratio == 0.5  # untouched default
 
+    @pytest.mark.parametrize("section,key,value", [("bat", "n", "many"),
+                                                   ("split", "ratio", "half")])
+    def test_bad_config_file_value_exits_2(self, tmp_path, capsys, section, key, value):
+        """A config value that does not convert is a data error with one
+        message line naming the key and the file, not a traceback."""
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main(["select", "--config", str(ini), "--data", "x.csv",
+                     "--out", str(tmp_path / "runs")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {ini}: bad value for {section}.{key}: ")
+        assert repr(value) in lines[0]
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"),
                      "--data", "x.csv"]) == 2
