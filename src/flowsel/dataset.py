@@ -215,9 +215,33 @@ def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTabl
     cells, underscores, non-ASCII digits, ragged rows, ...) is rescanned by
     ``_scan_csv``, which gives the same table or the same error.  A path
     that is not a regular file, such as a pipe, goes to the scanner alone.
+    A file that is not UTF-8 raises DataError naming the first bad line.
     """
-    table = _load_csv_fast(path, label_column, drop_columns)
-    return table if table is not None else _scan_csv(path, label_column, drop_columns)
+    try:
+        table = _load_csv_fast(path, label_column, drop_columns)
+        return table if table is not None else _scan_csv(path, label_column, drop_columns)
+    except UnicodeDecodeError as exc:
+        line = _first_non_utf8_line(path)
+        where = path if line is None else f"{path}:{line}"
+        raise DataError(
+            f"{where}: not UTF-8 text ({exc.reason}); re-save the file as UTF-8"
+        ) from None
+
+
+def _first_non_utf8_line(path: str) -> int | None:
+    """Number of the first line that does not decode as UTF-8, if the file
+    can be read again to find it.  A line break byte never occurs inside a
+    multi-byte character, so lines decode on their own."""
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return line_no
+    except OSError:
+        pass
+    return None
 
 
 def merge_tables(tables: list[RawTable]) -> RawTable:

@@ -364,7 +364,7 @@ def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) 
 
 
 def _train_key(cfg: ExperimentConfig, subset: subset_search.FeatureSubset) -> str:
-    return _hash_key({
+    fields = {
         "pre": _preprocess_key(cfg),
         "mode": cfg.mode,
         "subset": list(subset.indices),
@@ -372,7 +372,10 @@ def _train_key(cfg: ExperimentConfig, subset: subset_search.FeatureSubset) -> st
         "seed": stage_seed(cfg.seed, "train"),
         "forest": _config_key(cfg.forest),
         "mlp": _config_key(cfg.mlp),
-    })
+    }
+    if cfg.model == "rf":  # a forest file of another layout is never looked up
+        fields["forest_format"] = random_forest.FORMAT_VERSION
+    return _hash_key(fields)
 
 
 def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
@@ -471,6 +474,18 @@ def write_report_csv(rows: list[dict], path: str) -> None:
             fh.write(",".join(_report_value(row[c]) for c in REPORT_COLUMNS) + "\n")
 
 
+def _forest_summary(forest: random_forest.TrainedForest) -> dict:
+    """Tree sizes and the out-of-bag score, read from the forest itself so
+    that a cached forest reports what a fresh one does."""
+    oob = forest.oob_accuracy
+    return {
+        "nodes": [t.n_nodes for t in forest.trees],
+        "depth": [t.depth for t in forest.trees],
+        "oob_accuracy": None if math.isnan(oob) else oob,
+        "oob_skipped": forest.oob_skipped,
+    }
+
+
 def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Execute every stage and write the run record JSON.
 
@@ -544,6 +559,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
             "selection_seconds": selection_seconds,
             "build_seconds": build_seconds,
         },
+        "forest": _forest_summary(model) if cfg.model == "rf" else None,
         "seeds": {
             "master": cfg.seed,
             "split": stage_seed(cfg.seed, "split"),

@@ -6,17 +6,21 @@ tree's training rows that reached it; importance is the per-tree sum of
 gain * fraction per feature, averaged over trees and normalized.  Tree
 construction is deterministic per (seed, tree index), so results do not
 depend on how many worker threads build the forest.
+
+A fitted tree is a set of parallel node arrays (``Tree``), as in
+scikit-learn's tree module: growth records only each node's class counts
+and split, and one numpy pass over the finished arrays computes every
+node's gains and sample fraction.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +29,9 @@ from .errors import DataError, NumericError
 from .subset_search import FeatureSubset
 
 _MODEL_MAGIC = b"FLOWRF01"
+# Forest file layout version; the pipeline's train key includes it, so a
+# cache written under another layout is never looked up.
+FORMAT_VERSION = 2
 
 
 def gini(counts) -> float:
@@ -49,6 +56,34 @@ def entropy(counts) -> float:
         raise ValueError("negative class count")
     p = counts[counts > 0] / total
     return float(-np.sum(p * np.log(p)))
+
+
+def _gini_rows(counts: np.ndarray) -> np.ndarray:
+    """``gini`` of every row of a (rows, classes) count array.
+
+    The class axis is last and contiguous, so each row reduces in the same
+    order as the scalar call and gives the same bits."""
+    c = counts.astype(np.float64)
+    p = c / c.sum(axis=1, keepdims=True)
+    return (p * (1.0 - p)).sum(axis=1)
+
+
+def _entropy_rows(counts: np.ndarray) -> np.ndarray:
+    """``entropy`` of every row of a (rows, classes) count array.
+
+    Rows are grouped by their number k of non-zero classes; each group is
+    compacted to a (rows, k) array, so a row sums exactly the k terms the
+    scalar call sums, in the same order."""
+    nonzero = counts > 0
+    width = nonzero.sum(axis=1)
+    total = counts.sum(axis=1).astype(np.float64)
+    out = np.empty(len(counts))
+    for k in np.unique(width):
+        rows = np.flatnonzero(width == k)
+        c = counts[rows][nonzero[rows]].reshape(rows.size, k).astype(np.float64)
+        p = c / total[rows, None]
+        out[rows] = -(p * np.log(p)).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,27 +116,43 @@ class ForestConfig:
 
 
 @dataclass
-class TreeNode:
-    """One node; a leaf has no split feature.
+class Tree:
+    """One tree as parallel node arrays, nodes in growth preorder.
 
-    Internal nodes carry the split bookkeeping used for importance:
-    ``entropy_gain`` (parent entropy minus size-weighted child entropy) and
-    ``sample_fraction`` (node rows over root rows).
+    Node 0 is the root, and a split's left child is the node right after
+    it.  A leaf has ``feature`` -1, children -1, threshold 0 and zero
+    gains.  ``counts`` is (nodes, classes); ``sample_fraction`` is node
+    rows over root rows; ``gini_decrease`` and ``entropy_gain`` are the
+    node's impurity minus the size-weighted impurity of its children.
     """
 
-    counts: np.ndarray
-    majority: int
-    sample_fraction: float = 1.0
-    feature: int | None = None
-    threshold: float = 0.0
-    gini_decrease: float = 0.0
-    entropy_gain: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: np.ndarray  # int64
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int64
+    right: np.ndarray  # int64
+    counts: np.ndarray  # (nodes, classes) int64
+    majority: np.ndarray  # int64
+    sample_fraction: np.ndarray  # float64
+    gini_decrease: np.ndarray  # float64
+    entropy_gain: np.ndarray  # float64
 
     @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def n_nodes(self) -> int:
+        return int(self.feature.size)
+
+    @property
+    def depth(self) -> int:
+        """Splits on the longest root-to-leaf path."""
+        level, depth = np.zeros(1, dtype=np.int64), 0
+        while True:
+            level = level[self.feature[level] >= 0]
+            if level.size == 0:
+                return depth
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+
+
+TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 
 
 # Cells (candidates x rows x classes) that best_split scores in one block.
@@ -169,76 +220,104 @@ def _resolve_m(setting, n_features: int) -> int:
     return min(int(setting), n_features)
 
 
-def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generator,
-              depth: int = 0, root_size: int | None = None) -> TreeNode:
-    """Recursively grow one tree on the given rows.
+def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generator) -> Tree:
+    """Grow one tree on the given rows.
 
-    Stops at purity, configured depth, or nodes smaller than
-    min_node_size.  Each split must strictly reduce the size-weighted
-    gini, otherwise the node stays a leaf.
+    Nodes are grown from an explicit stack in preorder, left subtree
+    first, so candidate draws come from ``rng`` in that order.  A node
+    stays a leaf at purity, at the configured depth, below
+    min_node_size, or when no split strictly reduces the size-weighted
+    gini.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("cannot grow a tree on zero rows")
-    if root_size is None:
-        root_size = y.size
-    counts = np.bincount(y, minlength=n_classes)
-    node = TreeNode(
-        counts=counts,
-        majority=int(np.argmax(counts)),
-        sample_fraction=y.size / root_size,
-    )
-    pure = counts.max() == y.size
-    if pure or depth >= config.max_depth or y.size < config.min_node_size:
-        return node
-
     p = X.shape[1]
     m = _resolve_m(config.features_per_split, p)
-    candidates = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
-    found = best_split(X, y, n_classes, candidates)
-    if found is None:
-        return node
-    feature, threshold, weighted_gini = found
-    mask = X[:, feature] <= threshold
+    counts, feature, threshold, weighted_gini, left, right = [], [], [], [], [], []
+    stack = [(X, y, 0, -1)]  # rows, labels, depth, parent of a right child
+    while stack:
+        Xn, yn, depth, parent = stack.pop()
+        node = len(counts)
+        if parent >= 0:
+            right[parent] = node
+        c = np.bincount(yn, minlength=n_classes)
+        counts.append(c)
+        feature.append(-1)
+        threshold.append(0.0)
+        weighted_gini.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if c.max() == yn.size or depth >= config.max_depth or yn.size < config.min_node_size:
+            continue
+        candidates = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
+        found = best_split(Xn, yn, n_classes, candidates)
+        if found is None:
+            continue
+        feature[node], threshold[node], weighted_gini[node] = found
+        left[node] = node + 1
+        mask = Xn[:, feature[node]] <= threshold[node]
+        stack.append((Xn[~mask], yn[~mask], depth + 1, node))
+        stack.append((Xn[mask], yn[mask], depth + 1, -1))
+    return _finish_tree(np.array(counts, dtype=np.int64), np.array(feature, dtype=np.int64),
+                        np.array(threshold), np.array(weighted_gini),
+                        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
 
-    node.feature = feature
-    node.threshold = threshold
-    node.gini_decrease = gini(counts) - weighted_gini
-    left_counts = np.bincount(y[mask], minlength=n_classes)
-    right_counts = counts - left_counts
-    nl, nr = int(mask.sum()), int(y.size - mask.sum())
-    child_entropy = (nl * entropy(left_counts) + nr * entropy(right_counts)) / y.size
-    node.entropy_gain = entropy(counts) - child_entropy
-    node.left = grow_tree(X[mask], y[mask], n_classes, config, rng, depth + 1, root_size)
-    node.right = grow_tree(X[~mask], y[~mask], n_classes, config, rng, depth + 1, root_size)
-    return node
+
+def _finish_tree(counts, feature, threshold, weighted_gini, left, right) -> Tree:
+    """Every node's gains and sample fraction in one pass over the arrays.
+
+    Each node's entropy is computed once and serves both as a parent and
+    as a child value."""
+    size = counts.sum(axis=1).astype(np.float64)
+    split = np.flatnonzero(feature >= 0)
+    l, r = left[split], right[split]
+    gini_decrease = np.zeros(feature.size)
+    gini_decrease[split] = _gini_rows(counts[split]) - weighted_gini[split]
+    h = _entropy_rows(counts)
+    entropy_gain = np.zeros(feature.size)
+    entropy_gain[split] = h[split] - (size[l] * h[l] + size[r] * h[r]) / size[split]
+    return Tree(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        counts=counts,
+        majority=counts.argmax(axis=1),
+        sample_fraction=size / size[0],
+        gini_decrease=gini_decrease,
+        entropy_gain=entropy_gain,
+    )
 
 
-def _tree_importance_sums(root: TreeNode, n_features: int, weighted: bool) -> np.ndarray:
-    sums = np.zeros(n_features)
-    counts = np.zeros(n_features)
-    stack = [root]
+def _tree_importance_sums(tree: Tree, n_features: int, weighted: bool) -> np.ndarray:
+    # Splits are summed node, right subtree, left subtree: the float sums
+    # depend on this order.
+    feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
+    order, stack = [], [0]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
-            continue
-        if weighted:
-            sums[node.feature] += node.entropy_gain * node.sample_fraction
-        else:
-            sums[node.feature] += node.entropy_gain
-            counts[node.feature] += 1
-        stack.append(node.left)
-        stack.append(node.right)
-    if not weighted:
-        with np.errstate(invalid="ignore"):
-            sums = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    return sums
+        if feature[node] >= 0:
+            order.append(node)
+            stack.append(left[node])
+            stack.append(right[node])
+    order = np.array(order, dtype=np.int64)
+    f = tree.feature[order]
+    gain = tree.entropy_gain[order]
+    sums = np.zeros(n_features)
+    if weighted:
+        np.add.at(sums, f, gain * tree.sample_fraction[order])
+        return sums
+    np.add.at(sums, f, gain)
+    counts = np.bincount(f, minlength=n_features)
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
 
 @dataclass
 class TrainedForest:
-    trees: list[TreeNode]
+    trees: list[Tree]
     in_bag: np.ndarray  # (n_trees, n_rows) bool
     importances: np.ndarray
     oob_accuracy: float  # nan when undefined (bootstrap disabled)
@@ -250,22 +329,20 @@ class TrainedForest:
     config: ForestConfig = field(default_factory=ForestConfig)
 
 
-def tree_predict(root: TreeNode, X) -> np.ndarray:
-    """Route rows down one tree; rows at or below a threshold go left."""
+def tree_predict(tree: Tree, X) -> np.ndarray:
+    """Route rows down one tree a depth level at a time; rows at or below
+    a threshold go left."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if node.is_leaf:
-            out[rows] = node.majority
-            continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
-    return out
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        f = tree.feature[at]
+        inner = f >= 0
+        rows, at, f = rows[inner], at[inner], f[inner]
+        go_left = X[rows, f] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.majority[node]
 
 
 def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
@@ -389,97 +466,129 @@ def predict(forest: TrainedForest, X, return_votes: bool = False):
     return labels
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    out = {"c": node.counts.tolist(), "m": node.majority, "s": node.sample_fraction}
-    if not node.is_leaf:
-        out.update(
-            f=node.feature,
-            t=node.threshold,
-            g=node.gini_decrease,
-            e=node.entropy_gain,
-            l=_node_to_dict(node.left),
-            r=_node_to_dict(node.right),
-        )
-    return out
-
-
-def _node_from_dict(data: dict) -> TreeNode:
-    node = TreeNode(
-        counts=np.array(data["c"], dtype=np.int64),
-        majority=int(data["m"]),
-        sample_fraction=float(data["s"]),
-    )
-    if "f" in data:
-        node.feature = int(data["f"])
-        node.threshold = float(data["t"])
-        node.gini_decrease = float(data["g"])
-        node.entropy_gain = float(data["e"])
-        node.left = _node_from_dict(data["l"])
-        node.right = _node_from_dict(data["r"])
-    return node
+# Array dtypes a forest file may declare.
+_FILE_DTYPES = ("<f8", "<i8", "|u1")
 
 
 def save_forest(forest: TrainedForest, path: str) -> None:
-    """Versioned binary container: magic, then a JSON payload."""
-    cfg = forest.config
-    payload = {
-        "version": 1,
+    """Versioned binary container: magic, header length, JSON header, then
+    the raw bytes of the named arrays the header lists.
+
+    Every tree's node arrays are stored concatenated, with ``tree_nodes``
+    giving each tree's node count."""
+    arrays = {
+        "importances": forest.importances,
+        "in_bag": np.packbits(forest.in_bag.astype(np.uint8)),
+        "tree_nodes": np.array([t.n_nodes for t in forest.trees], dtype=np.int64),
+    }
+    for name in TREE_ARRAYS:
+        arrays[name] = np.concatenate([getattr(t, name) for t in forest.trees])
+    arrays = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+              for name, a in arrays.items()}
+    header = {
+        "version": FORMAT_VERSION,
         "n_features": forest.n_features,
         "n_classes": forest.n_classes,
         "class_names": list(forest.class_names),
         "build_seconds": forest.build_seconds,
         "oob_accuracy": None if math.isnan(forest.oob_accuracy) else forest.oob_accuracy,
         "oob_skipped": forest.oob_skipped,
-        "importances": forest.importances.tolist(),
-        "in_bag": base64.b64encode(
-            np.packbits(forest.in_bag.astype(np.uint8)).tobytes()
-        ).decode("ascii"),
         "n_rows": int(forest.in_bag.shape[1]),
-        "config": {
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "min_node_size": cfg.min_node_size,
-            "features_per_split": cfg.features_per_split,
-            "bootstrap": cfg.bootstrap,
-            "weighted_importance": cfg.weighted_importance,
-            "n_workers": cfg.n_workers,
-            "seed": cfg.seed,
-        },
-        "trees": [_node_to_dict(t) for t in forest.trees],
+        "config": {f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)},
+        "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()],
     }
-    blob = json.dumps(payload).encode("utf-8")
+    blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
+        for a in arrays.values():
+            fh.write(a.tobytes())
+
+
+def _read_arrays(raw: bytes) -> tuple[dict, dict]:
+    """The header and named arrays of a forest file; ValueError when a
+    length, a shape or the version does not fit the bytes present."""
+    off = len(_MODEL_MAGIC) + 4
+    if len(raw) < off:
+        raise ValueError("no header length")
+    (hlen,) = struct.unpack_from("<I", raw, len(_MODEL_MAGIC))
+    if len(raw) < off + hlen:
+        raise ValueError(f"header of {hlen} bytes but {len(raw) - off} present")
+    header = json.loads(raw[off:off + hlen].decode("utf-8"))
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported forest version {version}")
+    off += hlen
+    arrays = {}
+    for name, dtype, shape in header["arrays"]:
+        if dtype not in _FILE_DTYPES or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"array {name!r} declares {dtype} {shape}")
+        count = math.prod(shape)
+        size = count * np.dtype(dtype).itemsize
+        if len(raw) < off + size:
+            raise ValueError(f"array {name!r} needs {size} bytes, {len(raw) - off} present")
+        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
+        off += size
+    if off != len(raw):
+        raise ValueError(f"{len(raw) - off} bytes after the last array")
+    return header, arrays
+
+
+def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
+    cfg = ForestConfig(**header["config"])
+    n_rows, n_classes, n_features = header["n_rows"], header["n_classes"], header["n_features"]
+    sizes = arrays["tree_nodes"]
+    total = int(sizes.sum())
+    if sizes.shape != (cfg.n_trees,) or (sizes < 1).any():
+        raise ValueError(f"tree_nodes {sizes.shape} for {cfg.n_trees} trees")
+    for name in TREE_ARRAYS:
+        want = (total, n_classes) if name == "counts" else (total,)
+        if arrays[name].shape != want:
+            raise ValueError(f"array {name!r} has shape {arrays[name].shape}, not {want}")
+    if arrays["importances"].shape != (n_features,):
+        raise ValueError(f"{arrays['importances'].shape} importances for {n_features} features")
+    if arrays["in_bag"].size * 8 < cfg.n_trees * n_rows:
+        raise ValueError("in-bag mask shorter than trees x rows")
+    ends = np.cumsum(sizes)
+    trees = []
+    for start, end in zip((0, *ends[:-1].tolist()), ends.tolist()):
+        tree = Tree(**{name: arrays[name][start:end] for name in TREE_ARRAYS})
+        # children must come later in preorder, so every walk ends
+        inner = np.flatnonzero(tree.feature >= 0)
+        kids = np.concatenate([tree.left[inner], tree.right[inner]])
+        if ((tree.feature >= n_features).any() or (kids <= np.tile(inner, 2)).any()
+                or (kids >= end - start).any()
+                or (tree.majority < 0).any() or (tree.majority >= n_classes).any()):
+            raise ValueError("a node names a feature, child or class out of range")
+        trees.append(tree)
+    in_bag = np.unpackbits(arrays["in_bag"])[: cfg.n_trees * n_rows]
+    oob = header["oob_accuracy"]
+    return TrainedForest(
+        trees=trees,
+        in_bag=in_bag.reshape(cfg.n_trees, n_rows).astype(bool),
+        importances=arrays["importances"].copy(),
+        oob_accuracy=math.nan if oob is None else float(oob),
+        oob_skipped=int(header["oob_skipped"]),
+        build_seconds=float(header["build_seconds"]),
+        n_features=int(n_features),
+        n_classes=int(n_classes),
+        class_names=tuple(header["class_names"]),
+        config=cfg,
+    )
 
 
 def load_forest(path: str) -> TrainedForest:
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open forest file {path}: {exc}") from exc
     if raw[: len(_MODEL_MAGIC)] != _MODEL_MAGIC:
         raise DataError(f"{path}: not a forest file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", raw, len(_MODEL_MAGIC))
-    payload = json.loads(raw[len(_MODEL_MAGIC) + 4 : len(_MODEL_MAGIC) + 4 + hlen])
-    if payload.get("version") != 1:
-        raise DataError(f"{path}: unsupported forest version {payload.get('version')}")
-    cfg = ForestConfig(**payload["config"])
-    n_trees = cfg.n_trees
-    n_rows = payload["n_rows"]
-    packed = np.frombuffer(base64.b64decode(payload["in_bag"]), dtype=np.uint8)
-    in_bag = np.unpackbits(packed)[: n_trees * n_rows].reshape(n_trees, n_rows).astype(bool)
-    oob = payload["oob_accuracy"]
-    return TrainedForest(
-        trees=[_node_from_dict(t) for t in payload["trees"]],
-        in_bag=in_bag,
-        importances=np.array(payload["importances"], dtype=np.float64),
-        oob_accuracy=math.nan if oob is None else float(oob),
-        oob_skipped=int(payload["oob_skipped"]),
-        build_seconds=float(payload["build_seconds"]),
-        n_features=int(payload["n_features"]),
-        n_classes=int(payload["n_classes"]),
-        class_names=tuple(payload["class_names"]),
-        config=cfg,
-    )
+    try:
+        return _forest_from_arrays(*_read_arrays(raw))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(
+            f"{path}: unreadable forest file ({exc}); delete it or rerun with --force"
+        ) from None

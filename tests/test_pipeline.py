@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsel import random_forest
 from flowsel.cli import main
 from flowsel.dataset import load_csv, load_dataset
 from flowsel.errors import DataError, PipelineError
@@ -16,6 +17,7 @@ from flowsel.neural_net import MlpConfig
 from flowsel.pipeline import (
     ExperimentConfig,
     _select_key,
+    _train_key,
     compare,
     depth_sweep,
     load_records,
@@ -26,8 +28,8 @@ from flowsel.pipeline import (
     write_overlap_csv,
     write_report_csv,
 )
-from flowsel.random_forest import ForestConfig
-from flowsel.subset_search import BatConfig
+from flowsel.random_forest import ForestConfig, load_forest
+from flowsel.subset_search import BatConfig, FeatureSubset
 from flowsel.synth import make_dataset, write_fixture
 
 
@@ -177,6 +179,25 @@ class TestRunPipeline:
         assert os.stat(model_path).st_mtime_ns > stamp
         assert forced["metrics"] == first["metrics"]
 
+    def test_forest_block_reads_the_same_on_a_cache_hit(self, fixture_csv, tmp_path):
+        """Tree sizes and the OOB score come from the forest, so a run that
+        loads the cached forest records what the run that grew it did."""
+        csv_path, _ = fixture_csv
+        miss = run_pipeline(quick_config(csv_path, tmp_path))
+        model = load_forest(miss["artifacts"]["model"])
+        hit = run_pipeline(quick_config(csv_path, tmp_path))
+        assert hit["forest"] == miss["forest"]
+        block = json.load(open(hit["artifacts"]["record"]))["forest"]
+        assert block == miss["forest"]
+        assert block["nodes"] == [t.n_nodes for t in model.trees]
+        assert block["depth"] == [t.depth for t in model.trees]
+        assert len(block["nodes"]) == 10
+        assert all(1 <= d <= 8 for d in block["depth"])
+        assert block["oob_accuracy"] == model.oob_accuracy
+        assert block["oob_skipped"] == model.oob_skipped
+        mlp = run_pipeline(quick_config(csv_path, tmp_path, model="mlp"))
+        assert mlp["forest"] is None
+
     def test_same_seed_reproduces_the_report_row(self, fixture_csv, tmp_path):
         csv_path, _ = fixture_csv
         rows = []
@@ -244,6 +265,19 @@ class TestSelectKey:
         assert _select_key(dataclasses.replace(cfg, **{search: changed})) != _select_key(cfg)
         reseeded = dataclasses.replace(nested, seed=nested.seed + 1)
         assert _select_key(dataclasses.replace(cfg, **{search: reseeded})) == _select_key(cfg)
+
+
+class TestTrainKey:
+    def test_forest_format_salts_forest_keys_only(self, monkeypatch):
+        """A forest file of another layout is never looked up; MLP caches
+        keep their keys."""
+        rf_cfg = ExperimentConfig(data_paths=("flows.csv",), model="rf")
+        mlp_cfg = dataclasses.replace(rf_cfg, model="mlp")
+        subset = FeatureSubset((0, 2))
+        rf_key, mlp_key = _train_key(rf_cfg, subset), _train_key(mlp_cfg, subset)
+        monkeypatch.setattr(random_forest, "FORMAT_VERSION", random_forest.FORMAT_VERSION + 1)
+        assert _train_key(rf_cfg, subset) != rf_key
+        assert _train_key(mlp_cfg, subset) == mlp_key
 
 
 def fake_record(method, indices, universe=6):
@@ -413,6 +447,22 @@ class TestCli:
         assert main(["run", "--data", str(tmp_path / "ghost.csv"), "--out", out]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("text,line", [
+        (b"a,caf\xe9,Label\n1,2,x\n", 1),
+        (b"a,b,Label\n1,2,x\n3,4,caf\xe9\n", 3),
+    ], ids=["header", "row"])
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys, text, line):
+        """A Latin-1 byte ends in one error line naming the file and line,
+        not a UnicodeDecodeError traceback."""
+        csv_path = tmp_path / "latin.csv"
+        csv_path.write_bytes(text)
+        code = main(["preprocess", "--data", str(csv_path), "--out", str(tmp_path / "runs")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {csv_path}:{line}: not UTF-8 text")
+        assert lines[0].endswith("re-save the file as UTF-8")
 
     def test_numeric_error_exits_3(self, tmp_path, capsys):
         """A forest that cannot split anywhere has no defined importance."""

@@ -1,6 +1,9 @@
 """Forest training: impurity, splits, importance, bagging, persistence."""
 
+import json
 import math
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from flowsel import random_forest
 from flowsel.dataset import Dataset
 from flowsel.errors import DataError, NumericError
 from flowsel.random_forest import (
+    TREE_ARRAYS,
     ForestConfig,
-    TreeNode,
+    Tree,
     best_split,
     entropy,
     feature_importance,
@@ -240,46 +244,294 @@ class TestGrowTree:
         pure half-sized leaves."""
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1])
-        root = grow_tree(X, y, 2, self.config(), np.random.default_rng(0))
-        np.testing.assert_array_equal(root.counts, [2, 2])
-        assert root.sample_fraction == 1.0
-        assert root.feature == 0
-        assert root.threshold == 2.5
-        np.testing.assert_allclose(root.entropy_gain, math.log(2), atol=1e-15)
-        np.testing.assert_allclose(root.gini_decrease, 0.5, atol=1e-15)
-        for child, cls in ((root.left, 0), (root.right, 1)):
-            assert child.is_leaf
-            assert child.majority == cls
-            assert child.sample_fraction == 0.5
+        tree = grow_tree(X, y, 2, self.config(), np.random.default_rng(0))
+        assert tree.n_nodes == 3
+        np.testing.assert_array_equal(tree.counts, [[2, 2], [2, 0], [0, 2]])
+        np.testing.assert_array_equal(tree.sample_fraction, [1.0, 0.5, 0.5])
+        np.testing.assert_array_equal(tree.feature, [0, -1, -1])
+        np.testing.assert_array_equal(tree.left, [1, -1, -1])
+        np.testing.assert_array_equal(tree.right, [2, -1, -1])
+        np.testing.assert_array_equal(tree.majority, [0, 0, 1])
+        assert tree.threshold[0] == 2.5
+        np.testing.assert_allclose(tree.entropy_gain[0], math.log(2), atol=1e-15)
+        np.testing.assert_allclose(tree.gini_decrease[0], 0.5, atol=1e-15)
+        np.testing.assert_array_equal(tree.entropy_gain[1:], 0.0)
+        np.testing.assert_array_equal(tree.gini_decrease[1:], 0.0)
+        assert tree.depth == 1
 
     def test_pure_node_is_a_leaf(self):
-        root = grow_tree(
+        tree = grow_tree(
             np.array([[1.0], [2.0]]), np.array([1, 1]), 2,
             self.config(), np.random.default_rng(0),
         )
-        assert root.is_leaf
-        assert root.majority == 1
+        assert tree.n_nodes == 1 and tree.feature[0] == -1
+        assert tree.majority[0] == 1
+        assert tree.depth == 0
 
     def test_depth_limit(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(64, 3))
         y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
-        root = grow_tree(X, y, 2, self.config(max_depth=1), np.random.default_rng(1))
-        assert not root.is_leaf
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = grow_tree(X, y, 2, self.config(max_depth=1), np.random.default_rng(1))
+        np.testing.assert_array_equal(tree.feature >= 0, [True, False, False])
+        assert tree.depth == 1
 
     def test_min_node_size_stops_splitting(self):
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0])
-        root = grow_tree(
+        tree = grow_tree(
             X, y, 2, self.config(min_node_size=4), np.random.default_rng(0)
         )
-        assert root.is_leaf
+        assert tree.n_nodes == 1 and tree.feature[0] == -1
 
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError):
             grow_tree(np.zeros((0, 1)), np.array([], dtype=np.int64), 2,
                       self.config(), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The recursive node-graph trees that flat trees replaced, kept as the
+# reference the arrays must reproduce bit for bit.
+
+
+@dataclass
+class TreeNode:
+    counts: np.ndarray
+    majority: int
+    sample_fraction: float = 1.0
+    feature: int | None = None
+    threshold: float = 0.0
+    gini_decrease: float = 0.0
+    entropy_gain: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def reference_grow_tree(X, y, n_classes, config, rng, depth=0, root_size=None):
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if root_size is None:
+        root_size = y.size
+    counts = np.bincount(y, minlength=n_classes)
+    node = TreeNode(counts=counts, majority=int(np.argmax(counts)),
+                    sample_fraction=y.size / root_size)
+    pure = counts.max() == y.size
+    if pure or depth >= config.max_depth or y.size < config.min_node_size:
+        return node
+    p = X.shape[1]
+    m = random_forest._resolve_m(config.features_per_split, p)
+    candidates = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
+    found = best_split(X, y, n_classes, candidates)
+    if found is None:
+        return node
+    feature, threshold, weighted_gini = found
+    mask = X[:, feature] <= threshold
+    node.feature = feature
+    node.threshold = threshold
+    node.gini_decrease = gini(counts) - weighted_gini
+    left_counts = np.bincount(y[mask], minlength=n_classes)
+    right_counts = counts - left_counts
+    nl, nr = int(mask.sum()), int(y.size - mask.sum())
+    child_entropy = (nl * entropy(left_counts) + nr * entropy(right_counts)) / y.size
+    node.entropy_gain = entropy(counts) - child_entropy
+    node.left = reference_grow_tree(X[mask], y[mask], n_classes, config, rng, depth + 1,
+                                    root_size)
+    node.right = reference_grow_tree(X[~mask], y[~mask], n_classes, config, rng, depth + 1,
+                                     root_size)
+    return node
+
+
+def reference_importance_sums(root, n_features, weighted):
+    sums = np.zeros(n_features)
+    counts = np.zeros(n_features)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if weighted:
+            sums[node.feature] += node.entropy_gain * node.sample_fraction
+        else:
+            sums[node.feature] += node.entropy_gain
+            counts[node.feature] += 1
+        stack.append(node.left)
+        stack.append(node.right)
+    if not weighted:
+        with np.errstate(invalid="ignore"):
+            sums = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return sums
+
+
+def reference_tree_predict(root, X):
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if node.is_leaf:
+            out[rows] = node.majority
+            continue
+        mask = X[rows, node.feature] <= node.threshold
+        stack.append((node.left, rows[mask]))
+        stack.append((node.right, rows[~mask]))
+    return out
+
+
+def reference_forest(X, y, n_classes, config):
+    """Trees, importances, OOB accuracy and skipped count, as train_forest
+    computed them from node graphs."""
+    n, p = X.shape
+    trees, bags = [], []
+    for tree_idx in range(config.n_trees):
+        rng = np.random.default_rng([config.seed, tree_idx])
+        idx = rng.integers(0, n, n) if config.bootstrap else np.arange(n)
+        bag = np.zeros(n, dtype=bool)
+        bag[idx] = True
+        trees.append(reference_grow_tree(X[idx], y[idx], n_classes, config, rng))
+        bags.append(bag)
+    per_tree = np.array(
+        [reference_importance_sums(t, p, config.weighted_importance) for t in trees])
+    mean = per_tree.mean(axis=0)
+    if float(mean.sum()) <= 0:
+        raise NumericError("no splits")
+    importances = mean / float(mean.sum())
+    if not config.bootstrap:
+        return trees, importances, math.nan, n
+    votes = np.zeros((n, n_classes))
+    for tree, bag in zip(trees, bags):
+        rows = np.flatnonzero(~bag)
+        if rows.size:
+            votes[rows, reference_tree_predict(tree, X[rows])] += 1
+    covered = votes.sum(axis=1) > 0
+    if not covered.any():
+        raise NumericError("no out-of-bag rows")
+    accuracy = float(np.mean(votes[covered].argmax(axis=1) == y[covered]))
+    return trees, importances, accuracy, int(n - covered.sum())
+
+
+def flatten(root):
+    """A node graph's fields in preorder, left subtree first, as lists with
+    floats spelled out by float.hex."""
+    out = {name: [] for name in TREE_ARRAYS}
+    stack = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        index = len(out["feature"])
+        if parent >= 0:
+            out["right"][parent] = index
+        out["feature"].append(-1 if node.is_leaf else node.feature)
+        out["threshold"].append(float(node.threshold).hex())
+        out["left"].append(-1 if node.is_leaf else index + 1)
+        out["right"].append(-1)
+        out["counts"].append([int(c) for c in node.counts])
+        out["majority"].append(node.majority)
+        out["sample_fraction"].append(float(node.sample_fraction).hex())
+        out["gini_decrease"].append(float(node.gini_decrease).hex())
+        out["entropy_gain"].append(float(node.entropy_gain).hex())
+        if not node.is_leaf:
+            stack.append((node.right, index))
+            stack.append((node.left, -1))
+    return out
+
+
+def tree_lists(tree):
+    """A flat tree's arrays in the layout of ``flatten``."""
+    out = {}
+    for name in TREE_ARRAYS:
+        values = getattr(tree, name).tolist()
+        if getattr(tree, name).dtype == np.float64:
+            values = [v.hex() for v in values]
+        out[name] = values
+    return out
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+def forest_problem(data):
+    """A training set and forest config drawn for one reference comparison:
+    2, 5, 9 or 15 classes, continuous, tied, constant and copied columns,
+    every features_per_split kind, bootstrap and weighting on or off."""
+    n = data.draw(st.integers(8, 160), label="rows")
+    n_classes = data.draw(st.sampled_from([2, 5, 9, 15]), label="classes")
+    p = data.draw(st.integers(1, 7), label="features")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    present = data.draw(st.integers(2, n_classes), label="classes present")
+    y = np.arange(n) % present  # every present class occurs
+    rng.shuffle(y)
+    X = rng.normal(size=(n, p)) + 0.5 * (y[:, None] % 3)
+    for f in range(p):
+        kind = data.draw(st.sampled_from(["continuous", "ties", "constant", "copy"]))
+        if kind == "ties":
+            X[:, f] = np.round(X[:, f])
+        elif kind == "constant":
+            X[:, f] = 1.5
+        elif kind == "copy":
+            X[:, f] = X[:, 0]
+    if not any(np.unique(X[:, f]).size > 1 for f in range(p)):
+        X[:, 0] = rng.normal(size=n)  # something to split on
+    config = ForestConfig(
+        n_trees=data.draw(st.integers(1, 4), label="trees"),
+        max_depth=data.draw(st.integers(1, 12), label="max_depth"),
+        min_node_size=data.draw(st.integers(1, 6), label="min_node_size"),
+        features_per_split=data.draw(st.sampled_from(["sqrt", "all", 3]), label="m"),
+        bootstrap=data.draw(st.booleans(), label="bootstrap"),
+        weighted_importance=data.draw(st.booleans(), label="weighted"),
+        seed=data.draw(st.integers(0, 1000), label="forest seed"),
+    )
+    dataset = Dataset(
+        features=X,
+        feature_names=tuple(f"f{i}" for i in range(p)),
+        labels_cat=y.astype(np.int64),
+        labels_bin=y != 0,
+        class_names=tuple(f"c{i}" for i in range(n_classes)),
+    )
+    return dataset, config
+
+
+class TestFlatTreesMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_the_node_graph_forest(self, data):
+        train, config = forest_problem(data)
+        X, y = train.features, train.labels_cat
+        n_classes = len(train.class_names)
+        try:
+            trees, importances, oob, skipped = reference_forest(X, y, n_classes, config)
+        except NumericError:
+            with pytest.raises(NumericError):
+                train_forest(train, config)
+            return
+        forest = train_forest(train, config)
+        assert [tree_lists(t) for t in forest.trees] == [flatten(t) for t in trees]
+        assert hex_list(forest.importances) == hex_list(importances)
+        assert float(forest.oob_accuracy).hex() == float(oob).hex()
+        assert forest.oob_skipped == skipped
+        grid = np.concatenate([X, np.random.default_rng(0).normal(size=(40, X.shape[1]))])
+        for tree, root in zip(forest.trees, trees):
+            np.testing.assert_array_equal(tree_predict(tree, grid),
+                                          reference_tree_predict(root, grid))
+
+    @pytest.mark.parametrize("n_classes", [2, 5, 9, 15])
+    def test_gain_pass_matches_the_scalar_impurities(self, n_classes):
+        """Row-wise gini and entropy equal the scalar calls on histograms
+        with every count of empty classes."""
+        rng = np.random.default_rng(n_classes)
+        counts = rng.integers(0, 50, size=(3000, n_classes))
+        counts[rng.random(counts.shape) < 0.4] = 0
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        assert hex_list(random_forest._gini_rows(counts)) == hex_list(
+            [gini(c) for c in counts])
+        assert hex_list(random_forest._entropy_rows(counts)) == hex_list(
+            [entropy(c) for c in counts])
 
 
 class TestTrainForest:
@@ -370,15 +622,29 @@ class TestTrainForest:
         assert forest.importances[2] > forest.importances.max(initial=0.0, where=np.arange(5) != 2)
 
 
+def flat_tree(feature, threshold, left, right, counts, sample_fraction, entropy_gain):
+    """A Tree from hand-written node lists; majority and zero gini decrease
+    are filled in."""
+    counts = np.array(counts, dtype=np.int64)
+    return Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        counts=counts,
+        majority=counts.argmax(axis=1),
+        sample_fraction=np.array(sample_fraction, dtype=np.float64),
+        gini_decrease=np.zeros(len(feature)),
+        entropy_gain=np.array(entropy_gain, dtype=np.float64),
+    )
+
+
 def stump(feature, gain, fraction=1.0):
-    node = TreeNode(counts=np.array([1, 1]), majority=0)
-    node.feature = feature
-    node.threshold = 0.0
-    node.entropy_gain = gain
-    node.sample_fraction = fraction
-    node.left = TreeNode(counts=np.array([1, 0]), majority=0, sample_fraction=0.5)
-    node.right = TreeNode(counts=np.array([0, 1]), majority=1, sample_fraction=0.5)
-    return node
+    return flat_tree(
+        feature=[feature, -1, -1], threshold=[0.0, 0.0, 0.0], left=[1, -1, -1],
+        right=[2, -1, -1], counts=[[1, 1], [1, 0], [0, 1]],
+        sample_fraction=[fraction, 0.5, 0.5], entropy_gain=[gain, 0.0, 0.0],
+    )
 
 
 class TestFeatureImportance:
@@ -409,7 +675,8 @@ class TestFeatureImportance:
         assert np.all(forest.importances >= 0)
 
     def test_splitless_forest_rejected(self):
-        leaf = TreeNode(counts=np.array([2, 0]), majority=0)
+        leaf = flat_tree(feature=[-1], threshold=[0.0], left=[-1], right=[-1],
+                         counts=[[2, 0]], sample_fraction=[1.0], entropy_gain=[0.0])
         with pytest.raises(NumericError, match="no splits"):
             feature_importance([leaf], 2)
 
@@ -487,3 +754,75 @@ class TestForestFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_forest(str(tmp_path / "absent.rf"))
+
+    def test_tree_arrays_survive_the_trip(self, tmp_path):
+        data = toy_dataset(rows=120, n_features=4, n_classes=3, seed=17)
+        forest = train_forest(data, ForestConfig(n_trees=3, seed=1))
+        path = str(tmp_path / "model.rf")
+        save_forest(forest, path)
+        back = load_forest(path)
+        assert [tree_lists(t) for t in back.trees] == [tree_lists(t) for t in forest.trees]
+        assert [t.depth for t in back.trees] == [t.depth for t in forest.trees]
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        """A cache in the nested-JSON layout fails with one line, not a
+        KeyError."""
+        blob = json.dumps({"version": 1, "trees": []}).encode("utf-8")
+        path = tmp_path / "old.rf"
+        path.write_bytes(random_forest._MODEL_MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(DataError, match=r"unreadable forest file \(unsupported forest version 1\); delete it"):
+            load_forest(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_file_raises_data_error(self, saved_forest, tmp_path_factory, cut):
+        raw = saved_forest.read_bytes()
+        path = tmp_path_factory.mktemp("cut") / "model.rf"
+        path.write_bytes(raw[: int(cut * len(raw))])
+        with pytest.raises(DataError, match="delete it or rerun with --force|bad magic"):
+            load_forest(str(path))
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("feature", 0, 4), ("left", 0, 0), ("right", 0, 10**6), ("majority", 1, 3),
+    ])
+    def test_out_of_range_node_raises_data_error(self, saved_forest, tmp_path, name, index,
+                                                 value):
+        """A child that points back up would make prediction loop forever;
+        a feature or class out of range would index past an array."""
+        forest = load_forest(str(saved_forest))
+        tree = forest.trees[0]
+        column = getattr(tree, name).copy()
+        column[index] = value
+        setattr(tree, name, column)
+        path = str(tmp_path / "bad.rf")
+        save_forest(forest, path)
+        with pytest.raises(DataError, match=r"out of range\); delete it or rerun with --force"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(arrays=[[n, "<f4", s] for n, _, s in h["arrays"]]),
+        lambda h: h["arrays"][3].__setitem__(2, [10**6]),
+        lambda h: h.pop("n_rows"),
+        lambda h: h["config"].update(n_trees=99),
+        lambda h: h.update(n_features=1),
+    ], ids=["dtype", "shape", "missing key", "tree count", "feature count"])
+    def test_malformed_header_raises_data_error(self, saved_forest, tmp_path, edit):
+        raw = saved_forest.read_bytes()
+        start = len(random_forest._MODEL_MAGIC)
+        (hlen,) = struct.unpack_from("<I", raw, start)
+        header = json.loads(raw[start + 4:start + 4 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad.rf"
+        path.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
+                         + raw[start + 4 + hlen:])
+        with pytest.raises(DataError, match=f"{path}: unreadable forest file"):
+            load_forest(str(path))
+
+
+@pytest.fixture(scope="module")
+def saved_forest(tmp_path_factory):
+    data = toy_dataset(rows=90, n_features=4, n_classes=3, seed=18)
+    path = tmp_path_factory.mktemp("forest") / "model.rf"
+    save_forest(train_forest(data, ForestConfig(n_trees=3, seed=2)), str(path))
+    return path
