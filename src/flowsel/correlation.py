@@ -12,12 +12,12 @@ r_ff the mean |rho| over distinct selected-feature pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import DataError
 
 
@@ -221,44 +221,24 @@ def ig_sum(importances, indices) -> float:
 
 
 def export_heatmap(corr: CorrelationMatrix, path: str) -> None:
-    """Write the matrix as CSV plus a JSON sidecar with names and boundary.
+    """Write the matrix as a CSV at ``path``, floats in repr, and as the
+    container ``<stem>.bin`` beside it, which load_heatmap reads."""
+    rows = "".join(f"{name}," + ",".join(repr(float(v)) for v in corr.values[i]) + "\n"
+                   for i, name in enumerate(corr.names))
+    artifacts.write_atomic(path, "name," + ",".join(corr.names) + "\n" + rows)
+    artifacts.save(artifacts.container_for(path), "heatmap", {"values": corr.values},
+                   names=list(corr.names), class_boundary=corr.class_boundary)
 
-    Floats are written with repr so a round-trip is lossless.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name," + ",".join(corr.names) + "\n")
-        for i, name in enumerate(corr.names):
-            row = ",".join(repr(float(v)) for v in corr.values[i])
-            fh.write(f"{name},{row}\n")
-    meta = {
-        "version": 1,
-        "names": list(corr.names),
-        "class_boundary": corr.class_boundary,
-    }
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+def _heatmap_from_arrays(header: dict, arrays: dict) -> CorrelationMatrix:
+    names, values = tuple(header["names"]), arrays["values"]
+    boundary = header["class_boundary"]
+    if values.shape != (len(names), len(names)) or not 0 <= boundary <= len(names):
+        raise ValueError(f"header names {len(names)} columns and boundary {boundary} "
+                         f"for a {values.shape} matrix")
+    return CorrelationMatrix(values, names, boundary)
 
 
 def load_heatmap(path: str) -> CorrelationMatrix:
-    """Read back a matrix written by export_heatmap."""
-    try:
-        with open(path + ".meta.json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"missing heatmap sidecar for {path}: {exc}") from exc
-    if meta.get("version") != 1:
-        raise DataError(f"unsupported heatmap version {meta.get('version')}")
-    names = tuple(meta["names"])
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[1:] != list(names):
-            raise DataError(f"{path}: header names disagree with the sidecar")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            rows.append([float(c) for c in cells[1:]])
-    values = np.array(rows, dtype=np.float64)
-    if values.shape != (len(names), len(names)):
-        raise DataError(f"{path}: expected a {len(names)}x{len(names)} matrix")
-    return CorrelationMatrix(values, names, int(meta["class_boundary"]))
+    """Read back the matrix export_heatmap wrote for ``path``."""
+    return artifacts.load(artifacts.container_for(path), "heatmap", _heatmap_from_arrays)

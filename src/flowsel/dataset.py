@@ -10,15 +10,14 @@ is deterministic given the seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
-import struct
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import artifacts
 from .errors import DataError
 
 # Columns that identify the capture environment rather than the traffic
@@ -35,8 +34,6 @@ DEFAULT_DROP_COLUMNS = (
     "Src.Port",
     "Dst.IP",
 )
-
-_CACHE_MAGIC = b"FLOWDS01"
 
 
 @dataclass(frozen=True)
@@ -528,49 +525,24 @@ def prepare_splits(
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    """Write a columnar binary cache: magic, JSON header, raw column blocks."""
-    header = {
-        "version": 1,
-        "rows": int(data.n_rows),
-        "feature_names": list(data.feature_names),
-        "class_names": list(data.class_names),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        # column-major feature block, then the two label vectors
-        fh.write(np.ascontiguousarray(data.features.T, dtype=np.float64).tobytes())
-        fh.write(np.ascontiguousarray(data.labels_cat, dtype=np.int64).tobytes())
-        fh.write(np.packbits(data.labels_bin.astype(np.uint8)).tobytes())
+    """Write a dataset container: features, both label vectors, the names."""
+    artifacts.save(path, "dataset", {
+        "features": np.asarray(data.features, dtype=np.float64),
+        "labels_cat": np.asarray(data.labels_cat, dtype=np.int64),
+        "labels_bin": np.asarray(data.labels_bin, dtype=np.uint8),
+    }, feature_names=list(data.feature_names), class_names=list(data.class_names))
+
+
+def _dataset_from_arrays(header: dict, arrays: dict) -> Dataset:
+    features, labels_cat, labels_bin = (arrays[k] for k in ("features", "labels_cat", "labels_bin"))
+    names = tuple(header["feature_names"])
+    if features.shape != (labels_cat.size, len(names)) or labels_bin.shape != labels_cat.shape:
+        raise ValueError(f"features {features.shape} for {len(names)} names and "
+                         f"{labels_cat.shape} labels")
+    return Dataset(features, names, labels_cat, labels_bin.astype(bool),
+                   tuple(header["class_names"]))
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read back a cache written by save_dataset; validates magic and version."""
-    try:
-        raw = open(path, "rb").read()
-    except OSError as exc:
-        raise DataError(f"cannot open dataset cache {path}: {exc}") from exc
-    if raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise DataError(f"{path}: not a dataset cache (bad magic)")
-    off = len(_CACHE_MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    off += hlen
-    if header.get("version") != 1:
-        raise DataError(f"{path}: unsupported cache version {header.get('version')}")
-    rows = header["rows"]
-    names = tuple(header["feature_names"])
-    classes = tuple(header["class_names"])
-    p = len(names)
-    feat_bytes = rows * p * 8
-    feats = np.frombuffer(raw, dtype=np.float64, count=rows * p, offset=off)
-    features = feats.reshape(p, rows).T.copy()
-    off += feat_bytes
-    labels_cat = np.frombuffer(raw, dtype=np.int64, count=rows, offset=off).copy()
-    off += rows * 8
-    packed = np.frombuffer(raw, dtype=np.uint8, offset=off)
-    labels_bin = np.unpackbits(packed)[:rows].astype(bool)
-    return Dataset(features, names, labels_cat, labels_bin, classes)
+    """Read back a dataset written by save_dataset."""
+    return artifacts.load(path, "dataset", _dataset_from_arrays)

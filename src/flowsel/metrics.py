@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import artifacts
 from .errors import DataError
 
 
@@ -288,8 +289,6 @@ def collapse_to_binary(cm: ConfusionMatrix, benign: str) -> ConfusionMatrix:
 
 def save_confusion(cm: ConfusionMatrix, path: str) -> None:
     """CSV with named rows and columns."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("true\\predicted," + ",".join(cm.class_names) + "\n")
-        for i, name in enumerate(cm.class_names):
-            row = ",".join(str(int(v)) for v in cm.counts[i])
-            fh.write(f"{name},{row}\n")
+    rows = "".join(f"{name}," + ",".join(str(int(v)) for v in cm.counts[i]) + "\n"
+                   for i, name in enumerate(cm.class_names))
+    artifacts.write_atomic(path, "true\\predicted," + ",".join(cm.class_names) + "\n" + rows)

@@ -9,18 +9,16 @@ exercises the bias path.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .dataset import Dataset
 from .errors import DataError, NumericError
 
-_MODEL_MAGIC = b"FLOWNN01"
 
 # Two stock layouts: a funnel and a wide constant-width stack.
 PRESET_FUNNEL = (50, 25)
@@ -313,57 +311,25 @@ def gradient_check(model: MlpModel, X, y, n_samples: int = 64, step: float = 1e-
 
 def save_loss_trace(model: MlpModel, path: str) -> None:
     """Write the per-batch loss trace as (epoch, batch, loss) CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,batch,loss\n")
-        for epoch, batch, loss in model.loss_trace:
-            fh.write(f"{epoch},{batch},{loss!r}\n")
+    rows = "".join(f"{epoch},{batch},{loss!r}\n" for epoch, batch, loss in model.loss_trace)
+    artifacts.write_atomic(path, "epoch,batch,loss\n" + rows)
 
 
 def save_model(model: MlpModel, path: str) -> None:
-    """Versioned binary container: magic, JSON header, raw float64 blocks."""
-    header = {
-        "version": 1,
-        "head": model.head,
-        "dims": list(model.layer_dims),
-        "class_names": list(model.class_names),
-        "build_seconds": model.build_seconds,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-            fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+    """An MLP container: weights ``w<i>`` and biases ``b<i>`` per layer."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    artifacts.save(path, "mlp", arrays, head=model.head,
+                   class_names=list(model.class_names), build_seconds=model.build_seconds)
+
+
+def _model_from_arrays(header: dict, arrays: dict) -> MlpModel:
+    layers = range(len(arrays) // 2)
+    return MlpModel([arrays[f"w{i}"] for i in layers], [arrays[f"b{i}"] for i in layers],
+                    head=header["head"], class_names=tuple(header["class_names"]),
+                    build_seconds=float(header["build_seconds"]))
 
 
 def load_model(path: str) -> MlpModel:
-    try:
-        raw = open(path, "rb").read()
-    except OSError as exc:
-        raise DataError(f"cannot open model file {path}: {exc}") from exc
-    if raw[: len(_MODEL_MAGIC)] != _MODEL_MAGIC:
-        raise DataError(f"{path}: not a model file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", raw, len(_MODEL_MAGIC))
-    off = len(_MODEL_MAGIC) + 4
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    off += hlen
-    if header.get("version") != 1:
-        raise DataError(f"{path}: unsupported model version {header.get('version')}")
-    dims = header["dims"]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        w = np.frombuffer(raw, dtype=np.float64, count=fan_in * fan_out, offset=off)
-        off += fan_in * fan_out * 8
-        b = np.frombuffer(raw, dtype=np.float64, count=fan_out, offset=off)
-        off += fan_out * 8
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    return MlpModel(
-        weights,
-        biases,
-        head=header["head"],
-        class_names=tuple(header["class_names"]),
-        build_seconds=float(header["build_seconds"]),
-    )
+    return artifacts.load(path, "mlp", _model_from_arrays)

@@ -15,14 +15,14 @@ import hashlib
 import json
 import math
 import os
-import time
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
 
-from . import correlation, dataset, metrics, neural_net, random_forest, subset_search
+from . import artifacts, correlation, dataset, metrics, neural_net, random_forest, subset_search
 from .errors import DataError, PipelineError
 
 METHODS = ("full", "ba", "ao", "rf-ig", "brute")
@@ -147,26 +147,39 @@ def _preprocess_key(cfg: ExperimentConfig) -> str:
         "stratified": cfg.stratified,
         "pre_norm": cfg.normalize_before_split,
         "seed": stage_seed(cfg.seed, "split"),
+        # every later key chains on this one, so a new container layout
+        # re-keys every stage and old caches are never looked up
+        "format": artifacts.VERSION,
     })
+
+
+def _cached(cfg: ExperimentConfig, paths, load):
+    """``load()`` when every file in ``paths`` exists and it reads them,
+    else None.  An unreadable entry is named in one stderr line and the
+    stage recomputes it."""
+    if cfg.force or not all(os.path.exists(p) for p in paths):
+        return None
+    try:
+        return load()
+    except DataError as exc:
+        print(f"warning: {exc}; recomputing it", file=sys.stderr)
+        return None
 
 
 def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
     """Load, clean, and split the input; cached as two dataset files."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     key = _preprocess_key(cfg)
-    train_path = os.path.join(cfg.out_dir, f"clean_{key}.train.ds")
-    test_path = os.path.join(cfg.out_dir, f"clean_{key}.test.ds")
-    report_path = os.path.join(cfg.out_dir, f"preprocess_{key}.json")
-    artifacts = {"train": train_path, "test": test_path, "report": report_path}
-
-    if not cfg.force and all(os.path.exists(p) for p in artifacts.values()):
-        pair = dataset.SplitPair(
-            dataset.load_dataset(train_path),
-            dataset.load_dataset(test_path),
-            seed=stage_seed(cfg.seed, "split"),
-            ratio=cfg.ratio,
-        )
-        return pair, artifacts
+    files = {
+        "train": os.path.join(cfg.out_dir, f"clean_{key}.train.ds"),
+        "test": os.path.join(cfg.out_dir, f"clean_{key}.test.ds"),
+        "report": os.path.join(cfg.out_dir, f"preprocess_{key}.json"),
+    }
+    seed = stage_seed(cfg.seed, "split")
+    splits = _cached(cfg, files.values(), lambda: (
+        dataset.load_dataset(files["train"]), dataset.load_dataset(files["test"])))
+    if splits is not None:
+        return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
 
     # day files may disagree only on columns we drop anyway
     tables = [dataset.load_csv(p, cfg.label_column, cfg.drop_columns) for p in cfg.data_paths]
@@ -176,32 +189,32 @@ def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
         benign=cfg.benign,
         grouping=load_grouping(cfg.grouping),
         ratio=cfg.ratio,
-        seed=stage_seed(cfg.seed, "split"),
+        seed=seed,
         stratified=cfg.stratified,
         normalize_before_split=cfg.normalize_before_split,
         drop_columns=cfg.drop_columns,
     )
-    dataset.save_dataset(pair.train, train_path)
-    dataset.save_dataset(pair.test, test_path)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return pair, artifacts
+    dataset.save_dataset(pair.train, files["train"])
+    dataset.save_dataset(pair.test, files["test"])
+    artifacts.write_atomic(files["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return pair, files
 
 
 def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
-    """Spearman matrix over the training partition, cached as heatmap CSV."""
+    """Spearman matrix over the training partition, cached as a container
+    beside its heatmap CSV."""
     key = _hash_key({"pre": _preprocess_key(cfg), "mode": cfg.mode})
     path = os.path.join(cfg.out_dir, f"corr_{key}.csv")
-    if not cfg.force and os.path.exists(path) and os.path.exists(path + ".meta.json"):
-        return correlation.load_heatmap(path), {"heatmap": path}
-    class_cols, class_names = dataset.class_indicator_columns(
-        pair.train, binary=cfg.mode == "binary"
-    )
-    corr = correlation.spearman_matrix(
-        pair.train.features, class_cols, pair.train.feature_names, class_names
-    )
-    correlation.export_heatmap(corr, path)
+    corr = _cached(cfg, [path, artifacts.container_for(path)],
+                   lambda: correlation.load_heatmap(path))
+    if corr is None:
+        class_cols, class_names = dataset.class_indicator_columns(
+            pair.train, binary=cfg.mode == "binary"
+        )
+        corr = correlation.spearman_matrix(
+            pair.train.features, class_cols, pair.train.feature_names, class_names
+        )
+        correlation.export_heatmap(corr, path)
     return corr, {"heatmap": path}
 
 
@@ -221,7 +234,8 @@ def _train_view(cfg: ExperimentConfig, pair: dataset.SplitPair) -> dataset.Datas
 
 
 def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
-    """Full-feature forest importances, cached as a sorted CSV.
+    """Full-feature forest importances, cached as a container beside a
+    sorted CSV.
 
     Used both to drive rf-ig selection and to report the importance mass a
     subset captures.
@@ -229,9 +243,10 @@ def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
     key = _importance_key(cfg)
     path = os.path.join(cfg.out_dir, f"importance_{key}.csv")
     names = pair.train.feature_names
-    if not cfg.force and os.path.exists(path):
-        imp, meta = load_importance(path, names)
-        return imp, float(meta.get("build_seconds", 0.0)), {"importance": path}
+    hit = _cached(cfg, [path, artifacts.container_for(path)],
+                  lambda: load_importance(path, names))
+    if hit is not None:
+        return (*hit, {"importance": path})
 
     forest_cfg = dataclasses.replace(
         cfg.forest, seed=stage_seed(cfg.seed, "importance")
@@ -242,45 +257,35 @@ def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
 
 
 def save_importance(forest: random_forest.TrainedForest, feature_names, path: str) -> None:
-    order = np.argsort(-forest.importances, kind="stable")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={forest.config.seed}\n")
-        fh.write(f"# n_trees={forest.config.n_trees}\n")
-        fh.write(f"# max_depth={forest.config.max_depth}\n")
-        oob = forest.oob_accuracy
-        fh.write(f"# oob_accuracy={'nan' if math.isnan(oob) else repr(oob)}\n")
-        fh.write(f"# oob_skipped={forest.oob_skipped}\n")
-        fh.write(f"# build_seconds={forest.build_seconds!r}\n")
-        fh.write("feature,importance\n")
-        for i in order:
-            fh.write(f"{feature_names[i]},{float(forest.importances[i])!r}\n")
+    """The importances as a CSV at ``path``, largest first under a
+    ``# key=value`` block, and as a container beside it."""
+    oob = forest.oob_accuracy
+    lines = [
+        f"# seed={forest.config.seed}",
+        f"# n_trees={forest.config.n_trees}",
+        f"# max_depth={forest.config.max_depth}",
+        f"# oob_accuracy={'nan' if math.isnan(oob) else repr(oob)}",
+        f"# oob_skipped={forest.oob_skipped}",
+        f"# build_seconds={forest.build_seconds!r}",
+        "feature,importance",
+    ]
+    for i in np.argsort(-forest.importances, kind="stable"):
+        lines.append(f"{feature_names[i]},{float(forest.importances[i])!r}")
+    artifacts.write_atomic(path, "\n".join(lines) + "\n")
+    artifacts.save(artifacts.container_for(path), "importance",
+                   {"importances": forest.importances},
+                   feature_names=list(feature_names), build_seconds=forest.build_seconds)
 
 
-def load_importance(path: str, feature_names) -> tuple[np.ndarray, dict]:
-    lookup = {n: i for i, n in enumerate(feature_names)}
-    imp = np.zeros(len(feature_names))
-    meta: dict = {}
-    seen = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if line == "feature,importance":
-                continue
-            name, _, value = line.partition(",")
-            if name not in lookup:
-                raise DataError(f"{path}: unknown feature {name!r}")
-            imp[lookup[name]] = float(value)
-            seen += 1
-    if seen != len(feature_names):
-        raise DataError(f"{path}: expected {len(feature_names)} rows, found {seen}")
-    return imp, meta
+def load_importance(path: str, feature_names) -> tuple[np.ndarray, float]:
+    """The importances, in feature order, and the build seconds of the
+    forest save_importance wrote for ``path``."""
+    def decode(header, arrays):
+        if header["feature_names"] != list(feature_names):
+            raise ValueError("saved for other features")
+        return arrays["importances"], float(header["build_seconds"])
+
+    return artifacts.load(artifacts.container_for(path), "importance", decode)
 
 
 def _select_key(cfg: ExperimentConfig) -> str:
@@ -296,60 +301,56 @@ def _select_key(cfg: ExperimentConfig) -> str:
     })
 
 
+def _search(cfg: ExperimentConfig, corr, n_features: int, importances, importance_seconds):
+    """The configured method's subset indices, seconds and search result."""
+    sel_seed = stage_seed(cfg.seed, "select")
+    if cfg.method == "full":
+        return tuple(range(n_features)), 0.0, None
+    if cfg.method == "ba":
+        result = subset_search.bat_run(corr, dataclasses.replace(cfg.bat, seed=sel_seed))
+    elif cfg.method == "ao":
+        result = subset_search.aquila_run(corr, dataclasses.replace(cfg.aquila, seed=sel_seed))
+    elif cfg.method == "brute":
+        result = subset_search.brute_force_best(corr)
+    else:  # rf-ig
+        if importances is None:
+            raise DataError("rf-ig selection needs importances")
+        return random_forest.select_top_k(importances, cfg.k).indices, importance_seconds, None
+    return result.best.indices, result.elapsed, result
+
+
 def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
                  importances=None, importance_seconds: float = 0.0):
     """Produce the feature subset for the configured method.
 
     Returns (subset, selection_seconds, artifacts).  Selection time for
     rf-ig is the importance forest's build time, since that forest is the
-    selector.
+    selector.  Scores are computed afresh, also on a cache hit.
     """
     names = pair.train.feature_names
-    sel_seed = stage_seed(cfg.seed, "select")
     key = _select_key(cfg)
     subset_path = os.path.join(cfg.out_dir, f"subset_{key}.txt")
-    trace_path = os.path.join(cfg.out_dir, f"trace_{key}.csv")
-    artifacts = {"subset": subset_path}
+    files = {"subset": subset_path}
+    if cfg.method in ("ba", "ao", "brute"):
+        files["trace"] = os.path.join(cfg.out_dir, f"trace_{key}.csv")
 
-    if not cfg.force and os.path.exists(subset_path):
-        subset, meta = subset_search.load_subset(subset_path, names)
-        if subset.cfs is None:
-            subset = dataclasses.replace(subset, cfs=correlation.cfs_merit(corr, subset.indices))
-        if subset.ig is None and importances is not None:
-            subset = dataclasses.replace(subset, ig=correlation.ig_sum(importances, subset.indices))
-        return subset, float(meta.get("elapsed", 0.0)), artifacts
-
-    if cfg.method == "full":
-        indices = tuple(range(len(names)))
-        elapsed = 0.0
-        trace = None
-    elif cfg.method == "ba":
-        result = subset_search.bat_run(corr, dataclasses.replace(cfg.bat, seed=sel_seed))
-        indices, elapsed, trace = result.best.indices, result.elapsed, result
-    elif cfg.method == "ao":
-        result = subset_search.aquila_run(corr, dataclasses.replace(cfg.aquila, seed=sel_seed))
-        indices, elapsed, trace = result.best.indices, result.elapsed, result
-    elif cfg.method == "brute":
-        result = subset_search.brute_force_best(corr)
-        indices, elapsed, trace = result.best.indices, result.elapsed, result
-    else:  # rf-ig
-        if importances is None:
-            raise DataError("rf-ig selection needs importances")
-        indices = random_forest.select_top_k(importances, cfg.k).indices
-        elapsed = importance_seconds
-        trace = None
-
+    hit = _cached(cfg, [*files.values(), artifacts.container_for(subset_path)],
+                  lambda: subset_search.load_subset(subset_path, names))
+    if hit is not None:
+        indices, elapsed = hit[0].indices, float(hit[1]["elapsed"])
+    else:
+        indices, elapsed, trace = _search(cfg, corr, len(names), importances, importance_seconds)
+        subset_search.save_subset(subset_search.FeatureSubset(indices), names, subset_path,
+                                  method=cfg.method, seed=stage_seed(cfg.seed, "select"),
+                                  elapsed=elapsed)
+        if trace is not None:
+            subset_search.save_trace(trace, files["trace"])
     subset = subset_search.FeatureSubset(
         indices,
         cfs=correlation.cfs_merit(corr, indices),
         ig=correlation.ig_sum(importances, indices) if importances is not None else None,
     )
-    subset_search.save_subset(subset, names, subset_path, method=cfg.method,
-                              seed=sel_seed, elapsed=elapsed)
-    if trace is not None:
-        subset_search.save_trace(trace, trace_path)
-        artifacts["trace"] = trace_path
-    return subset, elapsed, artifacts
+    return subset, elapsed, files
 
 
 def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) -> dataset.Dataset:
@@ -364,7 +365,7 @@ def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) 
 
 
 def _train_key(cfg: ExperimentConfig, subset: subset_search.FeatureSubset) -> str:
-    fields = {
+    return _hash_key({
         "pre": _preprocess_key(cfg),
         "mode": cfg.mode,
         "subset": list(subset.indices),
@@ -372,10 +373,7 @@ def _train_key(cfg: ExperimentConfig, subset: subset_search.FeatureSubset) -> st
         "seed": stage_seed(cfg.seed, "train"),
         "forest": _config_key(cfg.forest),
         "mlp": _config_key(cfg.mlp),
-    }
-    if cfg.model == "rf":  # a forest file of another layout is never looked up
-        fields["forest_format"] = random_forest.FORMAT_VERSION
-    return _hash_key(fields)
+    })
 
 
 def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
@@ -383,30 +381,29 @@ def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
     """Fit the configured model on the selected features; cached on disk."""
     key = _train_key(cfg, subset)
     path = os.path.join(cfg.out_dir, f"model_{key}.bin")
+    files = {"model": path}
+    if cfg.model == "mlp":
+        files["loss_trace"] = os.path.join(cfg.out_dir, f"loss_{key}.csv")
+    load = random_forest.load_forest if cfg.model == "rf" else neural_net.load_model
+    model = _cached(cfg, files.values(), lambda: load(path))
+    if model is not None:
+        return model, model.build_seconds, files
+
     train_view = _slice_features(_train_view(cfg, pair), subset)
     seed = stage_seed(cfg.seed, "train")
-
     if cfg.model == "rf":
-        if not cfg.force and os.path.exists(path):
-            model = random_forest.load_forest(path)
-            return model, model.build_seconds, {"model": path}
-        forest = random_forest.train_forest(
+        model = random_forest.train_forest(
             train_view, dataclasses.replace(cfg.forest, seed=seed)
         )
-        random_forest.save_forest(forest, path)
-        return forest, forest.build_seconds, {"model": path}
-
-    if not cfg.force and os.path.exists(path):
-        model = neural_net.load_model(path)
-        return model, model.build_seconds, {"model": path}
-    head = "binary" if cfg.mode == "binary" else "categorical"
-    model = neural_net.train(
-        train_view, dataclasses.replace(cfg.mlp, seed=seed), head=head
-    )
-    neural_net.save_model(model, path)
-    trace_path = os.path.join(cfg.out_dir, f"loss_{key}.csv")
-    neural_net.save_loss_trace(model, trace_path)
-    return model, model.build_seconds, {"model": path, "loss_trace": trace_path}
+        random_forest.save_forest(model, path)
+    else:
+        head = "binary" if cfg.mode == "binary" else "categorical"
+        model = neural_net.train(
+            train_view, dataclasses.replace(cfg.mlp, seed=seed), head=head
+        )
+        neural_net.save_model(model, path)
+        neural_net.save_loss_trace(model, files["loss_trace"])
+    return model, model.build_seconds, files
 
 
 def _predict(cfg: ExperimentConfig, model, features) -> np.ndarray:
@@ -468,10 +465,9 @@ def run_record_row(record: dict) -> dict:
 
 
 def write_report_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_report_value(row[c]) for c in REPORT_COLUMNS) + "\n")
+    lines = [",".join(REPORT_COLUMNS)]
+    lines += [",".join(_report_value(row[c]) for c in REPORT_COLUMNS) for row in rows]
+    artifacts.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _forest_summary(forest: random_forest.TrainedForest) -> dict:
@@ -497,22 +493,22 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     stage = "preprocess"
     try:
-        pair, artifacts = preprocess_stage(cfg)
-        completed.update(artifacts)
+        pair, files = preprocess_stage(cfg)
+        completed.update(files)
         stage = "correlate"
-        corr, artifacts = correlate_stage(cfg, pair)
-        completed.update(artifacts)
+        corr, files = correlate_stage(cfg, pair)
+        completed.update(files)
         stage = "importance"
-        importances, imp_seconds, artifacts = importance_stage(cfg, pair)
-        completed.update(artifacts)
+        importances, imp_seconds, files = importance_stage(cfg, pair)
+        completed.update(files)
         stage = "select"
-        subset, selection_seconds, artifacts = select_stage(
+        subset, selection_seconds, files = select_stage(
             cfg, corr, pair, importances, imp_seconds
         )
-        completed.update(artifacts)
+        completed.update(files)
         stage = "train"
-        model, build_seconds, artifacts = train_stage(cfg, pair, subset)
-        completed.update(artifacts)
+        model, build_seconds, files = train_stage(cfg, pair, subset)
+        completed.update(files)
         stage = "evaluate"
         cm, report = evaluate_stage(cfg, model, pair, subset)
     except PipelineError:
@@ -572,20 +568,29 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         "artifacts": completed,
     }
     record_path = os.path.join(cfg.out_dir, f"run_{key}.json")
-    with open(record_path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_atomic(record_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
     record["artifacts"]["record"] = record_path
     return record
 
 
 def load_records(out_dir: str) -> list[dict]:
-    records = []
-    for name in sorted(os.listdir(out_dir)):
+    """Every run record under ``out_dir``, ordered by methodology, K and
+    subset, then by file name; an unreadable record is a DataError."""
+    keyed = []
+    for name in os.listdir(out_dir):
         if name.startswith("run_") and name.endswith(".json"):
-            with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
-                records.append(json.load(fh))
-    return records
+            path = os.path.join(out_dir, name)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    record = json.load(fh)
+                order = (record["methodology"], record["subset"]["k"],
+                         record["subset"]["indices"], name)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}: unreadable run record ({exc}); "
+                                "delete it or rerun its run") from None
+            keyed.append((order, record))
+    keyed.sort(key=lambda pair: pair[0])
+    return [record for _, record in keyed]
 
 
 def compare(records: list[dict]):
@@ -622,10 +627,8 @@ def compare(records: list[dict]):
 
 
 def write_overlap_csv(overlap_rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("methods,count\n")
-        for row in overlap_rows:
-            fh.write(f"{row['methods']},{row['count']}\n")
+    rows = "".join(f"{row['methods']},{row['count']}\n" for row in overlap_rows)
+    artifacts.write_atomic(path, "methods,count\n" + rows)
 
 
 def depth_sweep(train: dataset.Dataset, depths, forest_cfg: random_forest.ForestConfig):
@@ -647,10 +650,6 @@ def depth_sweep(train: dataset.Dataset, depths, forest_cfg: random_forest.Forest
 
 
 def write_depth_sweep_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("depth,oob_accuracy,oob_skipped,build_seconds,best\n")
-        for r in rows:
-            fh.write(
-                f"{r['depth']},{r['oob_accuracy']!r},{r['oob_skipped']},"
-                f"{r['build_seconds']!r},{int(r['best'])}\n"
-            )
+    lines = "".join(f"{r['depth']},{r['oob_accuracy']!r},{r['oob_skipped']},"
+                    f"{r['build_seconds']!r},{int(r['best'])}\n" for r in rows)
+    artifacts.write_atomic(path, "depth,oob_accuracy,oob_skipped,build_seconds,best\n" + lines)

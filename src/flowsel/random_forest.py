@@ -15,23 +15,17 @@ node's gains and sample fraction.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import artifacts
 from .dataset import Dataset
 from .errors import DataError, NumericError
 from .subset_search import FeatureSubset
-
-_MODEL_MAGIC = b"FLOWRF01"
-# Forest file layout version; the pipeline's train key includes it, so a
-# cache written under another layout is never looked up.
-FORMAT_VERSION = 2
 
 
 def gini(counts) -> float:
@@ -466,16 +460,9 @@ def predict(forest: TrainedForest, X, return_votes: bool = False):
     return labels
 
 
-# Array dtypes a forest file may declare.
-_FILE_DTYPES = ("<f8", "<i8", "|u1")
-
-
 def save_forest(forest: TrainedForest, path: str) -> None:
-    """Versioned binary container: magic, header length, JSON header, then
-    the raw bytes of the named arrays the header lists.
-
-    Every tree's node arrays are stored concatenated, with ``tree_nodes``
-    giving each tree's node count."""
+    """A forest container: every tree's node arrays concatenated, with
+    ``tree_nodes`` giving each tree's node count."""
     arrays = {
         "importances": forest.importances,
         "in_bag": np.packbits(forest.in_bag.astype(np.uint8)),
@@ -483,56 +470,17 @@ def save_forest(forest: TrainedForest, path: str) -> None:
     }
     for name in TREE_ARRAYS:
         arrays[name] = np.concatenate([getattr(t, name) for t in forest.trees])
-    arrays = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
-              for name, a in arrays.items()}
-    header = {
-        "version": FORMAT_VERSION,
-        "n_features": forest.n_features,
-        "n_classes": forest.n_classes,
-        "class_names": list(forest.class_names),
-        "build_seconds": forest.build_seconds,
-        "oob_accuracy": None if math.isnan(forest.oob_accuracy) else forest.oob_accuracy,
-        "oob_skipped": forest.oob_skipped,
-        "n_rows": int(forest.in_bag.shape[1]),
-        "config": {f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)},
-        "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()],
-    }
-    blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for a in arrays.values():
-            fh.write(a.tobytes())
-
-
-def _read_arrays(raw: bytes) -> tuple[dict, dict]:
-    """The header and named arrays of a forest file; ValueError when a
-    length, a shape or the version does not fit the bytes present."""
-    off = len(_MODEL_MAGIC) + 4
-    if len(raw) < off:
-        raise ValueError("no header length")
-    (hlen,) = struct.unpack_from("<I", raw, len(_MODEL_MAGIC))
-    if len(raw) < off + hlen:
-        raise ValueError(f"header of {hlen} bytes but {len(raw) - off} present")
-    header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    version = header.get("version") if isinstance(header, dict) else None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported forest version {version}")
-    off += hlen
-    arrays = {}
-    for name, dtype, shape in header["arrays"]:
-        if dtype not in _FILE_DTYPES or not all(type(d) is int and d >= 0 for d in shape):
-            raise ValueError(f"array {name!r} declares {dtype} {shape}")
-        count = math.prod(shape)
-        size = count * np.dtype(dtype).itemsize
-        if len(raw) < off + size:
-            raise ValueError(f"array {name!r} needs {size} bytes, {len(raw) - off} present")
-        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
-        off += size
-    if off != len(raw):
-        raise ValueError(f"{len(raw) - off} bytes after the last array")
-    return header, arrays
+    artifacts.save(
+        path, "forest", arrays,
+        n_features=forest.n_features,
+        n_classes=forest.n_classes,
+        class_names=list(forest.class_names),
+        build_seconds=forest.build_seconds,
+        oob_accuracy=None if math.isnan(forest.oob_accuracy) else forest.oob_accuracy,
+        oob_skipped=forest.oob_skipped,
+        n_rows=int(forest.in_bag.shape[1]),
+        config={f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)},
+    )
 
 
 def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
@@ -567,7 +515,7 @@ def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
     return TrainedForest(
         trees=trees,
         in_bag=in_bag.reshape(cfg.n_trees, n_rows).astype(bool),
-        importances=arrays["importances"].copy(),
+        importances=arrays["importances"],
         oob_accuracy=math.nan if oob is None else float(oob),
         oob_skipped=int(header["oob_skipped"]),
         build_seconds=float(header["build_seconds"]),
@@ -579,16 +527,4 @@ def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
 
 
 def load_forest(path: str) -> TrainedForest:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot open forest file {path}: {exc}") from exc
-    if raw[: len(_MODEL_MAGIC)] != _MODEL_MAGIC:
-        raise DataError(f"{path}: not a forest file (bad magic)")
-    try:
-        return _forest_from_arrays(*_read_arrays(raw))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(
-            f"{path}: unreadable forest file ({exc}); delete it or rerun with --force"
-        ) from None
+    return artifacts.load(path, "forest", _forest_from_arrays)

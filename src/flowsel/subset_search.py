@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifacts
 from .correlation import CfsScore, CorrelationMatrix, MeritEvaluator, cfs_merit
 from .errors import DataError
 
@@ -524,68 +525,33 @@ def brute_force_best(corr: CorrelationMatrix, max_features: int = 20) -> SearchR
 
 def save_subset(subset: FeatureSubset, feature_names, path: str, method: str = "",
                 seed: int | None = None, elapsed: float | None = None) -> None:
-    """Write a subset as one feature name per line under a metadata block."""
+    """Write the subset's names, one a line, at ``path``, and its container
+    beside it: indices, names, method, seed and elapsed seconds.  Scores are
+    not stored; a reader recomputes them."""
     if subset.indices and subset.indices[-1] >= len(feature_names):
         raise DataError("subset index out of range for the given feature names")
-    lines = ["# flowsel-subset v1", f"# k={subset.k}"]
-    if subset.cfs is not None:
-        lines.append(f"# merit={subset.cfs.merit!r}")
-        lines.append(f"# r_cf={subset.cfs.r_cf!r}")
-        lines.append(f"# r_ff={subset.cfs.r_ff!r}")
-    if subset.ig is not None:
-        lines.append(f"# ig_sum={subset.ig!r}")
-    if method:
-        lines.append(f"# method={method}")
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    if elapsed is not None:
-        lines.append(f"# elapsed={elapsed!r}")
-    lines.extend(feature_names[i] for i in subset.indices)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names = [feature_names[i] for i in subset.indices]
+    artifacts.save(artifacts.container_for(path), "subset",
+                   {"indices": np.array(subset.indices, dtype=np.int64)},
+                   names=names, method=method, seed=seed, elapsed=elapsed)
+    artifacts.write_atomic(path, "".join(f"{name}\n" for name in names))
 
 
 def load_subset(path: str, feature_names) -> tuple[FeatureSubset, dict]:
-    """Read a subset file back; unknown feature names are an error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise DataError(f"cannot open subset file {path}: {exc}") from exc
-    meta: dict = {}
-    names = []
-    for ln in raw_lines:
-        if not ln.strip():
-            continue
-        if ln.startswith("#"):
-            body = ln.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        names.append(ln.strip())
-    lookup = {name: i for i, name in enumerate(feature_names)}
-    indices = []
-    for name in names:
-        if name not in lookup:
-            raise DataError(f"{path}: unknown feature name {name!r}")
-        indices.append(lookup[name])
-    for key in ("merit", "r_cf", "r_ff", "ig_sum", "elapsed"):
-        if key in meta:
-            meta[key] = float(meta[key])
-    for key in ("k", "seed"):
-        if key in meta:
-            meta[key] = int(meta[key])
-    cfs = None
-    if "merit" in meta:
-        cfs = CfsScore(meta["merit"], len(indices), meta.get("r_cf", 0.0), meta.get("r_ff", 0.0))
-    subset = FeatureSubset(tuple(sorted(indices)), cfs=cfs, ig=meta.get("ig_sum"))
-    return subset, meta
+    """The unscored subset save_subset wrote for ``path``, and its method,
+    seed and elapsed seconds; a name that is not the feature at its index
+    is an error."""
+    def decode(header, arrays):
+        subset = FeatureSubset(tuple(arrays["indices"].tolist()))
+        for i, name in zip(subset.indices, header["names"], strict=True):
+            if i >= len(feature_names) or feature_names[i] != name:
+                raise ValueError(f"unknown feature name {name!r}")
+        return subset, {key: header[key] for key in ("method", "seed", "elapsed")}
+
+    return artifacts.load(artifacts.container_for(path), "subset", decode)
 
 
 def save_trace(result: SearchResult, path: str) -> None:
     """Write the incumbent merit trace as (epoch, best_merit) CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,best_merit\n")
-        for epoch, merit in enumerate(result.merit_trace):
-            fh.write(f"{epoch},{merit!r}\n")
+    rows = "".join(f"{epoch},{merit!r}\n" for epoch, merit in enumerate(result.merit_trace))
+    artifacts.write_atomic(path, "epoch,best_merit\n" + rows)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .dataset import Dataset
 from .errors import DataError
 
@@ -116,12 +117,10 @@ def write_fixture(
     data, truth = make_dataset(n_informative, n_noise, rows, seed, n_classes)
     csv_path = os.path.join(directory, f"{stem}.csv")
     sidecar_path = os.path.join(directory, f"{stem}.truth.json")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(data.feature_names) + ",Label\n")
-        for i in range(data.n_rows):
-            cells = [repr(float(v)) for v in data.features[i]]
-            cells.append(data.class_names[data.labels_cat[i]])
-            fh.write(",".join(cells) + "\n")
+    rows = "".join(",".join([*(repr(float(v)) for v in data.features[i]),
+                             data.class_names[data.labels_cat[i]]]) + "\n"
+                   for i in range(data.n_rows))
+    artifacts.write_atomic(csv_path, ",".join(data.feature_names) + ",Label\n" + rows)
     sidecar = {
         "informative_indices": list(truth.informative),
         "informative_names": [truth.feature_names[i] for i in truth.informative],
@@ -129,7 +128,5 @@ def write_fixture(
         "class_names": list(truth.class_names),
         "params": truth.params,
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_atomic(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return csv_path, sidecar_path

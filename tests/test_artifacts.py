@@ -1,0 +1,207 @@
+"""The checked container every cache entry uses, and atomic writes."""
+
+import json
+import os
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from flowsel import artifacts
+from flowsel.correlation import export_heatmap, load_heatmap, spearman_matrix
+from flowsel.dataset import load_dataset, one_hot, save_dataset
+from flowsel.errors import DataError
+from flowsel.neural_net import MlpConfig, load_model, save_model, train
+from flowsel.pipeline import load_importance, save_importance
+from flowsel.random_forest import ForestConfig, load_forest, save_forest, train_forest
+from flowsel.subset_search import FeatureSubset, load_subset, save_subset
+from flowsel.synth import make_dataset
+
+
+def read_back(path, kind="probe"):
+    return artifacts.load(path, kind, lambda header, arrays: (header, arrays))
+
+
+class TestWriteAtomic:
+    def test_bytes_and_text(self, tmp_path):
+        path = str(tmp_path / "out.bin")
+        artifacts.write_atomic(path, b"\x00\xff")
+        assert open(path, "rb").read() == b"\x00\xff"
+        artifacts.write_atomic(path, "é\n")
+        assert open(path, "rb").read() == "é\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "out.csv")
+        artifacts.write_atomic(path, "old\n")
+
+        def replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="no space left"):
+            artifacts.write_atomic(path, "new\n")
+        assert open(path).read() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+
+array_dtypes = st.sampled_from([np.dtype("<f8"), np.dtype("<i8"), np.dtype("|u1")])
+
+
+@st.composite
+def named_arrays(draw):
+    names = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=6),
+                          max_size=4, unique=True))
+    return {name: draw(hnp.arrays(array_dtypes, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                                  min_side=0, max_side=4)))
+            for name in names}
+
+
+class TestContainer:
+    @settings(max_examples=150, deadline=None)
+    @given(arrays=named_arrays(), note=st.one_of(st.none(), st.floats(allow_nan=False),
+                                                 st.text(max_size=5)))
+    def test_round_trip(self, tmp_path_factory, arrays, note):
+        """Every dtype and shape, empty arrays and scalars included, comes
+        back with the same dtype, shape and bytes, and writable."""
+        path = str(tmp_path_factory.mktemp("rt") / "probe.bin")
+        artifacts.save(path, "probe", arrays, note=note)
+        header, back = read_back(path)
+        assert header["note"] == note
+        assert list(back) == list(arrays)
+        for name, a in arrays.items():
+            assert back[name].dtype == a.dtype and back[name].shape == a.shape
+            assert back[name].tobytes() == a.tobytes()
+            assert back[name].flags.writeable
+
+    def test_big_endian_and_strided_input(self, tmp_path):
+        path = str(tmp_path / "probe.bin")
+        values = np.arange(12, dtype=">f8").reshape(3, 4).T
+        artifacts.save(path, "probe", {"v": values})
+        _, back = read_back(path)
+        assert back["v"].dtype.str == "<f8"
+        np.testing.assert_array_equal(back["v"], values)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float32, np.int32])
+    def test_other_dtypes_are_refused(self, tmp_path, dtype):
+        with pytest.raises(TypeError, match="not one of"):
+            artifacts.save(str(tmp_path / "probe.bin"), "probe", {"a": np.zeros(3, dtype=dtype)})
+        assert not os.listdir(tmp_path)
+
+    def test_other_version_is_refused(self, tmp_path):
+        path = tmp_path / "old.bin"
+        artifacts.write_atomic(str(path), artifacts.frame(
+            {"kind": "probe", "version": artifacts.VERSION - 1, "arrays": []}, []))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: unreadable probe file (unsupported version {artifacts.VERSION - 1}); "
+                "delete it or rerun with --force")):
+            read_back(str(path))
+
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        """Framed with a valid checksum, so only the length check sees it."""
+        path = tmp_path / "long.bin"
+        header = {"kind": "probe", "version": artifacts.VERSION, "arrays": [["a", "<i8", [2]]]}
+        artifacts.write_atomic(str(path), artifacts.frame(header, [np.arange(2), b"\0"]))
+        with pytest.raises(DataError, match=r"\(1 bytes after the last array\)"):
+            read_back(str(path))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot open probe file"):
+            read_back(str(tmp_path / "absent.bin"))
+
+
+@pytest.fixture(scope="module")
+def entries(tmp_path_factory):
+    """One file of every kind, as (container path, loader)."""
+    out = tmp_path_factory.mktemp("kinds")
+    data, _ = make_dataset(2, 2, 60, seed=4)
+    names = data.feature_names
+    forest = train_forest(data, ForestConfig(n_trees=2, max_depth=4, seed=1))
+    corr = spearman_matrix(data.features, one_hot(data.labels_cat, data.class_names),
+                           names, data.class_names)
+    paths = {kind: str(out / f"{kind}.csv") for kind in ("heatmap", "importance", "subset")}
+    paths.update(dataset=str(out / "split.ds"), forest=str(out / "forest.bin"),
+                 mlp=str(out / "mlp.bin"))
+    save_dataset(data, paths["dataset"])
+    export_heatmap(corr, paths["heatmap"])
+    save_importance(forest, names, paths["importance"])
+    save_subset(FeatureSubset((0, 2)), names, paths["subset"], method="ba", seed=3, elapsed=0.5)
+    save_forest(forest, paths["forest"])
+    save_model(train(data, MlpConfig(hidden_sizes=(4,), epochs=1, seed=0)), paths["mlp"])
+    loaders = {
+        "dataset": load_dataset,
+        "heatmap": load_heatmap,
+        "importance": lambda p: load_importance(p, names),
+        "subset": lambda p: load_subset(p, names),
+        "forest": load_forest,
+        "mlp": load_model,
+    }
+    return {kind: (artifacts.container_for(path) if path.endswith(".csv") else path,
+                   lambda loader=loaders[kind], path=path: loader(path))
+            for kind, path in paths.items()}
+
+
+KINDS = ("dataset", "heatmap", "importance", "subset", "forest", "mlp")
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loads(self, entries, kind):
+        _, load = entries[kind]
+        load()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation_names_the_file(self, entries, kind, cut):
+        container, load = entries[kind]
+        raw = open(container, "rb").read()
+        try:
+            with open(container, "wb") as fh:
+                fh.write(raw[:int(cut * len(raw))])
+            with pytest.raises(DataError, match=re.escape(
+                    f"{container}: unreadable {kind} file (")):
+                load()
+        finally:
+            with open(container, "wb") as fh:
+                fh.write(raw)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_flipped_byte_names_the_file(self, entries, kind, data):
+        container, load = entries[kind]
+        raw = open(container, "rb").read()
+        at = data.draw(st.integers(0, len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[at] ^= data.draw(st.integers(1, 255))
+        try:
+            with open(container, "wb") as fh:
+                fh.write(flipped)
+            with pytest.raises(DataError, match=re.escape(
+                    f"{container}: unreadable {kind} file (")):
+                load()
+        finally:
+            with open(container, "wb") as fh:
+                fh.write(raw)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_another_kind_is_refused(self, entries, kind):
+        container, _ = entries[kind]
+        other = KINDS[(KINDS.index(kind) + 1) % len(KINDS)]
+        with pytest.raises(DataError, match=re.escape(
+                f"{container}: unreadable {other} file (not a {other} file)")):
+            read_back(container, other)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_header_is_json_with_kind_and_version(self, entries, kind):
+        container, _ = entries[kind]
+        raw = open(container, "rb").read()
+        start = len(artifacts.MAGIC) + 8
+        hlen = int.from_bytes(raw[len(artifacts.MAGIC):start - 4], "little")
+        header = json.loads(raw[start:start + hlen])
+        assert (header["kind"], header["version"]) == (kind, artifacts.VERSION)
+        assert all(dtype in artifacts.DTYPES for _, dtype, _ in header["arrays"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsel import correlation
+from flowsel import artifacts, correlation
 from flowsel.correlation import (
     CfsScore,
     CorrelationMatrix,
@@ -380,18 +380,27 @@ class TestHeatmapRoundTrip:
         assert back.names == m.names
         assert back.class_boundary == m.class_boundary
 
-    def test_missing_sidecar(self, tmp_path):
+    def test_csv_is_the_export(self, tmp_path):
+        """The CSV keeps its layout: a name column and repr floats."""
+        path = str(tmp_path / "heat.csv")
+        export_heatmap(hand_matrix(), path)
+        lines = open(path).read().splitlines()
+        assert lines[0] == "name,a,b,c,x,y"
+        assert lines[1] == "a,1.0,0.5,-0.2,0.8,-0.6"
+        assert len(lines) == 6
+
+    def test_missing_container(self, tmp_path):
         path = str(tmp_path / "orphan.csv")
         with open(path, "w") as fh:
             fh.write("name,a\n")
-        with pytest.raises(DataError, match="sidecar"):
+        with pytest.raises(DataError, match="cannot open heatmap file .*orphan.bin"):
             load_heatmap(path)
 
     def test_header_disagreement(self, tmp_path):
+        """A container whose header names two columns of a 3x3 matrix."""
         path = str(tmp_path / "heat.csv")
-        export_heatmap(hand_matrix(), path)
-        text = open(path).read().replace("name,a,b,c", "name,z,b,c")
-        with open(path, "w") as fh:
-            fh.write(text)
-        with pytest.raises(DataError, match="header"):
+        artifacts.save(artifacts.container_for(path), "heatmap", {"values": np.eye(3)},
+                       names=["a", "b"], class_boundary=1)
+        with pytest.raises(DataError, match=r"\(header names 2 columns and boundary 1 "
+                                            r"for a \(3, 3\) matrix\)"):
             load_heatmap(path)

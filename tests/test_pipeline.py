@@ -1,23 +1,26 @@
 """Fixture generation, stage orchestration, run records, and the CLI."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsel import random_forest
+from flowsel import artifacts
 from flowsel.cli import main
 from flowsel.dataset import load_csv, load_dataset
 from flowsel.errors import DataError, PipelineError
 from flowsel.neural_net import MlpConfig
 from flowsel.pipeline import (
+    MODELS,
     ExperimentConfig,
     _select_key,
-    _train_key,
     compare,
     depth_sweep,
     load_records,
@@ -29,7 +32,7 @@ from flowsel.pipeline import (
     write_report_csv,
 )
 from flowsel.random_forest import ForestConfig, load_forest
-from flowsel.subset_search import BatConfig, FeatureSubset
+from flowsel.subset_search import BatConfig
 from flowsel.synth import make_dataset, write_fixture
 
 
@@ -267,17 +270,105 @@ class TestSelectKey:
         assert _select_key(dataclasses.replace(cfg, **{search: reseeded})) == _select_key(cfg)
 
 
-class TestTrainKey:
-    def test_forest_format_salts_forest_keys_only(self, monkeypatch):
-        """A forest file of another layout is never looked up; MLP caches
-        keep their keys."""
-        rf_cfg = ExperimentConfig(data_paths=("flows.csv",), model="rf")
-        mlp_cfg = dataclasses.replace(rf_cfg, model="mlp")
-        subset = FeatureSubset((0, 2))
-        rf_key, mlp_key = _train_key(rf_cfg, subset), _train_key(mlp_cfg, subset)
-        monkeypatch.setattr(random_forest, "FORMAT_VERSION", random_forest.FORMAT_VERSION + 1)
-        assert _train_key(rf_cfg, subset) != rf_key
-        assert _train_key(mlp_cfg, subset) == mlp_key
+def comparable(record):
+    """A run record without its timings, its artifacts by file name."""
+    out = {k: v for k, v in record.items() if k not in ("timing", "timestamps", "artifacts")}
+    out["artifacts"] = {k: os.path.basename(v) for k, v in record["artifacts"].items()}
+    return out
+
+
+class TestStageKeys:
+    def test_container_version_changes_every_stage_key(self, fixture_csv, tmp_path,
+                                                       monkeypatch):
+        """Every key chains on the preprocess key, which holds the container
+        version, so no file of a run under another version has a name that
+        an earlier run used, and no old cache entry is looked up."""
+        csv_path, _ = fixture_csv
+        configs = [quick_config(csv_path, tmp_path, method="ba", model=m) for m in MODELS]
+        first = [run_pipeline(cfg) for cfg in configs]
+        before = set(os.listdir(tmp_path))
+        monkeypatch.setattr(artifacts, "VERSION", artifacts.VERSION + 1)
+        for cfg, want in zip(configs, first):
+            record = run_pipeline(cfg)
+            assert {os.path.basename(p) for p in record["artifacts"].values()} & before == set()
+            unnamed = {**comparable(want), "artifacts": None}
+            assert {**comparable(record), "artifacts": None} == unnamed
+
+
+@pytest.fixture(scope="module")
+def cached_runs(fixture_csv, tmp_path_factory):
+    """A bat-subset run of each model, each in a directory of its own."""
+    csv_path, _ = fixture_csv
+    runs = {}
+    for model in MODELS:
+        out = tmp_path_factory.mktemp(f"cache_{model}")
+        runs[model] = (out, run_pipeline(quick_config(csv_path, out, method="ba", model=model)))
+    return runs
+
+
+def _container(name):
+    return lambda files: artifacts.container_for(files[name])
+
+
+class TestCacheRecovery:
+    @pytest.mark.parametrize("kind,model,entry", [
+        ("dataset", "rf", lambda files: files["train"]),
+        ("heatmap", "rf", _container("heatmap")),
+        ("importance", "rf", _container("importance")),
+        ("subset", "rf", _container("subset")),
+        ("forest", "rf", lambda files: files["model"]),
+        ("mlp", "mlp", lambda files: files["model"]),
+    ], ids=["dataset", "heatmap", "importance", "subset", "forest", "mlp"])
+    @settings(max_examples=5, deadline=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_entry_is_recomputed(self, fixture_csv, cached_runs, tmp_path_factory,
+                                           kind, model, entry, cut):
+        """A cut cache entry is named in one stderr line and recomputed into
+        the same record; the next run hits it silently."""
+        csv_path, _ = fixture_csv
+        source, want = cached_runs[model]
+        out = tmp_path_factory.mktemp("cut")
+        shutil.copytree(source, out, dirs_exist_ok=True)
+        path = out / os.path.basename(entry(want["artifacts"]))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:int(cut * len(raw))])
+        cfg = quick_config(csv_path, out, method="ba", model=model)
+        messages = []
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                record = run_pipeline(cfg)
+            assert comparable(record) == comparable(want)
+            messages.append(err.getvalue().splitlines())
+        (line,), again = messages
+        assert line.startswith(f"warning: {path}: unreadable {kind} file (")
+        assert again == []
+
+    @pytest.mark.parametrize("fail_at", range(0, 13, 3))
+    def test_failed_rename_leaves_nothing_to_hit(self, fixture_csv, cached_runs, tmp_path,
+                                                 monkeypatch, fail_at):
+        """A writer that dies before its rename leaves the final path absent,
+        so a later run recomputes that entry rather than reading half of it."""
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path / "runs", method="ba")
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) > fail_at:
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises((PipelineError, OSError), match="no space left"):
+            run_pipeline(cfg)
+        monkeypatch.undo()
+        assert not [n for n in os.listdir(cfg.out_dir) if n.endswith(".tmp")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            record = run_pipeline(cfg)
+        assert err.getvalue() == ""
+        assert comparable(record) == comparable(cached_runs["rf"][1])
 
 
 def fake_record(method, indices, universe=6):
@@ -323,6 +414,27 @@ class TestCompareAndReports:
         lines = open(path).read().splitlines()
         assert lines[0].startswith("methodology,K,cfs,ig,time_s")
         assert lines[1].endswith(",")  # undefined f1 stays blank, not 0
+
+    def test_rows_are_ordered_by_content(self, fixture_csv, tmp_path, monkeypatch):
+        """Rows follow methodology, K and subset, not the hashed record
+        names, so re-keyed caches give the same report, time_s aside."""
+        csv_path, _ = fixture_csv
+        runs = (["--method", "rf-ig", "--k", "3"], ["--method", "ba"], [],
+                ["--model", "mlp", "--hidden", "8"], ["--method", "rf-ig", "--k", "2"])
+        reports = []
+        for salt in (0, 1):
+            monkeypatch.setattr(artifacts, "VERSION", artifacts.VERSION + salt)
+            out = str(tmp_path / f"salt{salt}")
+            for flags in runs:
+                assert main(["run", "--data", csv_path, "--out", out, "--trees", "4",
+                             "--max-depth", "6", *flags]) == 0
+            assert main(["report", "--out", out]) == 0
+            header, *rows = open(os.path.join(out, "report.csv")).read().splitlines()
+            drop = header.split(",").index("time_s")
+            reports.append([[c for i, c in enumerate(r.split(",")) if i != drop] for r in rows])
+        assert reports[0] == reports[1]
+        order = [(r[0], int(r[1])) for r in reports[0]]
+        assert order == sorted(order) and len(order) == len(runs)
 
     def test_overlap_csv(self, tmp_path):
         path = str(tmp_path / "overlap.csv")
@@ -406,6 +518,20 @@ class TestCli:
             np.testing.assert_array_equal(text.features, numeric.features)
             np.testing.assert_array_equal(text.labels_cat, numeric.labels_cat)
         assert len(splits["text"]) == 2
+
+    def test_unreadable_run_record_exits_2(self, fixture_csv, tmp_path, capsys):
+        """A cut run record is one error line naming it, not a traceback."""
+        csv_path, _ = fixture_csv
+        out = tmp_path / "runs"
+        assert main(["run", "--data", csv_path, "--out", str(out), "--trees", "3"]) == 0
+        (record,) = out.glob("run_*.json")
+        record.write_bytes(record.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {record}: unreadable run record (")
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as err:

@@ -2,7 +2,7 @@
 
 import json
 import math
-import struct
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsel import random_forest
+from flowsel import artifacts, random_forest
 from flowsel.dataset import Dataset
 from flowsel.errors import DataError, NumericError
 from flowsel.random_forest import (
@@ -765,12 +765,12 @@ class TestForestFiles:
         assert [t.depth for t in back.trees] == [t.depth for t in forest.trees]
 
     def test_version_1_file_is_refused(self, tmp_path):
-        """A cache in the nested-JSON layout fails with one line, not a
+        """A cache in the old nested-JSON layout fails with one line, not a
         KeyError."""
         blob = json.dumps({"version": 1, "trees": []}).encode("utf-8")
         path = tmp_path / "old.rf"
-        path.write_bytes(random_forest._MODEL_MAGIC + struct.pack("<I", len(blob)) + blob)
-        with pytest.raises(DataError, match=r"unreadable forest file \(unsupported forest version 1\); delete it"):
+        path.write_bytes(b"FLOWRF01" + len(blob).to_bytes(4, "little") + blob)
+        with pytest.raises(DataError, match=r"unreadable forest file \(bad magic\); delete it"):
             load_forest(str(path))
 
     @settings(max_examples=200, deadline=None)
@@ -799,24 +799,25 @@ class TestForestFiles:
         with pytest.raises(DataError, match=r"out of range\); delete it or rerun with --force"):
             load_forest(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: h.update(arrays=[[n, "<f4", s] for n, _, s in h["arrays"]]),
-        lambda h: h["arrays"][3].__setitem__(2, [10**6]),
-        lambda h: h.pop("n_rows"),
-        lambda h: h["config"].update(n_trees=99),
-        lambda h: h.update(n_features=1),
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda h: h.update(arrays=[[n, "<f4", s] for n, _, s in h["arrays"]]),
+         "array 'importances' declares <f4 [4]"),
+        (lambda h: h["arrays"][3].__setitem__(2, [10**6]), "array 'feature' needs 8000000 bytes"),
+        (lambda h: h.pop("n_rows"), "'n_rows'"),
+        (lambda h: h["config"].update(n_trees=99), "tree_nodes (3,) for 99 trees"),
+        (lambda h: h.update(n_features=1), "(4,) importances for 1 features"),
     ], ids=["dtype", "shape", "missing key", "tree count", "feature count"])
-    def test_malformed_header_raises_data_error(self, saved_forest, tmp_path, edit):
+    def test_malformed_header_raises_data_error(self, saved_forest, tmp_path, edit, reason):
+        """The edited header is framed with a fresh checksum, so each case
+        reaches its own check rather than failing the checksum."""
         raw = saved_forest.read_bytes()
-        start = len(random_forest._MODEL_MAGIC)
-        (hlen,) = struct.unpack_from("<I", raw, start)
-        header = json.loads(raw[start + 4:start + 4 + hlen])
+        start = len(artifacts.MAGIC) + 8
+        hlen = int.from_bytes(raw[len(artifacts.MAGIC):start - 4], "little")
+        header = json.loads(raw[start:start + hlen])
         edit(header)
-        blob = json.dumps(header).encode("utf-8")
         path = tmp_path / "bad.rf"
-        path.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob
-                         + raw[start + 4 + hlen:])
-        with pytest.raises(DataError, match=f"{path}: unreadable forest file"):
+        artifacts.write_atomic(str(path), artifacts.frame(header, [raw[start + hlen:]]))
+        with pytest.raises(DataError, match=re.escape(f"{path}: unreadable forest file ({reason}")):
             load_forest(str(path))
 
 
