@@ -4,7 +4,9 @@ A container is the magic, the header length and a crc32 of everything
 after it (``<II``), then a JSON header and the raw bytes of the arrays it
 lists.  The header holds ``kind``, ``version``, one ``[name, dtype,
 shape]`` entry per array and whatever fields the writer adds.  Arrays are
-little-endian float64, int64 or uint8.
+little-endian float64, int64 or uint8.  ``save`` pads the header with
+spaces, and each array with zero bytes, to a multiple of 8, so every array
+starts 8-byte aligned and loads as an aligned view.
 
 Every file under ``--out`` is written through ``write_atomic``, so a
 killed writer leaves the old file or none, never half of one.
@@ -24,10 +26,11 @@ from .errors import DataError
 
 MAGIC = b"FLOWSEL1"
 # Part of every stage key, so a cache of another layout is never looked up.
-VERSION = 1
+VERSION = 2
 DTYPES = ("<f8", "<i8", "|u1")
 _LENGTHS = struct.Struct("<II")
 _START = len(MAGIC) + _LENGTHS.size
+_ALIGN = 8
 
 
 def write_atomic(path: str, data) -> None:
@@ -64,13 +67,28 @@ def save(path: str, kind: str, arrays: dict, **fields) -> None:
             raise TypeError(f"array {name!r} is {a.dtype.str}, not one of {DTYPES}")
     header = {**fields, "kind": kind, "version": VERSION,
               "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]}
-    write_atomic(path, frame(header, [np.ascontiguousarray(a) for a in arrays.values()]))
+    blob = json.dumps(header).encode("utf-8")
+    # _START is a multiple of 8, so padding the header and every array
+    # to one puts each array at an aligned offset
+    blob += b" " * _padding(len(blob))
+    body = []
+    for a in arrays.values():
+        body.append(np.ascontiguousarray(a))
+        body.append(bytes(_padding(a.nbytes)))
+    write_atomic(path, _framed(blob, body))
+
+
+def _padding(size: int) -> int:
+    return -size % _ALIGN
 
 
 def frame(header: dict, body: list) -> list:
     """Magic, lengths and checksum, the header, then the array buffers,
-    as chunks to write without joining them."""
-    blob = json.dumps(header).encode("utf-8")
+    as chunks to write without joining them; nothing is padded."""
+    return _framed(json.dumps(header).encode("utf-8"), body)
+
+
+def _framed(blob: bytes, body: list) -> list:
     crc = zlib.crc32(blob)
     for chunk in body:
         crc = zlib.crc32(chunk, crc)
@@ -101,10 +119,11 @@ def _unpack(raw: bytearray, kind: str) -> tuple[dict, dict]:
             raise ValueError(f"array {name!r} declares {dtype} {shape}")
         count = math.prod(shape)
         size = count * np.dtype(dtype).itemsize
-        if len(raw) < off + size:
-            raise ValueError(f"array {name!r} needs {size} bytes, {len(raw) - off} present")
+        padded = size + _padding(size)
+        if len(raw) < off + padded:
+            raise ValueError(f"array {name!r} needs {padded} bytes, {len(raw) - off} present")
         arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
-        off += size
+        off += padded
     if off != len(raw):
         raise ValueError(f"{len(raw) - off} bytes after the last array")
     return header, arrays
@@ -113,8 +132,9 @@ def _unpack(raw: bytearray, kind: str) -> tuple[dict, dict]:
 def load(path: str, kind: str, decode):
     """``decode(header, arrays)`` of the container at ``path``.
 
-    Arrays are writable views of one buffer.  Any failure, of the
-    container or of ``decode``, is one DataError naming the file."""
+    Arrays are writable views of one buffer, aligned when ``save`` wrote
+    it.  Any failure, of the container or of ``decode``, is one DataError
+    naming the file."""
     try:
         with open(path, "rb") as fh:
             # readinto a sized buffer: copying read() into a bytearray

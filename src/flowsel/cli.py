@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import os
 import sys
 
@@ -98,7 +99,10 @@ def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: it depends
+    on nothing but constants, and parse_args leaves it as it was."""
     parser = _Parser(prog="flowsel",
                      description="feature-selection benchmarking for flow classifiers")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -48,9 +48,18 @@ class ConfusionMatrix:
 def confusion(y_true, y_pred, class_names) -> ConfusionMatrix:
     """Tally true/predicted label pairs; labels may be indices or names."""
     names = tuple(class_names)
+    k = len(names)
     lookup = {name: i for i, name in enumerate(names)}
 
     def to_index(values, which):
+        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+            # index labels: one range check in numpy, reporting the first
+            # bad index as the per-row loop below would
+            bad = (values < 0) | (values >= k)
+            if bad.any():
+                raise DataError(f"{which} label index {int(values[bad.argmax()])} out of range")
+            return values.astype(np.int64, copy=False)
+        values = list(values)
         out = np.empty(len(values), dtype=np.int64)
         for i, v in enumerate(values):
             if isinstance(v, str):
@@ -59,20 +68,19 @@ def confusion(y_true, y_pred, class_names) -> ConfusionMatrix:
                 out[i] = lookup[v]
             else:
                 idx = int(v)
-                if not 0 <= idx < len(names):
+                if not 0 <= idx < k:
                     raise DataError(f"{which} label index {idx} out of range")
                 out[i] = idx
         return out
 
-    t = to_index(list(y_true), "true")
-    p = to_index(list(y_pred), "predicted")
+    t = to_index(y_true, "true")
+    p = to_index(y_pred, "predicted")
     if t.size != p.size:
         raise DataError("true and predicted label counts differ")
     if t.size == 0:
         raise DataError("cannot build a confusion matrix from zero rows")
-    counts = np.zeros((len(names), len(names)), dtype=np.int64)
-    np.add.at(counts, (t, p), 1)
-    return ConfusionMatrix(counts, names)
+    counts = np.bincount(t * k + p, minlength=k * k).astype(np.int64, copy=False)
+    return ConfusionMatrix(counts.reshape(k, k), names)
 
 
 @dataclass

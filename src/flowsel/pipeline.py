@@ -11,6 +11,7 @@ run's JSON record.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -90,8 +91,10 @@ class ExperimentConfig:
         return self
 
 
+@functools.lru_cache(maxsize=256)
 def stage_seed(master: int, stage: str) -> int:
-    """Derive a stage's seed from the master seed, stable across runs."""
+    """Derive a stage's seed from the master seed, stable across runs;
+    memoised, since one run derives each seed many times."""
     ss = np.random.SeedSequence(entropy=master, spawn_key=(_STAGE_IDS[stage],))
     return int(ss.generate_state(1)[0])
 
@@ -566,6 +569,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         "timestamps": {"started": started,
                        "finished": datetime.now(timezone.utc).isoformat()},
         "artifacts": completed,
+        # the cache layout it was computed under; report skips other layouts
+        "format": artifacts.VERSION,
     }
     record_path = os.path.join(cfg.out_dir, f"run_{key}.json")
     artifacts.write_atomic(record_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -574,9 +579,12 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 
 
 def load_records(out_dir: str) -> list[dict]:
-    """Every run record under ``out_dir``, ordered by methodology, K and
-    subset, then by file name; an unreadable record is a DataError."""
+    """Every run record under ``out_dir`` of the current cache format,
+    ordered by methodology, K and subset, then by file name.  Records of
+    another format, left by a run before a re-key, are skipped and counted
+    in one stderr line; an unreadable record is a DataError."""
     keyed = []
+    skipped = 0
     for name in os.listdir(out_dir):
         if name.startswith("run_") and name.endswith(".json"):
             path = os.path.join(out_dir, name)
@@ -588,7 +596,14 @@ def load_records(out_dir: str) -> list[dict]:
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}: unreadable run record ({exc}); "
                                 "delete it or rerun its run") from None
+            if record.get("format") != artifacts.VERSION:
+                skipped += 1
+                continue
             keyed.append((order, record))
+    if skipped:
+        print(f"warning: skipped {skipped} run record(s) under {out_dir} from another "
+              f"cache format than {artifacts.VERSION}; rerun those runs to report them",
+              file=sys.stderr)
     keyed.sort(key=lambda pair: pair[0])
     return [record for _, record in keyed]
 

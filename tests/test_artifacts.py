@@ -75,7 +75,7 @@ class TestContainer:
         for name, a in arrays.items():
             assert back[name].dtype == a.dtype and back[name].shape == a.shape
             assert back[name].tobytes() == a.tobytes()
-            assert back[name].flags.writeable
+            assert back[name].flags.writeable and back[name].flags.aligned
 
     def test_big_endian_and_strided_input(self, tmp_path):
         path = str(tmp_path / "probe.bin")
@@ -84,6 +84,28 @@ class TestContainer:
         _, back = read_back(path)
         assert back["v"].dtype.str == "<f8"
         np.testing.assert_array_equal(back["v"], values)
+
+    def test_odd_length_bytes_then_wider_arrays(self, tmp_path):
+        """Zero padding after an odd-length uint8 array keeps the float64
+        and int64 arrays after it aligned, and they read back as written."""
+        path = str(tmp_path / "probe.bin")
+        arrays = {"u": np.arange(5, dtype="|u1"), "f": np.linspace(-1.0, 1.0, 3),
+                  "i": np.array([-(2 ** 62), 0, 7], dtype="<i8")}
+        artifacts.save(path, "probe", arrays)
+        _, back = read_back(path)
+        for name, a in arrays.items():
+            assert back[name].dtype == a.dtype and back[name].tobytes() == a.tobytes()
+            assert back[name].flags.aligned and back[name].flags.writeable
+        assert os.path.getsize(path) % 8 == 0
+
+    def test_version_1_is_refused(self, tmp_path):
+        """The unpadded layout of version 1 is not read as version 2."""
+        path = tmp_path / "v1.bin"
+        artifacts.write_atomic(str(path), artifacts.frame(
+            {"kind": "probe", "version": 1, "arrays": [["a", "|u1", [3]]]}, [b"abc"]))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: unreadable probe file (unsupported version 1)")):
+            read_back(str(path))
 
     @pytest.mark.parametrize("dtype", [bool, np.float32, np.int32])
     def test_other_dtypes_are_refused(self, tmp_path, dtype):
@@ -152,6 +174,14 @@ class TestEveryKind:
     def test_loads(self, entries, kind):
         _, load = entries[kind]
         load()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_arrays_are_aligned_and_writable(self, entries, kind):
+        container, _ = entries[kind]
+        _, arrays = read_back(container, kind)
+        assert arrays
+        for a in arrays.values():
+            assert a.flags.aligned and a.flags.writeable
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=40, deadline=None)

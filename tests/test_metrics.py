@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsel.errors import DataError
 from flowsel.metrics import (
@@ -99,7 +101,99 @@ def random_cm(rng, n_classes, sparse=False):
     return ConfusionMatrix(counts, tuple(f"c{i}" for i in range(n_classes)))
 
 
+def reference_confusion(y_true, y_pred, class_names):
+    """The per-row tally that confusion ran before its bincount."""
+    names = tuple(class_names)
+    lookup = {name: i for i, name in enumerate(names)}
+
+    def to_index(values, which):
+        out = np.empty(len(values), dtype=np.int64)
+        for i, v in enumerate(values):
+            if isinstance(v, str):
+                if v not in lookup:
+                    raise DataError(f"unknown {which} label {v!r}")
+                out[i] = lookup[v]
+            else:
+                idx = int(v)
+                if not 0 <= idx < len(names):
+                    raise DataError(f"{which} label index {idx} out of range")
+                out[i] = idx
+        return out
+
+    t = to_index(list(y_true), "true")
+    p = to_index(list(y_pred), "predicted")
+    if t.size != p.size:
+        raise DataError("true and predicted label counts differ")
+    if t.size == 0:
+        raise DataError("cannot build a confusion matrix from zero rows")
+    counts = np.zeros((len(names), len(names)), dtype=np.int64)
+    np.add.at(counts, (t, p), 1)
+    return ConfusionMatrix(counts, names)
+
+
+LABEL_FORMS = ("int64 array", "uint8 array", "int list", "name list", "name array")
+
+
+@st.composite
+def label_pairs(draw):
+    """Class names and two label sequences in one of LABEL_FORMS, now and
+    then holding an index out of range or an unknown name."""
+    k = draw(st.integers(1, 5))
+    names = tuple(f"c{i}" for i in range(k))
+    form = draw(st.sampled_from(LABEL_FORMS))
+    n = draw(st.integers(0, 30))
+    wild = draw(st.booleans())
+    index = st.integers(-2 if wild and form != "uint8 array" else 0, k + 1 if wild else k - 1)
+
+    def labels(size):
+        values = draw(st.lists(index, min_size=size, max_size=size))
+        if form == "int64 array":
+            return np.array(values, dtype=np.int64)
+        if form == "uint8 array":
+            return np.array(values, dtype=np.uint8)
+        if form == "int list":
+            return values
+        text = [names[v] if 0 <= v < k else f"x{v}" for v in values]
+        return text if form == "name list" else np.array(text)
+
+    y_pred = labels(n if draw(st.booleans()) else draw(st.integers(0, 30)))
+    return labels(n), y_pred, names
+
+
+def outcome(tally, y_true, y_pred, names):
+    try:
+        cm = tally(y_true, y_pred, names)
+    except DataError as exc:
+        return f"DataError: {exc}"
+    assert cm.counts.dtype == np.int64 and cm.class_names == names
+    return cm.counts.tolist()
+
+
 class TestConfusion:
+    @settings(max_examples=300, deadline=None)
+    @given(case=label_pairs())
+    def test_matches_the_per_row_reference(self, case):
+        """Equal matrices, or the same DataError, for index arrays and
+        lists and for name lists and arrays."""
+        y_true, y_pred, names = case
+        assert outcome(confusion, y_true, y_pred, names) == \
+            outcome(reference_confusion, y_true, y_pred, names)
+
+    def test_error_messages_match_the_reference(self):
+        cases = [
+            (np.array([0, 3, 1]), np.array([0, 0, 0]), "true label index 3 out of range"),
+            (np.array([0, 1]), np.array([-1, 5]), "predicted label index -1 out of range"),
+            ([0, 1], [1, 9], "predicted label index 9 out of range"),
+            (np.array(["a", "z"]), np.array(["a", "b"]),
+             f"unknown true label {np.str_('z')!r}"),
+            (["a", "b"], ["a", "q"], "unknown predicted label 'q'"),
+        ]
+        for y_true, y_pred, message in cases:
+            for tally in (confusion, reference_confusion):
+                with pytest.raises(DataError) as err:
+                    tally(y_true, y_pred, ("a", "b"))
+                assert str(err.value) == message
+
     def test_hand_tally(self):
         cm = confusion([0, 0, 1, 1, 2], [0, 1, 1, 1, 0], ("a", "b", "c"))
         np.testing.assert_array_equal(

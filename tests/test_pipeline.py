@@ -6,14 +6,17 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowsel
 from flowsel import artifacts
-from flowsel.cli import main
+from flowsel.cli import build_parser, main
 from flowsel.dataset import load_csv, load_dataset
 from flowsel.errors import DataError, PipelineError
 from flowsel.neural_net import MlpConfig
@@ -291,8 +294,10 @@ class TestStageKeys:
         for cfg, want in zip(configs, first):
             record = run_pipeline(cfg)
             assert {os.path.basename(p) for p in record["artifacts"].values()} & before == set()
-            unnamed = {**comparable(want), "artifacts": None}
-            assert {**comparable(record), "artifacts": None} == unnamed
+            assert (want["format"], record["format"]) == (artifacts.VERSION - 1,
+                                                          artifacts.VERSION)
+            unnamed = {**comparable(want), "artifacts": None, "format": None}
+            assert {**comparable(record), "artifacts": None, "format": None} == unnamed
 
 
 @pytest.fixture(scope="module")
@@ -462,7 +467,113 @@ class TestDepthSweep:
         assert lines[1] == "2,0.75,3,0.5,1"
 
 
+# written with a build time or the time of the run
+TIMED_FILES = ("importance_", "model_", "run_", "report.csv")
+
+
+def _run_outputs(out):
+    """The files a run left in ``out``: bytes where they hold no timing,
+    else the report without ``time_s`` and the records without timings."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if name == "report.csv":
+            header, *rows = open(path).read().splitlines()
+            drop = header.split(",").index("time_s")
+            files[name] = [[c for i, c in enumerate(r.split(",")) if i != drop] for r in rows]
+        elif name.startswith("run_"):
+            files[name] = comparable(json.load(open(path)))
+        elif not name.startswith(TIMED_FILES):
+            files[name] = open(path, "rb").read()
+        else:
+            files[name] = None
+    return files
+
+
+def _in_fresh_process(argv):
+    """Exit code and stdout of ``argv`` run by a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowsel.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "flowsel.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return done.returncode, done.stdout
+
+
 class TestCli:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_one_process_matches_fresh_processes(self, fixture_csv, tmp_path, capsys):
+        """A usage error, a run and a report through the one shared parser
+        give the exit codes, stdout and files that new processes give."""
+        csv_path, _ = fixture_csv
+
+        def commands(out):
+            return [["run", "--data", csv_path, "--out", out, "--trees", "many"],
+                    ["run", "--data", csv_path, "--out", out, "--trees", "4"],
+                    ["report", "--out", out]]
+
+        shared, fresh = str(tmp_path / "shared"), str(tmp_path / "fresh")
+        seen = {}
+        for side, out in (("shared", shared), ("fresh", fresh)):
+            results = []
+            for argv in commands(out):
+                if side == "fresh":
+                    code, stdout = _in_fresh_process(argv)
+                else:
+                    capsys.readouterr()
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    stdout = capsys.readouterr().out
+                results.append((code, stdout.replace(out, "<out>")))
+            seen[side] = results
+        assert [code for code, _ in seen["shared"]] == [1, 0, 0]
+        assert seen["shared"] == seen["fresh"]
+        assert _run_outputs(shared) == _run_outputs(fresh)
+
+    def test_report_skips_records_of_another_format(self, fixture_csv, tmp_path, capsys,
+                                                    monkeypatch):
+        """Runs cached under container version 1, then rerun into the same
+        directory, report once each, with one line naming the skipped."""
+        csv_path, _ = fixture_csv
+        out = str(tmp_path / "runs")
+        runs = (["--trees", "4"], ["--trees", "4", "--method", "rf-ig", "--k", "2"])
+        current = artifacts.VERSION
+        for version in (1, current):
+            monkeypatch.setattr(artifacts, "VERSION", version)
+            for flags in runs:
+                assert main(["run", "--data", csv_path, "--out", out, *flags]) == 0
+        assert len(list((tmp_path / "runs").glob("run_*.json"))) == 2 * len(runs)
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert f"({len(runs)} rows)" in captured.out
+        assert captured.err.splitlines() == [
+            f"warning: skipped {len(runs)} run record(s) under {out} from another cache "
+            f"format than {current}; rerun those runs to report them"]
+        rows = open(os.path.join(out, "report.csv")).read().splitlines()[1:]
+        assert len(rows) == len(runs)
+        assert [r["format"] for r in load_records(out)] == [current] * len(runs)
+
+    def test_records_without_a_format_are_skipped(self, fixture_csv, tmp_path, capsys):
+        """A record written before records named their format is stale too."""
+        csv_path, _ = fixture_csv
+        out = tmp_path / "runs"
+        assert main(["run", "--data", csv_path, "--out", str(out), "--trees", "3"]) == 0
+        (path,) = out.glob("run_*.json")
+        record = json.loads(path.read_text())
+        del record["format"]
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: skipped 1 run record(s) under {out} from another cache format "
+            f"than {artifacts.VERSION}; rerun those runs to report them",
+            f"error: no run records under {out}"]
+
     def test_synth_and_run_and_report(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
         assert main(["synth", "--out", out, "--stem", "flows", "--rows", "120",
@@ -625,7 +736,7 @@ class TestCli:
                      "--depths", "two"]) == 2
 
     def test_config_file_sits_between_defaults_and_flags(self, tmp_path):
-        from flowsel.cli import build_config, build_parser
+        from flowsel.cli import build_config
 
         ini = tmp_path / "exp.ini"
         ini.write_text(
