@@ -25,8 +25,10 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"FLOWSEL1"
-# Part of every stage key, so a cache of another layout is never looked up.
-VERSION = 2
+# Part of every stage key and run record, so a cache of another layout or
+# keying is never looked up.  Version 3 has version 2's layout; its stage
+# keys hash what each stage reads and the bytes of the inputs.
+VERSION = 3
 DTYPES = ("<f8", "<i8", "|u1")
 _LENGTHS = struct.Struct("<II")
 _START = len(MAGIC) + _LENGTHS.size

@@ -237,6 +237,10 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     cfg.seed = pick(getattr(args, "seed", None), file_get("run.seed", int), cfg.seed)
     cfg.out_dir = pick(getattr(args, "out", None), file_get("run.out_dir"), cfg.out_dir)
     cfg.force = bool(getattr(args, "force", False))
+    if not 0.0 < cfg.ratio < 1.0:
+        raise UsageError(f"bad split setting: ratio must be in (0, 1), got {cfg.ratio}")
+    if cfg.k is not None and cfg.k < 1:
+        raise UsageError(f"bad run setting: k must be at least 1, got {cfg.k}")
 
     cfg.bat = _settings(
         "bat", BatConfig,

@@ -1,8 +1,9 @@
 """Experiment orchestration with content-addressed stage artifacts.
 
-Every stage derives a short hash from the configuration slice that could
-change its output and writes its artifacts under that hash; rerunning
-with the same config finds and reuses them unless forced.  One master
+Every stage derives a short hash from what it reads (the settings named
+in ``_READS``, the keys of the stages before it, and the bytes of the
+input files) and writes its artifacts under that hash; rerunning with the
+same inputs and settings finds and reuses them unless forced.  One master
 seed fans out to per-stage seeds, so a whole run is reproducible from a
 single number, and the seeds each stage actually used are recorded in the
 run's JSON record.
@@ -16,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -99,21 +101,6 @@ def stage_seed(master: int, stage: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _hash_key(payload) -> str:
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
-
-def _config_key(config) -> dict:
-    """A nested config's share of a stage key: every field but ``seed``,
-    which the pipeline overwrites with a stage seed, and ``n_workers``,
-    which shares out work without changing the result."""
-    fields = dataclasses.asdict(config)
-    fields.pop("seed")
-    fields.pop("n_workers", None)
-    return fields
-
-
 def load_grouping(spec: str | None) -> dict | None:
     """Resolve the grouping argument: None, the packaged default, or a file."""
     if spec is None:
@@ -128,32 +115,87 @@ def load_grouping(spec: str | None) -> dict | None:
         raise DataError(f"cannot open grouping file {spec}: {exc}") from exc
 
 
-def _grouping_fingerprint(spec: str | None) -> str:
-    grouping = load_grouping(spec)
-    if grouping is None:
-        return "none"
-    return _hash_key(grouping)
+# ---------------------------------------------------------------------------
+# stage keys
+
+# What each stage reads: the stages whose keys it chains on, then the
+# ExperimentConfig fields, some only under one method, model or mode
+# (``<stage>_seed`` is a derived seed, ``subset`` the trained indices).  A
+# key hashes exactly these, so only a setting its stage reads splits it.
+_READS = {
+    "preprocess": lambda c: ("data_paths", "label_column", "benign", "grouping",
+                             "drop_columns", "ratio", "stratified",
+                             "normalize_before_split", "split_seed"),
+    "correlate": lambda c: ("preprocess", "mode"),
+    "importance": lambda c: ("preprocess", "mode", "forest", "importance_seed"),
+    "select": lambda c: ("correlate", "method", *{"ba": ("bat", "select_seed"),
+                                                  "ao": ("aquila", "select_seed"),
+                                                  "rf-ig": ("k", "importance")}.get(c.method, ())),
+    "train": lambda c: ("preprocess", "mode", "subset", "model",
+                        "forest" if c.model == "rf" else "mlp", "train_seed"),
+    # the record's ig_sum reads the importance forest, whatever the model
+    "run": lambda c: ("select", "train", "importance", "seed", "collapse",
+                      *(("averaging",) if c.mode == "categorical" and not c.collapse else ())),
+}
+
+
+def _read(cfg: ExperimentConfig, name: str, subset) -> object:
+    """The value of one of a stage's reads, as its key hashes it."""
+    if name.endswith("_seed"):
+        return stage_seed(cfg.seed, name[:-len("_seed")])
+    if name == "subset":
+        return [int(i) for i in subset.indices]
+    value = getattr(cfg, name)
+    if name == "data_paths":
+        return [_input_fingerprint(path) for path in value]
+    if name == "grouping":
+        return load_grouping(value)
+    if dataclasses.is_dataclass(value):  # seeds are stage seeds; workers share out work
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+                if f.name not in ("seed", "n_workers")}
+    return value
+
+
+def stage_key(cfg: ExperimentConfig, stage: str, subset=None) -> str:
+    """The cache key of a stage in ``_READS``; each key it chains on is computed once."""
+    keys = {}
+
+    def key(name):
+        if name not in keys:
+            reads = {r: key(r) if r in _READS else _read(cfg, r, subset)
+                     for r in _READS[name](cfg)}
+            reads["format"] = artifacts.VERSION  # a new layout re-keys every stage
+            text = json.dumps(reads, sort_keys=True)
+            keys[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        return keys[name]
+
+    return key(stage)
+
+
+def _input_fingerprint(path: str) -> list:
+    """An input's size and the sha256 of its bytes.  The bytes are hashed
+    again only when the file's device, inode, size or times change."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        raise DataError(f"{path}: not a regular file; inputs are cached by their "
+                        "bytes, so save it to a file first")
+    return [st.st_size, _file_sha256(path, st.st_dev, st.st_ino, st.st_size,
+                                     st.st_mtime_ns, st.st_ctime_ns)]
+
+
+@functools.lru_cache(maxsize=64)
+def _file_sha256(path: str, *identity: int) -> str:
+    """The sha256 of a file's bytes, streamed; memoised on its stat identity,
+    since one process keys the same inputs at every stage of every run."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # stages
-
-
-def _preprocess_key(cfg: ExperimentConfig) -> str:
-    return _hash_key({
-        "data": list(cfg.data_paths),
-        "label": cfg.label_column,
-        "benign": cfg.benign,
-        "grouping": _grouping_fingerprint(cfg.grouping),
-        "drop": sorted(cfg.drop_columns),
-        "ratio": cfg.ratio,
-        "stratified": cfg.stratified,
-        "pre_norm": cfg.normalize_before_split,
-        "seed": stage_seed(cfg.seed, "split"),
-        # every later key chains on this one, so a new container layout
-        # re-keys every stage and old caches are never looked up
-        "format": artifacts.VERSION,
-    })
 
 
 def _cached(cfg: ExperimentConfig, paths, load):
@@ -172,7 +214,7 @@ def _cached(cfg: ExperimentConfig, paths, load):
 def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
     """Load, clean, and split the input; cached as two dataset files."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    key = _preprocess_key(cfg)
+    key = stage_key(cfg, "preprocess")
     files = {
         "train": os.path.join(cfg.out_dir, f"clean_{key}.train.ds"),
         "test": os.path.join(cfg.out_dir, f"clean_{key}.test.ds"),
@@ -206,7 +248,7 @@ def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
 def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
     """Spearman matrix over the training partition, cached as a container
     beside its heatmap CSV."""
-    key = _hash_key({"pre": _preprocess_key(cfg), "mode": cfg.mode})
+    key = stage_key(cfg, "correlate")
     path = os.path.join(cfg.out_dir, f"corr_{key}.csv")
     corr = _cached(cfg, [path, artifacts.container_for(path)],
                    lambda: correlation.load_heatmap(path))
@@ -219,15 +261,6 @@ def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
         )
         correlation.export_heatmap(corr, path)
     return corr, {"heatmap": path}
-
-
-def _importance_key(cfg: ExperimentConfig) -> str:
-    return _hash_key({
-        "pre": _preprocess_key(cfg),
-        "mode": cfg.mode,
-        "forest": _config_key(cfg.forest),
-        "seed": stage_seed(cfg.seed, "importance"),
-    })
 
 
 def _train_view(cfg: ExperimentConfig, pair: dataset.SplitPair) -> dataset.Dataset:
@@ -243,7 +276,7 @@ def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
     Used both to drive rf-ig selection and to report the importance mass a
     subset captures.
     """
-    key = _importance_key(cfg)
+    key = stage_key(cfg, "importance")
     path = os.path.join(cfg.out_dir, f"importance_{key}.csv")
     names = pair.train.feature_names
     hit = _cached(cfg, [path, artifacts.container_for(path)],
@@ -291,19 +324,6 @@ def load_importance(path: str, feature_names) -> tuple[np.ndarray, float]:
     return artifacts.load(artifacts.container_for(path), "importance", decode)
 
 
-def _select_key(cfg: ExperimentConfig) -> str:
-    return _hash_key({
-        "pre": _preprocess_key(cfg),
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "k": cfg.k,
-        "seed": stage_seed(cfg.seed, "select"),
-        "bat": _config_key(cfg.bat),
-        "aquila": _config_key(cfg.aquila),
-        "importance": _importance_key(cfg) if cfg.method == "rf-ig" else None,
-    })
-
-
 def _search(cfg: ExperimentConfig, corr, n_features: int, importances, importance_seconds):
     """The configured method's subset indices, seconds and search result."""
     sel_seed = stage_seed(cfg.seed, "select")
@@ -331,7 +351,7 @@ def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
     selector.  Scores are computed afresh, also on a cache hit.
     """
     names = pair.train.feature_names
-    key = _select_key(cfg)
+    key = stage_key(cfg, "select")
     subset_path = os.path.join(cfg.out_dir, f"subset_{key}.txt")
     files = {"subset": subset_path}
     if cfg.method in ("ba", "ao", "brute"):
@@ -367,22 +387,10 @@ def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) 
     )
 
 
-def _train_key(cfg: ExperimentConfig, subset: subset_search.FeatureSubset) -> str:
-    return _hash_key({
-        "pre": _preprocess_key(cfg),
-        "mode": cfg.mode,
-        "subset": list(subset.indices),
-        "model": cfg.model,
-        "seed": stage_seed(cfg.seed, "train"),
-        "forest": _config_key(cfg.forest),
-        "mlp": _config_key(cfg.mlp),
-    })
-
-
 def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
                 subset: subset_search.FeatureSubset):
     """Fit the configured model on the selected features; cached on disk."""
-    key = _train_key(cfg, subset)
+    key = stage_key(cfg, "train", subset)
     path = os.path.join(cfg.out_dir, f"model_{key}.bin")
     files = {"model": path}
     if cfg.model == "mlp":
@@ -519,12 +527,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     except Exception as exc:
         raise PipelineError(stage, str(exc), completed) from exc
 
-    # keyed on the subset and the model it came from, so runs that differ
-    # only in a search, forest or MLP setting keep a record each
-    key = _hash_key({
-        "select": _select_key(cfg), "train": _train_key(cfg, subset),
-        "seed": cfg.seed, "averaging": cfg.averaging, "collapse": cfg.collapse,
-    })
+    key = stage_key(cfg, "run", subset)
     cm_path = os.path.join(cfg.out_dir, f"cm_{key}.csv")
     metrics.save_confusion(cm, cm_path)
     completed["confusion"] = cm_path

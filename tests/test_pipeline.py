@@ -23,12 +23,12 @@ from flowsel.neural_net import MlpConfig
 from flowsel.pipeline import (
     MODELS,
     ExperimentConfig,
-    _select_key,
     compare,
     depth_sweep,
     load_records,
     run_pipeline,
     run_record_row,
+    stage_key,
     stage_seed,
     write_depth_sweep_csv,
     write_overlap_csv,
@@ -258,19 +258,24 @@ def another_value(draw, value):
 
 class TestSelectKey:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), search=st.sampled_from(["bat", "aquila"]))
-    def test_every_search_field_but_the_seed_changes_it(self, data, search):
-        """A changed search setting must not be served a cached subset;
-        the nested seed is a placeholder the pipeline overwrites."""
-        cfg = ExperimentConfig(data_paths=("flows.csv",), method="ba")
+    @given(data=st.data(), method=st.sampled_from(["full", "ba", "ao", "rf-ig", "brute"]),
+           search=st.sampled_from(["bat", "aquila"]))
+    def test_only_the_search_the_method_runs_changes_it(self, fixture_csv, data, method,
+                                                         search):
+        """A changed setting of the search the method runs must not be served
+        a cached subset; a setting of a search it does not run, and the
+        nested seed the pipeline overwrites, must not split the cache."""
+        cfg = ExperimentConfig(data_paths=(fixture_csv[0],), method=method, k=2)
         nested = getattr(cfg, search)
         name = data.draw(st.sampled_from(
             [f.name for f in dataclasses.fields(nested) if f.name != "seed"]))
         changed = dataclasses.replace(
             nested, **{name: data.draw(another_value(getattr(nested, name)))})
-        assert _select_key(dataclasses.replace(cfg, **{search: changed})) != _select_key(cfg)
+        runs = {"ba": "bat", "ao": "aquila"}.get(method) == search
+        key = stage_key(cfg, "select")
+        assert (stage_key(dataclasses.replace(cfg, **{search: changed}), "select") != key) == runs
         reseeded = dataclasses.replace(nested, seed=nested.seed + 1)
-        assert _select_key(dataclasses.replace(cfg, **{search: reseeded})) == _select_key(cfg)
+        assert stage_key(dataclasses.replace(cfg, **{search: reseeded}), "select") == key
 
 
 def comparable(record):
@@ -283,9 +288,9 @@ def comparable(record):
 class TestStageKeys:
     def test_container_version_changes_every_stage_key(self, fixture_csv, tmp_path,
                                                        monkeypatch):
-        """Every key chains on the preprocess key, which holds the container
-        version, so no file of a run under another version has a name that
-        an earlier run used, and no old cache entry is looked up."""
+        """Every key hashes the container version, so no file of a run under
+        another version has a name that an earlier run used, and no old
+        cache entry is looked up."""
         csv_path, _ = fixture_csv
         configs = [quick_config(csv_path, tmp_path, method="ba", model=m) for m in MODELS]
         first = [run_pipeline(cfg) for cfg in configs]
@@ -298,6 +303,227 @@ class TestStageKeys:
                                                           artifacts.VERSION)
             unnamed = {**comparable(want), "artifacts": None, "format": None}
             assert {**comparable(record), "artifacts": None, "format": None} == unnamed
+
+
+# The stage that wrote a file, by the file's name.
+STAGE_OF_FILE = (("clean_", "preprocess"), ("preprocess_", "preprocess"),
+                 ("corr_", "correlate"), ("importance_", "importance"),
+                 ("subset_", "select"), ("trace_", "select"), ("model_", "train"),
+                 ("loss_", "train"), ("run_", "run"), ("cm_", "run"))
+EVERY_STAGE = frozenset({"preprocess", "correlate", "importance", "select", "train", "run"})
+# The functions that compute a stage's output; a full cache hit calls none.
+COMPUTE = (("dataset", "load_csv"), ("correlation", "spearman_matrix"),
+           ("random_forest", "train_forest"), ("subset_search", "bat_run"),
+           ("subset_search", "aquila_run"), ("subset_search", "brute_force_best"),
+           ("neural_net", "train"))
+
+
+def _stages_of(names):
+    return {stage for name in names for prefix, stage in STAGE_OF_FILE
+            if name.startswith(prefix)}
+
+
+def _run_and_watch(argv, out, monkeypatch):
+    """Run ``argv`` in-process; returns the stages that missed the cache
+    (those that wrote a file under a name new to ``out``) and the compute
+    calls made.  Every run rewrites its record, so a stage that writes a
+    name ``out`` already held is a rewrite, not a miss."""
+    before = set(os.listdir(out))
+    calls = []
+    for module, name in COMPUTE:
+        owner = getattr(flowsel, module)
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **kw: (
+            calls.append(_name), _real(*a, **kw))[1])
+    try:
+        assert main(argv) == 0
+    finally:
+        monkeypatch.undo()
+    return _stages_of(set(os.listdir(out)) - before), calls
+
+
+@pytest.fixture(scope="module")
+def numeric_labels(fixture_csv, tmp_path_factory):
+    """The fixture with its classes as the numbers 0, 1, 2 in two columns,
+    ``Label`` and ``Class``, so either can be the label column and the other
+    is one more feature; beside it a copy of its bytes and a grouping map."""
+    csv_path, truth = fixture_csv
+    directory = tmp_path_factory.mktemp("numeric")
+    header, *rows = open(csv_path).read().splitlines()
+    code = {name: str(i) for i, name in enumerate(truth["class_names"])}
+    lines = [header + ",Class"]
+    for row in rows:
+        cells = row.split(",")
+        cells[-1] = code[cells[-1]]
+        lines.append(",".join(cells + cells[-1:]))
+    paths = {"csv": directory / "flows.csv", "copy": directory / "copy.csv",
+             "grouping": directory / "grouping.json", "ini": directory / "split.ini",
+             "bat_ini": directory / "bat.ini"}
+    paths["csv"].write_text("\n".join(lines) + "\n")
+    shutil.copyfile(paths["csv"], paths["copy"])
+    paths["grouping"].write_text(json.dumps({"0": "0", "1": "1", "2": "1"}))
+    paths["ini"].write_text("[split]\nratio = 0.6\n")
+    paths["bat_ini"].write_text("[bat]\nn = 7\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+KEY_CONTEXTS = {
+    "rf": [],
+    "ba": ["--method", "ba"],
+    "ao": ["--method", "ao"],
+    "rf-ig": ["--method", "rf-ig", "--k", "2"],
+    "mlp": ["--model", "mlp"],
+    "binary": ["--binary"],
+    "collapse": ["--collapse"],
+}
+
+# (context, the flags the second run adds, the stages it must miss); flags
+# name a file of ``numeric_labels`` by its key there, such as {copy}.
+# --out and --force choose the cache itself; TestRunPipeline covers them.
+KEY_CASES = [
+    # settings no stage of the run reads: a full hit
+    ("rf", ["--hidden", "16"], set()),
+    ("rf", ["--batch-size", "8"], set()),
+    ("rf", ["--epochs", "3"], set()),
+    ("rf", ["--learning-rate", "0.05"], set()),
+    ("rf", ["--optimizer", "adam"], set()),
+    ("rf", ["--bat-n", "7", "--bat-epochs", "7", "--alpha", "0.9", "--gamma", "0.9",
+            "--canonical-pulse"], set()),
+    ("rf", ["--aquila-n", "7", "--aquila-epochs", "7"], set()),
+    ("rf", ["--k", "2"], set()),
+    ("rf", ["--workers", "2"], set()),
+    ("rf", ["--categorical"], set()),
+    ("rf", ["--data", "{copy}"], set()),
+    ("rf", ["--config", "{bat_ini}"], set()),
+    ("ba", ["--aquila-n", "7", "--aquila-epochs", "7"], set()),
+    ("ba", ["--k", "3"], set()),
+    ("ao", ["--bat-n", "7", "--alpha", "0.9", "--canonical-pulse"], set()),
+    ("rf-ig", ["--bat-n", "7", "--aquila-n", "7"], set()),
+    ("mlp", ["--workers", "2"], set()),
+    ("binary", ["--averaging", "micro"], set()),
+    ("collapse", ["--averaging", "micro"], set()),
+    # settings the preprocess stage reads, so every stage after it too
+    ("rf", ["--seed", "3"], EVERY_STAGE),
+    ("rf", ["--ratio", "0.6"], EVERY_STAGE),
+    ("rf", ["--config", "{ini}"], EVERY_STAGE),
+    ("rf", ["--stratified"], EVERY_STAGE),
+    ("rf", ["--normalize-before-split"], EVERY_STAGE),
+    ("rf", ["--benign", "1"], EVERY_STAGE),
+    ("rf", ["--grouping", "{grouping}"], EVERY_STAGE),
+    ("rf", ["--label-column", "Class"], EVERY_STAGE),
+    ("rf", ["--data", "{csv}", "{copy}"], EVERY_STAGE),
+    # later stages
+    ("rf", ["--binary"], EVERY_STAGE - {"preprocess"}),
+    ("rf", ["--trees", "4"], {"importance", "train", "run"}),
+    ("rf", ["--max-depth", "6"], {"importance", "train", "run"}),
+    ("rf", ["--min-node-size", "3"], {"importance", "train", "run"}),
+    ("rf", ["--method", "brute"], {"select", "train", "run"}),
+    ("rf", ["--model", "mlp"], {"train", "run"}),
+    ("rf", ["--averaging", "micro"], {"run"}),
+    ("rf", ["--collapse"], {"run"}),
+    ("ba", ["--bat-n", "7"], {"select", "train", "run"}),
+    # these searches find the subset they found before, and the model reads
+    # the subset, not the search settings
+    ("ba", ["--bat-epochs", "7"], {"select", "run"}),
+    ("ao", ["--aquila-n", "7"], {"select", "run"}),
+    ("rf-ig", ["--k", "3"], {"select", "train", "run"}),
+    ("rf-ig", ["--trees", "4"], {"importance", "select", "train", "run"}),
+    # the importance forest is read by the record's ig_sum, not by the MLP
+    ("mlp", ["--trees", "4"], {"importance", "run"}),
+    ("mlp", ["--hidden", "16"], {"train", "run"}),
+    ("mlp", ["--epochs", "3"], {"train", "run"}),
+    ("mlp", ["--optimizer", "adam"], {"train", "run"}),
+]
+
+
+@pytest.fixture(scope="module")
+def key_bases(numeric_labels, tmp_path_factory):
+    """One directory per context, filled by that context's run."""
+    bases = {}
+    for name, flags in KEY_CONTEXTS.items():
+        out = tmp_path_factory.mktemp(f"keys_{name}")
+        assert main(_key_argv(numeric_labels, out, flags)) == 0
+        bases[name] = out
+    return bases
+
+
+def _key_argv(paths, out, flags):
+    flags = [flag.format(**paths) for flag in flags]
+    data = [] if "--data" in flags else ["--data", paths["csv"]]
+    return ["run", *data, "--out", str(out), "--benign", "0", "--trees", "3",
+            "--max-depth", "5", "--bat-n", "5", "--bat-epochs", "5", "--aquila-n", "5",
+            "--aquila-epochs", "5", "--hidden", "4", "--epochs", "2", *flags]
+
+
+class TestStageKeysFromReads:
+    @pytest.mark.parametrize("context,flags,missed", KEY_CASES,
+                             ids=[f"{c}:{' '.join(f)}" for c, f, _ in KEY_CASES])
+    def test_a_run_misses_exactly_the_stages_that_read_a_change(
+            self, numeric_labels, key_bases, tmp_path, monkeypatch, context, flags, missed):
+        """A run that differs only in what no stage of it reads is a full
+        hit: no compute call and no new file.  One that differs in what a
+        stage reads misses at that stage and at the stages chained on it."""
+        out = tmp_path / "runs"
+        shutil.copytree(key_bases[context], out)
+        argv = _key_argv(numeric_labels, out, KEY_CONTEXTS[context] + flags)
+        stages, calls = _run_and_watch(argv, out, monkeypatch)
+        assert stages == set(missed)
+        if not missed:
+            assert calls == []
+
+    def test_an_input_edited_in_place_misses(self, tmp_path, capsys):
+        """Rewritten under another seed, the same path gives what a fresh
+        directory gives, not the cached result of its old bytes."""
+        out, fresh = str(tmp_path / "runs"), str(tmp_path / "fresh")
+        csv_path, _ = write_fixture(str(tmp_path), "flows", 3, 3, 120, seed=1)
+        argv = ["run", "--data", csv_path, "--trees", "3", "--max-depth", "5"]
+        assert main([*argv, "--out", out]) == 0
+        write_fixture(str(tmp_path), "flows", 3, 3, 120, seed=2)
+        capsys.readouterr()
+        assert main([*argv, "--out", out]) == 0
+        edited = capsys.readouterr().out.splitlines()[0]
+        assert main([*argv, "--out", fresh]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == edited
+        assert len(list((tmp_path / "runs").glob("clean_*.train.ds"))) == 2
+
+    def test_mlp_runs_with_other_importance_forests_keep_a_record_each(self, fixture_csv,
+                                                                      tmp_path):
+        """The MLP does not read the forest settings, but the record's
+        ig_sum reads the importance forest they grow."""
+        csv_path, _ = fixture_csv
+        out = tmp_path / "runs"
+        records = [run_pipeline(quick_config(csv_path, out, model="mlp", method="ba",
+                                             forest=ForestConfig(n_trees=n, max_depth=4)))
+                   for n in (3, 4)]
+        assert records[0]["artifacts"]["model"] == records[1]["artifacts"]["model"]
+        assert records[0]["artifacts"]["record"] != records[1]["artifacts"]["record"]
+        assert records[0]["artifacts"]["importance"] != records[1]["artifacts"]["importance"]
+        assert len(load_records(str(out))) == 2
+
+    def test_report_lists_one_row_per_distinct_run(self, fixture_csv, tmp_path, capsys):
+        """Four runs of which two read a setting the other two change: two
+        report rows and two forests."""
+        csv_path, _ = fixture_csv
+        out = str(tmp_path / "runs")
+        base = ["run", "--data", csv_path, "--out", out, "--trees", "3", "--max-depth", "5"]
+        for flags in ([], ["--hidden", "16"], ["--binary"], ["--binary", "--averaging", "micro"]):
+            assert main([*base, *flags]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", out]) == 0
+        assert "(2 rows)" in capsys.readouterr().out
+        assert len(list((tmp_path / "runs").glob("model_*.bin"))) == 2
+        assert len(list((tmp_path / "runs").glob("run_*.json"))) == 2
+
+    def test_a_pipe_is_not_an_input(self, tmp_path):
+        """A pipe cannot be keyed by its bytes without being used up."""
+        read_fd, write_fd = os.pipe()
+        os.close(write_fd)
+        try:
+            cfg = quick_config(f"/dev/fd/{read_fd}", tmp_path)
+            with pytest.raises(PipelineError, match="not a regular file"):
+                run_pipeline(cfg)
+        finally:
+            os.close(read_fd)
 
 
 @pytest.fixture(scope="module")
@@ -677,6 +903,29 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("error: bad aquila setting: t_max")
         assert lines[0].endswith(f"got {epochs}")
+
+    @pytest.mark.parametrize("flags,ini,line", [
+        (["--ratio", "1.5"], "", "bad split setting: ratio must be in (0, 1), got 1.5"),
+        (["--ratio", "0"], "", "bad split setting: ratio must be in (0, 1), got 0.0"),
+        ([], "[split]\nratio = 1.0\n", "bad split setting: ratio must be in (0, 1), got 1.0"),
+        (["--method", "rf-ig", "--k", "0"], "", "bad run setting: k must be at least 1, got 0"),
+        (["--method", "rf-ig"], "[run]\nk = -2\n",
+         "bad run setting: k must be at least 1, got -2"),
+    ], ids=["ratio-above", "ratio-zero", "ratio-file", "k-zero", "k-file"])
+    def test_out_of_range_ratio_or_k_exits_1(self, tmp_path, capsys, flags, ini, line):
+        """A split ratio outside (0, 1) or a subset size below 1, from a flag
+        or the config file, is a usage error of one line, given before any
+        input is read or any file written."""
+        config = tmp_path / "exp.ini"
+        config.write_text(ini)
+        out = tmp_path / "runs"
+        code = main(["run", "--data", str(tmp_path / "unread.csv"), "--out", str(out),
+                     "--config", str(config), *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+        assert not out.exists()
 
     def test_data_error_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "runs")
