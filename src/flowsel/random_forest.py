@@ -11,6 +11,15 @@ A fitted tree is a set of parallel node arrays (``Tree``), as in
 scikit-learn's tree module: growth records only each node's class counts
 and split, and one numpy pass over the finished arrays computes every
 node's gains and sample fraction.
+
+Growth works on feature-major data.  A tree keeps one (features, rows)
+copy of its bootstrap rows and hands row indices down its stack; a node
+gathers only its drawn candidate columns into one contiguous block, and
+``best_split`` sorts each candidate's row of the block with numpy's
+default (unstable) sort and counts classes class-major.  Splits are the
+bits a stable, row-major scan gives, because a scored cut never falls
+between equal values; NaN, the one value that would break this, is
+refused by ``train_forest``.
 """
 
 from __future__ import annotations
@@ -151,9 +160,36 @@ TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 
 # Cells (candidates x rows x classes) that best_split scores in one block.
 # A block is at least one candidate wide, so a temporary array holds at most
-# max(BLOCK_CELLS, rows x classes) float64 cells: 8 MB at 1 << 20, more on a
-# node with over 2^20 rows x classes.
+# 2 x max(BLOCK_CELLS, rows x classes) float64 cells: 16 MB at 1 << 20, more
+# on a node with over 2^20 rows x classes.
 BLOCK_CELLS = 1 << 20
+
+
+def _class_sum(t: np.ndarray) -> np.ndarray:
+    """Sum of ``t`` over its first (class) axis, in the order ``ndarray.sum``
+    adds a contiguous class axis, so a class-major array gives the bits its
+    class-last copy gives with ``.sum(axis=-1)`` (a zero sum may differ in
+    sign).
+
+    That order is numpy's pairwise summation: one class after another
+    below 8 classes; from 8 to 128, eight running sums over blocks of 8,
+    combined as a tree, then the remainder in turn; above 128, the two
+    halves (the first a multiple of 8 long) summed apart and added."""
+    k = t.shape[0]
+    if k < 8:
+        return np.add.reduce(t, axis=0)  # an outer axis: added in turn
+    if k <= 128:
+        r = t[:8].copy()
+        end = k - k % 8
+        for i in range(8, end, 8):
+            r += t[i:i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in range(end, k):
+            s += t[c]
+        return s
+    half = k // 2
+    half -= half % 8
+    return _class_sum(t[:half]) + _class_sum(t[half:])
 
 
 def best_split(X, y, n_classes: int, candidates):
@@ -165,41 +201,85 @@ def best_split(X, y, n_classes: int, candidates):
     already sit on the winner when later ones only match.  Returns
     (feature, threshold, weighted_gini) or None when nothing beats the
     node's own impurity strictly.
+
+    A block is feature-major: each candidate's column is one contiguous
+    row, and the left-hand class counts are one cumulative sum over a
+    class-major (classes, candidates, rows) array.  Columns are sorted with numpy's
+    default, unstable sort.  That gives the bits a stable sort gives,
+    because every scored cut lies strictly between two distinct values:
+    the rows left of it are the same set whatever order ties take, and so
+    are its class counts.  Cuts between equal values score ``inf``.  NaN
+    is the one value that breaks this (NaN != NaN, so a cut between two
+    NaNs is scored); ``train_forest`` refuses NaN features.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n = y.size
-    parent = gini(np.bincount(y, minlength=n_classes))
     cand = sorted({int(c) for c in candidates})
     if n < 2 or not cand:
         return None
-    nl = np.arange(1, n, dtype=np.float64)  # left-side size at each cut
-    nr = n - nl
+    counts = np.bincount(y, minlength=n_classes)
+    if n_classes < 8:
+        # Fewer than 8 terms add in turn, so a class absent from the node
+        # adds an exact 0.0 and can be left out: gini(counts), bit for bit,
+        # and the cuts below score only the classes present.
+        parent = 0.0
+        for c in counts.tolist():
+            p = c / n
+            parent += p * (1.0 - p)
+        classes = np.flatnonzero(counts)
+    else:
+        frac = counts / n
+        parent = float((frac * (1.0 - frac)).sum())
+        classes = np.arange(n_classes)
+    classes = classes[:, None, None]
+    # Cut k leaves rows 0..k on the left.  Cut n - 1 (every row left) only
+    # pads the rows to length n; it is never scored, and its right size is
+    # 1, not 0, so nothing divides by zero.
+    cut = np.arange(1.0, n + 1)
+    sizes = np.concatenate((cut, cut[-2::-1], cut[:1])).reshape(2, 1, 1, n)
     width = max(1, BLOCK_CELLS // (n * n_classes))
     best = None
     for start in range(0, len(cand), width):
         block = cand[start:start + width]
-        cols = X[:, block]
-        order = np.argsort(cols, axis=0, kind="stable")
-        sc = cols[order, np.arange(len(block))]
-        onehot = y[order.T][:, :, None] == np.arange(n_classes)  # (block, n, C)
-        cum = onehot.cumsum(axis=1, dtype=np.float64)
-        left = cum[:, :-1]
-        right = cum[:, -1:] - left
-        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=-1)
-        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=-1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        weighted[(sc[1:] == sc[:-1]).T] = np.inf  # no threshold between ties
+        nb = len(block)
+        if block[-1] - block[0] == nb - 1:
+            cols = X.T[block[0]:block[-1] + 1]  # a run of columns: no gather
+        else:
+            cols = X.T[block]
+        order = cols.argsort(axis=1)
+        sc = cols.copy()
+        sc.sort(axis=1)
+        # (left | right, classes, candidates, cuts): class counts, then
+        # squared class shares
+        share = np.empty((2, len(classes), nb, n))
+        left = share[0]
+        np.equal(y[order], classes, out=left)
+        np.add.accumulate(left, axis=2, out=left)
+        np.subtract(left[:, :, -1:], left, out=share[1])
+        share /= sizes
+        np.square(share, out=share)
+        impurity = _class_sum(share.swapaxes(0, 1))
+        np.subtract(1.0, impurity, out=impurity)
+        impurity *= sizes[:, 0]
+        weighted = impurity[0] + impurity[1]
+        weighted /= n
+        # no threshold between ties, nor after a row's last value
+        ties = np.empty(nb * n, dtype=bool)
+        flat = sc.ravel()
+        np.equal(flat[1:], flat[:-1], out=ties[:-1])
+        ties[n - 1::n] = True
+        np.putmask(weighted, ties, np.inf)
         # first minimum: lowest feature of the block, then lowest threshold
-        f, j = divmod(int(np.argmin(weighted)), n - 1)
-        score = weighted[f, j]
+        f, j = divmod(int(weighted.argmin()), n)
+        score = weighted.item(f, j)
         if score == np.inf or (best is not None and score >= best[0]):
             continue
-        a, b = sc[j, f], sc[j + 1, f]
+        a, b = sc.item(f, j), sc.item(f, j + 1)
         thr = a + (b - a) / 2.0
         if not (a <= thr < b):
             thr = a  # adjacent floats can round the midpoint onto b
-        best = (float(score), block[f], float(thr))
+        best = (score, block[f], thr)
     if best is None or best[0] >= parent:
         return None
     weighted_gini, feature, threshold = best
@@ -222,6 +302,15 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
     stays a leaf at purity, at the configured depth, below
     min_node_size, or when no split strictly reduces the size-weighted
     gini.
+
+    The tree keeps one feature-major copy of its rows, and the stack
+    holds each node's row indices, labels and class counts.  Each node
+    gathers only its drawn candidates, in ascending order, into one
+    contiguous (candidates, rows) block and scores it through
+    ``best_split`` on the block's (rows, candidates) view.  A split
+    partitions the node's rows and labels and counts the left child's
+    classes, so a child that is bound to be a leaf is settled without its
+    rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -229,31 +318,60 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
         raise ValueError("cannot grow a tree on zero rows")
     p = X.shape[1]
     m = _resolve_m(config.features_per_split, p)
+    max_depth, min_node_size = config.max_depth, config.min_node_size
+
+    def splittable(c, size, depth):
+        return depth < max_depth and size >= min_node_size and np.count_nonzero(c) > 1
+
+    columns = np.ascontiguousarray(X.T)  # (features, rows)
+    stride = columns.shape[1]
+    every = np.arange(p)
+    block_features = range(m)
     counts, feature, threshold, weighted_gini, left, right = [], [], [], [], [], []
-    stack = [(X, y, 0, -1)]  # rows, labels, depth, parent of a right child
+    c = np.bincount(y, minlength=n_classes)
+    # rows, their labels, class counts, depth, parent of a right child; a
+    # node its parent already knows to be a leaf carries no rows
+    stack = [(np.arange(y.size), y, c, 0, -1) if splittable(c, y.size, 0)
+             else (None, None, c, 0, -1)]
     while stack:
-        Xn, yn, depth, parent = stack.pop()
+        rows, yn, c, depth, parent = stack.pop()
         node = len(counts)
         if parent >= 0:
             right[parent] = node
-        c = np.bincount(yn, minlength=n_classes)
         counts.append(c)
         feature.append(-1)
         threshold.append(0.0)
         weighted_gini.append(0.0)
         left.append(-1)
         right.append(-1)
-        if c.max() == yn.size or depth >= config.max_depth or yn.size < config.min_node_size:
+        if rows is None:
             continue
-        candidates = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
-        found = best_split(Xn, yn, n_classes, candidates)
+        if m < p:
+            candidates = rng.choice(p, size=m, replace=False)
+            candidates.sort()
+        else:
+            candidates = every
+        block = columns.take(candidates[:, None] * stride + rows)
+        found = best_split(block.T, yn, n_classes, block_features)
         if found is None:
             continue
-        feature[node], threshold[node], weighted_gini[node] = found
+        f, threshold[node], weighted_gini[node] = found
+        feature[node] = int(candidates[f])
         left[node] = node + 1
-        mask = Xn[:, feature[node]] <= threshold[node]
-        stack.append((Xn[~mask], yn[~mask], depth + 1, node))
-        stack.append((Xn[mask], yn[mask], depth + 1, -1))
+        mask = block[f] <= threshold[node]
+        y_left = yn[mask]
+        c_left = np.bincount(y_left, minlength=n_classes)
+        c_right = c - c_left
+        depth += 1
+        if splittable(c_right, rows.size - y_left.size, depth):
+            mask_right = ~mask
+            stack.append((rows[mask_right], yn[mask_right], c_right, depth, node))
+        else:
+            stack.append((None, None, c_right, depth, node))
+        if splittable(c_left, y_left.size, depth):
+            stack.append((rows[mask], y_left, c_left, depth, -1))
+        else:
+            stack.append((None, None, c_left, depth, -1))
     return _finish_tree(np.array(counts, dtype=np.int64), np.array(feature, dtype=np.int64),
                         np.array(threshold), np.array(weighted_gini),
                         np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
@@ -347,7 +465,14 @@ def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
     n_classes = len(train.class_names)
     if np.unique(y).size < 2:
         raise DataError("training data contains a single class")
+    nan = np.flatnonzero(np.isnan(X).any(axis=0))
+    if nan.size:
+        # NaN has no place in the value order, so splits on it would depend
+        # on row order.
+        names = ", ".join(train.feature_names[i] for i in nan)
+        raise DataError(f"NaN in feature column(s) {names}; forests need ordered values")
     n, p = X.shape
+    columns = np.ascontiguousarray(X.T)  # feature-major, gathered per tree
 
     def build(tree_idx: int):
         rng = np.random.default_rng([config.seed, tree_idx])
@@ -357,7 +482,7 @@ def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
             idx = np.arange(n)
         bag = np.zeros(n, dtype=bool)
         bag[idx] = True
-        tree = grow_tree(X[idx], y[idx], n_classes, config, rng)
+        tree = grow_tree(columns[:, idx].T, y[idx], n_classes, config, rng)
         return tree, bag
 
     start = time.perf_counter()

@@ -164,19 +164,26 @@ def split_problem(data):
     """Rows, labels, class count and a candidate list drawn for one node.
 
     Columns are continuous, rounded to a few integers (heavy ties),
-    constant, or a copy of column 0 (features that tie on every cut); the
-    candidate list is unsorted and may repeat features."""
+    rounded with zeros of both signs (-0.0 ties 0.0), constant, or a copy
+    of column 0 (features that tie on every cut); the candidate list is
+    unsorted and may repeat features.  Seven classes is the bundled
+    grouping's family count."""
     n = data.draw(st.integers(1, 200), label="rows")
-    n_classes = data.draw(st.sampled_from([2, 5, 9, 15]), label="classes")
+    n_classes = data.draw(st.sampled_from([2, 5, 7, 9, 15]), label="classes")
     p = data.draw(st.integers(1, 6), label="features")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     present = data.draw(st.integers(1, n_classes), label="classes present")
     y = rng.integers(0, present, n)
     X = rng.normal(size=(n, p)) + 0.4 * y[:, None]
     for f in range(p):
-        kind = data.draw(st.sampled_from(["continuous", "ties", "constant", "copy"]))
+        kind = data.draw(st.sampled_from(
+            ["continuous", "ties", "signed zeros", "constant", "copy"]))
         if kind == "ties":
             X[:, f] = np.round(X[:, f])
+        elif kind == "signed zeros":
+            X[:, f] = np.round(X[:, f] - 0.4 * y)
+            zero = X[:, f] == 0.0
+            X[zero, f] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
         elif kind == "constant":
             X[:, f] = 1.5
         elif kind == "copy":
@@ -230,8 +237,37 @@ class TestBlockSplitMatchesReference:
         )
         config = ForestConfig(n_trees=3, seed=4, features_per_split=features_per_split)
         block = self.forest_bytes(data, config, tmp_path, "block.rf")
-        monkeypatch.setattr(random_forest, "best_split", reference_best_split)
+        calls, per_tree = [], []
+
+        def counted_reference(*args):
+            calls.append(None)
+            return reference_best_split(*args)
+
+        def counted_grow(*args):
+            before = len(calls)
+            tree = grow_tree(*args)
+            per_tree.append(len(calls) - before)
+            return tree
+
+        monkeypatch.setattr(random_forest, "best_split", counted_reference)
+        monkeypatch.setattr(random_forest, "grow_tree", counted_grow)
         assert self.forest_bytes(data, config, tmp_path, "reference.rf") == block
+        # the forest was grown through the swapped-in scan, in every tree
+        assert len(per_tree) == config.n_trees and min(per_tree) >= 1
+
+
+class TestClassSum:
+    @pytest.mark.parametrize("n_classes", range(1, 41))
+    def test_matches_a_class_last_sum(self, n_classes):
+        """Class-major sums give the bits ndarray.sum gives over a
+        contiguous class axis, the order the scalar impurities use."""
+        rng = np.random.default_rng(n_classes)
+        for shape in [(), (1,), (3, 5), (2, 7, 11)]:
+            for t in (rng.random((n_classes, *shape)) ** 2,
+                      rng.normal(size=(n_classes, *shape))):
+                want = np.ascontiguousarray(np.moveaxis(t, 0, -1)).sum(axis=-1)
+                got = random_forest._class_sum(t)
+                assert hex_list(np.ravel(got)) == hex_list(np.ravel(want))
 
 
 class TestGrowTree:
@@ -587,6 +623,15 @@ class TestTrainForest:
         )
         with pytest.raises(DataError, match="single class"):
             train_forest(solo, ForestConfig(n_trees=5))
+
+    def test_nan_features_rejected(self):
+        """NaN has no place in the value order, so a split on it would
+        depend on row order; the forest names the columns instead."""
+        data = toy_dataset(rows=60, seed=5)
+        data.features[3, 1] = np.nan
+        data.features[[0, 9], 4] = np.nan
+        with pytest.raises(DataError, match=r"NaN in feature column\(s\) f1, f4"):
+            train_forest(data, ForestConfig(n_trees=2))
 
     def test_row_order_is_irrelevant_without_bootstrap(self):
         data = toy_dataset(rows=120, seed=8)
