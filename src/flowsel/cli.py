@@ -187,6 +187,23 @@ def _settings(section: str, cls, **values):
         raise UsageError(f"bad {section} setting: {exc}") from None
 
 
+def _check_distinct_inputs(paths) -> None:
+    """A file given twice, under any spelling, would put each of its rows
+    on both sides of the split; inputs that do not exist are left for the
+    loader to report."""
+    seen: dict[tuple[int, int], str] = {}
+    for path in paths:
+        try:
+            st = os.stat(path)
+        except OSError:
+            continue
+        first = seen.get((st.st_dev, st.st_ino))
+        if first is not None:
+            same = "is given twice" if first == path else f"is the same file as {first}"
+            raise UsageError(f"input {path} {same}; give each input file once")
+        seen[(st.st_dev, st.st_ino)] = path
+
+
 def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     """Defaults, then config file, then flags."""
     cfg = pipeline.ExperimentConfig()
@@ -212,6 +229,7 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
         data_file = tuple(p.strip() for p in data_file.replace(";", ",").split(",") if p.strip())
     data_flag = getattr(args, "data", None)
     cfg.data_paths = tuple(pick(tuple(data_flag) if data_flag else None, data_file, ()))
+    _check_distinct_inputs(cfg.data_paths)
 
     cfg.label_column = pick(getattr(args, "label_column", None),
                             file_get("data.label_column"), cfg.label_column)

@@ -92,13 +92,20 @@ def spearman_matrix(features, class_columns, feature_names, class_names) -> Corr
     if constant_feats:
         raise DataError(f"constant feature column(s): {constant_feats}")
 
-    stacked = np.hstack([features, class_columns])
-    m = stacked.shape[1]
-    ranked = np.column_stack([average_ranks(stacked[:, j]) for j in range(m)])
-    centered = ranked - ranked.mean(axis=0)
-    norms = np.sqrt((centered**2).sum(axis=0))
+    # One (rows, columns) array holds the ranks, is centred in place, and
+    # is squared in place once its Gram matrix is taken.
+    p = features.shape[1]
+    ranked = np.empty((features.shape[0], p + class_columns.shape[1]))
+    for j in range(p):
+        ranked[:, j] = average_ranks(features[:, j])
+    for j in range(class_columns.shape[1]):
+        ranked[:, p + j] = average_ranks(class_columns[:, j])
+    ranked -= ranked.mean(axis=0)
+    gram = ranked.T @ ranked
+    np.square(ranked, out=ranked)
+    norms = np.sqrt(ranked.sum(axis=0))
     safe = np.where(norms == 0, 1.0, norms)
-    corr = (centered.T @ centered) / np.outer(safe, safe)
+    corr = gram / np.outer(safe, safe)
     corr[norms == 0, :] = 0.0
     corr[:, norms == 0] = 0.0
     corr = (corr + corr.T) / 2.0  # kill floating-point asymmetry exactly

@@ -13,6 +13,7 @@ import csv
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,19 +39,38 @@ DEFAULT_DROP_COLUMNS = (
 
 @dataclass(frozen=True)
 class RawTable:
-    """A parsed flow table: numeric feature columns plus one text label column.
+    """A parsed flow table: numeric feature columns plus one label column.
 
     ``values`` is (rows, columns) float64 and may contain NaN or +/-inf;
-    cleaning decides what to do with those, not the parser.  ``dropped``
+    cleaning decides what to do with those, not the parser.  Labels are
+    kept as codes: row ``i`` carries the text ``label_names[label_codes[i]]``,
+    and ``label_names`` lists each distinct text once, in first-seen order
+    (a name may have no rows left after rows are dropped).  ``dropped``
     names the columns removed by name so far, unread by the parser or
-    dropped after it.
+    dropped after it; ``sources`` names the files the rows came from.
     """
 
     columns: tuple[str, ...]
     values: np.ndarray
-    labels: tuple[str, ...]
+    label_codes: np.ndarray
+    label_names: tuple[str, ...]
     label_column: str
     dropped: tuple[str, ...] = ()
+    sources: tuple[str, ...] = ()
+
+    @classmethod
+    def from_labels(cls, columns, values, labels, label_column, dropped=(), sources=()):
+        """A table from one label text per row."""
+        index: dict[str, int] = {}
+        codes = [index.setdefault(label, len(index)) for label in labels]
+        return cls(tuple(columns), values, np.array(codes, dtype=np.int32),
+                   tuple(index), label_column, tuple(dropped), tuple(sources))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The label text of every row, decoded from the codes."""
+        names = self.label_names
+        return tuple(names[code] for code in self.label_codes.tolist())
 
     @property
     def n_rows(self) -> int:
@@ -128,13 +148,16 @@ def _read_header(reader, path: str, label_column: str, drop_columns):
     return header, label_idx, keep
 
 
-def _table(header, keep, values, labels, label_column, drop_columns) -> RawTable:
+def _table(path, header, keep, values, codes, index, label_column, drop_columns) -> RawTable:
+    """The RawTable of one file; ``index`` maps each label text to its code."""
     return RawTable(
         tuple(header[j] for j in keep),
         values,
-        tuple(labels),
+        np.asarray(codes, dtype=np.int32),
+        tuple(index),
         label_column,
         tuple(h for h in header if h in drop_columns),
+        (path,),
     )
 
 
@@ -147,7 +170,8 @@ def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
         reader = csv.reader(handle)
         header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
         rows: list[list[float]] = []
-        labels: list[str] = []
+        index: dict[str, int] = {}
+        codes = array("i")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue  # ignore blank lines
@@ -155,10 +179,10 @@ def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
                 raise DataError(
                     f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            labels.append(row[label_idx].strip())
+            codes.append(index.setdefault(row[label_idx].strip(), len(index)))
             rows.append([_parse_cell(row[j], path, line_no, header[j]) for j in keep])
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(keep))
-    return _table(header, keep, values, labels, label_column, drop_columns)
+    return _table(path, header, keep, values, codes, index, label_column, drop_columns)
 
 
 def _load_csv_fast(path: str, label_column: str, drop_columns) -> RawTable | None:
@@ -169,17 +193,19 @@ def _load_csv_fast(path: str, label_column: str, drop_columns) -> RawTable | Non
         reader = csv.reader(handle)
         header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
         header_lines = reader.line_num
-        labels: list[str] = []
+        # the label of each row as a code, so no label text is kept per row
+        index: dict[str, int] = {}
+        codes = array("i")
         try:
             for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
                     return None  # np.loadtxt(usecols=...) would take a long row
-                labels.append(row[label_idx].strip())
+                codes.append(index.setdefault(row[label_idx].strip(), len(index)))
         except (ValueError, csv.Error):
             return None
-    if keep and labels:
+    if keep and codes:
         try:
             # quotechar keeps a quoted comma inside its cell; comments=None
             # stops '#' from truncating one.  skiprows counts lines, and a
@@ -190,11 +216,11 @@ def _load_csv_fast(path: str, label_column: str, drop_columns) -> RawTable | Non
             )
         except ValueError:
             return None
-        if values.shape[0] != len(labels):
+        if values.shape[0] != len(codes):
             return None
     else:
-        values = np.empty((len(labels), len(keep)), dtype=np.float64)
-    return _table(header, keep, values, labels, label_column, drop_columns)
+        values = np.empty((len(codes), len(keep)), dtype=np.float64)
+    return _table(path, header, keep, values, codes, index, label_column, drop_columns)
 
 
 def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTable:
@@ -204,7 +230,7 @@ def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTabl
     identifier columns may hold text.  Every other non-label column must
     parse as a float (missing/inf tokens included); anything else raises
     DataError with the offending line number.  The label column is kept
-    verbatim as text.
+    as codes into its distinct texts, each stripped of surrounding space.
 
     One ``csv.reader`` pass checks the header and every row's cell count
     and collects the labels; ``np.loadtxt`` then streams the kept columns
@@ -242,7 +268,11 @@ def _first_non_utf8_line(path: str) -> int | None:
 
 
 def merge_tables(tables: list[RawTable]) -> RawTable:
-    """Stack row-compatible tables (same columns, same label column)."""
+    """Stack row-compatible tables (same columns, same label column).
+
+    One table is returned as it is.  Several are copied into one array, and
+    their label codes are mapped onto one name table in first-seen order.
+    """
     if not tables:
         raise DataError("no tables to merge")
     first = tables[0]
@@ -254,61 +284,171 @@ def merge_tables(tables: list[RawTable]) -> RawTable:
             )
         if t.label_column != first.label_column:
             raise DataError("tables disagree on the label column name")
-    values = np.vstack([t.values for t in tables])
-    labels = tuple(l for t in tables for l in t.labels)
-    dropped = tuple(dict.fromkeys(c for t in tables for c in t.dropped))
-    return RawTable(first.columns, values, labels, first.label_column, dropped)
+    if len(tables) == 1:
+        return first
+    index: dict[str, int] = {}
+    for t in tables:
+        for name in t.label_names:
+            index.setdefault(name, len(index))
+    codes = np.concatenate([
+        np.array([index[name] for name in t.label_names], dtype=np.int32)[t.label_codes]
+        for t in tables
+    ])
+    return RawTable(
+        first.columns,
+        np.concatenate([t.values for t in tables]),
+        codes,
+        tuple(index),
+        first.label_column,
+        tuple(dict.fromkeys(c for t in tables for c in t.dropped)),
+        tuple(s for t in tables for s in t.sources),
+    )
 
 
-def drop_named_columns(table: RawTable, names) -> RawTable:
-    """Remove the listed columns; names absent from the table are skipped."""
+def _where(table: RawTable) -> str:
+    """The files a table came from, as a message prefix."""
+    return ", ".join(table.sources) + ": " if table.sources else ""
+
+
+def _named_drop(table: RawTable, names) -> tuple[list[int], tuple[str, ...]]:
+    """The indices of the columns not in ``names``, and the table's dropped
+    names with the newly dropped ones after them."""
     names = set(names)
     if table.label_column in names:
         raise DataError(f"cannot drop the label column {table.label_column!r}")
     keep = [i for i, c in enumerate(table.columns) if c not in names]
+    return keep, table.dropped + tuple(c for c in table.columns if c in names)
+
+
+def drop_named_columns(table: RawTable, names) -> RawTable:
+    """Remove the listed columns; names absent from the table are skipped."""
+    keep, dropped = _named_drop(table, names)
     if len(keep) == len(table.columns):
         return table
     return replace(
         table,
         columns=tuple(table.columns[i] for i in keep),
         values=table.values[:, keep],
-        dropped=table.dropped + tuple(c for c in table.columns if c in names),
+        dropped=dropped,
+    )
+
+
+# Cleaning scans the table in blocks of about this many cells, so that no
+# scan holds more than a block's copy of it.
+_BLOCK_CELLS = 1 << 16
+
+
+def _blocks(table: RawTable, cols, rows=None):
+    """The first row index and the cells of ``cols`` of each row block;
+    only the rows set in the boolean ``rows`` when it is given."""
+    values = table.values
+    every = len(cols) == table.n_columns
+    step = max(1, _BLOCK_CELLS // max(1, len(cols)))
+    for start in range(0, table.n_rows, step):
+        block = values[start:start + step]
+        if rows is not None:
+            kept = np.flatnonzero(rows[start:start + step])
+            yield start, block[kept] if every else block[np.ix_(kept, cols)]
+        else:
+            yield start, block if every else block[:, cols]
+
+
+def _finite_rows(table: RawTable, cols) -> np.ndarray:
+    """Boolean mask of the rows with a finite cell in every column of
+    ``cols``; a DataError naming the files and columns when a table with
+    rows has none."""
+    finite = np.empty(table.n_rows, dtype=bool)
+    for start, block in _blocks(table, cols):
+        np.isfinite(block).all(axis=1, out=finite[start:start + len(block)])
+    if table.n_rows and not finite.any():
+        bad = [table.columns[j] for j in cols if not np.isfinite(table.values[:, j]).all()]
+        raise DataError(
+            f"{_where(table)}every row has a missing or non-finite cell, in columns "
+            f"{bad}; fill those cells or drop those columns"
+        )
+    return finite
+
+
+def _varying_columns(table: RawTable, cols, rows=None) -> np.ndarray:
+    """For each column of ``cols``, whether it holds more than one distinct
+    value over the rows set in the boolean ``rows`` (all rows when None)."""
+    if table.n_rows == 0 or (rows is not None and not rows.any()):
+        raise DataError(f"{_where(table)}no data rows below the header; "
+                        "give input files that hold flows")
+    first = table.values[0 if rows is None else int(np.argmax(rows)), cols]
+    varies = np.zeros(len(cols), dtype=bool)
+    for _, block in _blocks(table, cols, rows):
+        varies |= (block != first).any(axis=0)
+    return varies
+
+
+def _select(table: RawTable, rows, cols) -> RawTable:
+    """The table cut to the kept row indices and column indices."""
+    return replace(
+        table,
+        columns=tuple(table.columns[j] for j in cols),
+        values=table.values[np.ix_(rows, cols)],
+        label_codes=table.label_codes[rows],
     )
 
 
 def drop_nonfinite_rows(table: RawTable) -> tuple[RawTable, int]:
     """Remove rows containing NaN or infinite cells; returns the removed count."""
-    finite = np.isfinite(table.values).all(axis=1) if table.n_columns else np.ones(table.n_rows, bool)
-    removed = int(np.count_nonzero(~finite))
+    cols = range(table.n_columns)
+    finite = _finite_rows(table, cols)
+    removed = table.n_rows - int(np.count_nonzero(finite))
     if removed == 0:
         return table, 0
-    if not finite.any():
-        raise DataError("every row has a missing or non-finite cell")
-    kept_labels = tuple(l for l, ok in zip(table.labels, finite) if ok)
-    return replace(table, values=table.values[finite], labels=kept_labels), removed
+    return _select(table, np.flatnonzero(finite), cols), removed
 
 
 def drop_constant_columns(table: RawTable) -> tuple[RawTable, list[str]]:
     """Remove columns with a single distinct value; returns their names."""
-    if table.n_rows == 0:
-        raise DataError("cannot scan constant columns of an empty table")
-    keep, dropped = [], []
-    for i, name in enumerate(table.columns):
-        col = table.values[:, i]
-        if np.all(col == col[0]):
-            dropped.append(name)
-        else:
-            keep.append(i)
-    if not dropped:
+    varies = _varying_columns(table, range(table.n_columns))
+    if varies.all():
         return table, []
-    return (
-        replace(
-            table,
-            columns=tuple(table.columns[i] for i in keep),
-            values=table.values[:, keep],
-        ),
-        dropped,
-    )
+    dropped = [c for c, v in zip(table.columns, varies) if not v]
+    return _select(table, np.arange(table.n_rows), np.flatnonzero(varies)), dropped
+
+
+def _cleaning(table: RawTable, drop_columns):
+    """What cleaning keeps, found by scanning the table without copying it:
+    the indices of the kept rows and columns, and the report.
+
+    Columns named in ``drop_columns`` go first; then every row with a
+    missing or infinite cell in a remaining column; then every remaining
+    column that is constant over the remaining rows.
+    """
+    cols, named = _named_drop(table, drop_columns)
+    finite = _finite_rows(table, cols)
+    varies = _varying_columns(table, cols, finite)
+    report = {
+        "columns_dropped_named": list(named),
+        "rows_removed_nonfinite": table.n_rows - int(np.count_nonzero(finite)),
+        "columns_dropped_constant": [table.columns[j] for j, v in zip(cols, varies) if not v],
+    }
+    return np.flatnonzero(finite), [j for j, v in zip(cols, varies) if v], report
+
+
+def _minmax_in_place(train: np.ndarray, apply_to: np.ndarray | None = None) -> list:
+    """minmax_normalize on float64 arrays the caller owns, scaled in place
+    by the same operations; returns the bounds."""
+    lo = train.min(axis=0)
+    hi = train.max(axis=0)
+    span = hi - lo
+    flat = np.flatnonzero(span == 0)
+    if flat.size:
+        raise DataError(
+            f"column index(es) {flat.tolist()} are constant in the training rows; "
+            "prune constants before normalizing"
+        )
+    train -= lo
+    train /= span
+    if apply_to is not None:
+        apply_to -= lo
+        apply_to /= span
+        np.clip(apply_to, 0.0, 1.0, out=apply_to)
+    return [(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
 def minmax_normalize(train, apply_to=None):
@@ -319,45 +459,39 @@ def minmax_normalize(train, apply_to=None):
     apply_scaled_or_None, per-column (min, max) list).  A constant train
     column is an error: it should have been pruned earlier.
     """
-    train = np.asarray(train, dtype=np.float64)
-    lo = train.min(axis=0)
-    hi = train.max(axis=0)
-    span = hi - lo
-    flat = np.flatnonzero(span == 0)
-    if flat.size:
-        raise DataError(
-            f"column index(es) {flat.tolist()} are constant in the training rows; "
-            "prune constants before normalizing"
-        )
-    train_scaled = (train - lo) / span
-    apply_scaled = None
+    train = np.array(train, dtype=np.float64)
     if apply_to is not None:
-        apply_to = np.asarray(apply_to, dtype=np.float64)
-        apply_scaled = np.clip((apply_to - lo) / span, 0.0, 1.0)
-    bounds = [(float(a), float(b)) for a, b in zip(lo, hi)]
-    return train_scaled, apply_scaled, bounds
+        apply_to = np.array(apply_to, dtype=np.float64)
+    bounds = _minmax_in_place(train, apply_to)
+    return train, apply_to, bounds
 
 
 def encode_labels(table: RawTable, benign: str, grouping: dict | None = None):
-    """Map label strings to class indices and a binary attack indicator.
+    """Map labels to class indices and a binary attack indicator.
 
     With ``grouping`` given, every raw label must appear in it; values are
-    the class names actually used.  Class order is sorted name order.
+    the class names actually used.  Class order is sorted name order.  Only
+    labels that some row carries count; each is mapped once, and the rows
+    by one lookup of their codes.
     """
+    names = table.label_names
+    present = np.flatnonzero(np.bincount(table.label_codes, minlength=len(names)))
+    raw = [names[i] for i in present]
     if grouping is not None:
-        missing = sorted({l for l in table.labels if l not in grouping})
+        missing = sorted({l for l in raw if l not in grouping})
         if missing:
             raise DataError(f"labels missing from the grouping map: {missing}")
-        grouped = [grouping[l] for l in table.labels]
+        grouped = [grouping[l] for l in raw]
     else:
-        grouped = list(table.labels)
+        grouped = raw
     class_names = tuple(sorted(set(grouped)))
     if benign not in class_names:
         raise DataError(f"benign label {benign!r} does not occur in the data")
     index = {c: i for i, c in enumerate(class_names)}
-    labels_cat = np.array([index[g] for g in grouped], dtype=np.int64)
-    benign_idx = index[benign]
-    labels_bin = labels_cat != benign_idx
+    lookup = np.zeros(len(names), dtype=np.int64)
+    lookup[present] = [index[g] for g in grouped]
+    labels_cat = lookup[table.label_codes]
+    labels_bin = labels_cat != index[benign]
     return labels_cat, labels_bin, class_names
 
 
@@ -456,15 +590,9 @@ def binary_view(data: Dataset, benign_name: str = "benign") -> Dataset:
 
 def clean_table(table: RawTable, drop_columns=DEFAULT_DROP_COLUMNS):
     """Run the column/row hygiene passes and report what was removed."""
-    t = drop_named_columns(table, drop_columns)
-    t, removed_rows = drop_nonfinite_rows(t)
-    t, dropped_const = drop_constant_columns(t)
-    report = {
-        "columns_dropped_named": list(t.dropped),
-        "rows_removed_nonfinite": removed_rows,
-        "columns_dropped_constant": dropped_const,
-    }
-    return t, report
+    rows, cols, report = _cleaning(table, drop_columns)
+    cleaned = replace(_select(table, rows, cols), dropped=tuple(report["columns_dropped_named"]))
+    return cleaned, report
 
 
 def prepare_splits(
@@ -484,36 +612,38 @@ def prepare_splits(
     ``normalize_before_split`` instead fits the bounds on all rows before
     splitting, reproducing the simpler (leaky) ordering some studies use.
     Returns (SplitPair, report dict).
+
+    Cleaning only chooses rows and columns; each partition is then one
+    gather from ``table`` and is normalized in place.
     """
-    cleaned, report = clean_table(table, drop_columns)
-    if cleaned.n_columns == 0:
+    rows, cols, report = _cleaning(table, drop_columns)
+    if not cols:
         raise DataError("no feature columns survived cleaning")
-    labels_cat, labels_bin, class_names = encode_labels(cleaned, benign, grouping)
-
+    names = tuple(table.columns[j] for j in cols)
+    labels_cat, labels_bin, class_names = encode_labels(
+        replace(table, label_codes=table.label_codes[rows]), benign, grouping)
+    train_idx, test_idx = split_indices(
+        rows.size, ratio, seed, stratified, labels_cat if stratified else None
+    )
     if normalize_before_split:
-        scaled, _, bounds = minmax_normalize(cleaned.values)
-        full = Dataset(scaled, cleaned.columns, labels_cat, labels_bin, class_names)
-        pair = split(full, ratio, seed, stratified)
+        # the bounds fold over the kept rows in file order, which decides
+        # the sign of a zero bound, so they are taken before the split
+        features = table.values[np.ix_(rows, cols)]
+        bounds = _minmax_in_place(features)
+        train, test = features[train_idx], features[test_idx]
     else:
-        train_idx, test_idx = split_indices(
-            cleaned.n_rows, ratio, seed, stratified, labels_cat if stratified else None
-        )
-        train_scaled, test_scaled, bounds = minmax_normalize(
-            cleaned.values[train_idx], cleaned.values[test_idx]
-        )
-        pair = SplitPair(
-            Dataset(train_scaled, cleaned.columns, labels_cat[train_idx],
-                    labels_bin[train_idx], class_names),
-            Dataset(test_scaled, cleaned.columns, labels_cat[test_idx],
-                    labels_bin[test_idx], class_names),
-            seed,
-            ratio,
-        )
+        train = table.values[np.ix_(rows[train_idx], cols)]
+        test = table.values[np.ix_(rows[test_idx], cols)]
+        bounds = _minmax_in_place(train, test)
+    pair = SplitPair(
+        Dataset(train, names, labels_cat[train_idx], labels_bin[train_idx], class_names),
+        Dataset(test, names, labels_cat[test_idx], labels_bin[test_idx], class_names),
+        seed,
+        ratio,
+    )
 
-    report["normalization"] = {
-        name: [lo, hi] for name, (lo, hi) in zip(cleaned.columns, bounds)
-    }
-    report["rows_total"] = cleaned.n_rows
+    report["normalization"] = {name: [lo, hi] for name, (lo, hi) in zip(names, bounds)}
+    report["rows_total"] = int(rows.size)
     report["rows_train"] = pair.train.n_rows
     report["rows_test"] = pair.test.n_rows
     report["class_names"] = list(class_names)

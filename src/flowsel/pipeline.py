@@ -226,11 +226,12 @@ def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
     if splits is not None:
         return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
 
-    # day files may disagree only on columns we drop anyway
-    tables = [dataset.load_csv(p, cfg.label_column, cfg.drop_columns) for p in cfg.data_paths]
-    table = dataset.merge_tables(tables)
+    # Day files may disagree only on columns we drop anyway.  Nothing here
+    # keeps the parsed tables, so the merged one is freed as soon as
+    # prepare_splits returns the splits it gathered from it.
     pair, report = dataset.prepare_splits(
-        table,
+        dataset.merge_tables([dataset.load_csv(p, cfg.label_column, cfg.drop_columns)
+                              for p in cfg.data_paths]),
         benign=cfg.benign,
         grouping=load_grouping(cfg.grouping),
         ratio=cfg.ratio,

@@ -5,6 +5,9 @@ and correlates with the plain product-moment sums, sharing no code with
 the module under test.
 """
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,76 @@ class TestRanksMatchReference:
         finally:
             correlation.average_ranks = real
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def reference_spearman_matrix(features, class_columns, feature_names, class_names):
+    """spearman_matrix as it was before it ranked into one array: stacked
+    columns, a list of ranked columns, and new arrays for the centred
+    matrix and its squares."""
+    features = np.asarray(features, dtype=np.float64)
+    class_columns = np.asarray(class_columns, dtype=np.float64)
+    constant = [feature_names[j] for j in range(features.shape[1])
+                if np.all(features[:, j] == features[0, j])]
+    if constant:
+        raise DataError(f"constant feature column(s): {constant}")
+    stacked = np.hstack([features, class_columns])
+    ranked = np.column_stack([average_ranks(stacked[:, j]) for j in range(stacked.shape[1])])
+    centered = ranked - ranked.mean(axis=0)
+    norms = np.sqrt((centered**2).sum(axis=0))
+    safe = np.where(norms == 0, 1.0, norms)
+    corr = (centered.T @ centered) / np.outer(safe, safe)
+    corr[norms == 0, :] = 0.0
+    corr[:, norms == 0] = 0.0
+    corr = (corr + corr.T) / 2.0
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+class TestSpearmanMatchesReference:
+    """Ranking into one array, centred and squared in place, gives the
+    reference's exact bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), binary=st.booleans())
+    def test_same_bytes(self, data, binary):
+        rows = data.draw(st.sampled_from([2, 3, 7, 40, 200]))
+        n_features = data.draw(st.integers(1, 6))
+        feats = np.column_stack([rank_column(data, rows) for _ in range(n_features)])
+        n_classes = data.draw(st.integers(1, 4))
+        labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                             min_size=rows, max_size=rows)))
+        if binary:  # one attack indicator column, as class_indicator_columns gives
+            cls, classes = (labels > 0).astype(np.float64).reshape(-1, 1), ("attack",)
+        else:  # one column per class; a class without rows is a constant column
+            cls = (labels[:, None] == np.arange(n_classes)).astype(np.float64)
+            classes = tuple(f"c{j}" for j in range(n_classes))
+        names = tuple(f"f{j}" for j in range(n_features))
+        try:
+            want = reference_spearman_matrix(feats, cls, names, classes)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                spearman_matrix(feats, cls, names, classes)
+            return
+        got = spearman_matrix(feats, cls, names, classes)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_allocates_little_beyond_its_ranked_matrix(self):
+        rng = np.random.default_rng(8)
+        feats = np.round(rng.normal(size=(20000, 30)), 1)
+        labels = rng.integers(0, 5, size=20000)
+        cls = (labels[:, None] == np.arange(5)).astype(np.float64)
+        names, classes = tuple(f"f{j}" for j in range(30)), tuple(f"c{j}" for j in range(5))
+        spearman_matrix(feats, cls, names, classes)  # warm: first calls fill caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spearman_matrix(feats, cls, names, classes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ranked = feats.shape[0] * (feats.shape[1] + cls.shape[1]) * 8
+        assert peak <= 1.3 * ranked, peak / ranked
 
 
 class TestSpearmanMatrix:

@@ -1,8 +1,12 @@
 """CSV ingestion, cleaning, normalization, label encoding, splitting."""
 
+import dataclasses
+import json
 import math
 import os
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +58,10 @@ def same_as_scanner(path, label_column="Label", drop_columns=()):
     got = load_csv(path, label_column, drop_columns)
     assert got.columns == want.columns
     assert got.labels == want.labels
+    assert got.label_names == want.label_names
+    assert got.label_codes.dtype == want.label_codes.dtype == np.int32
+    assert got.label_codes.tobytes() == want.label_codes.tobytes()
+    assert got.sources == want.sources == (path,)
     assert got.label_column == want.label_column
     assert got.dropped == want.dropped
     assert got.values.shape == want.values.shape
@@ -62,7 +70,7 @@ def same_as_scanner(path, label_column="Label", drop_columns=()):
 
 
 def small_table():
-    return RawTable(
+    return RawTable.from_labels(
         columns=("a", "b"),
         values=np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]]),
         labels=("x", "y", "x", "y"),
@@ -149,6 +157,13 @@ class TestLoadCsv:
         assert table.labels == ("benign", "attack")
         np.testing.assert_array_equal(table.values, [[1.0, 4.5], [2.0, -1.0]])
         assert table.label_column == "Label"
+
+    def test_labels_are_codes_into_first_seen_names(self, tmp_path):
+        path = write_csv(tmp_path / "flows.csv", "a,Label\n1, DoS\n2,Benign\n3,DoS \n4,Bot\n")
+        table = load_csv(path)
+        assert table.label_names == ("DoS", "Benign", "Bot")
+        np.testing.assert_array_equal(table.label_codes, [0, 1, 0, 2])
+        assert table.labels == ("DoS", "Benign", "DoS", "Bot")
 
     def test_missing_tokens_become_nan(self, tmp_path):
         path = write_csv(
@@ -281,13 +296,30 @@ class TestMergeTables:
         assert merged.n_rows == 8
         assert merged.labels == small_table().labels * 2
 
+    def test_codes_map_onto_one_name_table(self):
+        first = RawTable.from_labels(("a",), np.zeros((3, 1)), ("y", "x", "y"), "Label",
+                                     sources=("one.csv",))
+        empty = RawTable.from_labels(("a",), np.zeros((0, 1)), (), "Label",
+                                     sources=("empty.csv",))
+        second = RawTable.from_labels(("a",), np.ones((3, 1)), ("z", "x", "z"), "Label",
+                                      sources=("two.csv",))
+        merged = merge_tables([first, empty, second])
+        assert merged.label_names == ("y", "x", "z")
+        np.testing.assert_array_equal(merged.label_codes, [0, 1, 0, 2, 1, 2])
+        assert merged.labels == ("y", "x", "y", "z", "x", "z")
+        assert merged.sources == ("one.csv", "empty.csv", "two.csv")
+
+    def test_one_table_is_not_copied(self):
+        table = small_table()
+        assert merge_tables([table]) is table
+
     def test_column_disagreement(self):
-        other = RawTable(("a", "c"), np.zeros((1, 2)), ("x",), "Label")
+        other = RawTable.from_labels(("a", "c"), np.zeros((1, 2)), ("x",), "Label")
         with pytest.raises(DataError, match="disagree on columns"):
             merge_tables([small_table(), other])
 
     def test_label_column_disagreement(self):
-        other = RawTable(("a", "b"), np.zeros((1, 2)), ("x",), "Class")
+        other = RawTable.from_labels(("a", "b"), np.zeros((1, 2)), ("x",), "Class")
         with pytest.raises(DataError, match="label column"):
             merge_tables([small_table(), other])
 
@@ -308,7 +340,7 @@ class TestColumnAndRowHygiene:
             drop_named_columns(small_table(), ["Label"])
 
     def test_drop_nonfinite_rows(self):
-        table = RawTable(
+        table = RawTable.from_labels(
             ("a",),
             np.array([[1.0], [np.nan], [3.0], [np.inf]]),
             ("w", "x", "y", "z"),
@@ -320,12 +352,32 @@ class TestColumnAndRowHygiene:
         np.testing.assert_array_equal(out.values, [[1.0], [3.0]])
 
     def test_all_rows_bad(self):
-        table = RawTable(("a",), np.array([[np.nan], [np.inf]]), ("x", "y"), "Label")
+        table = RawTable.from_labels(("a",), np.array([[np.nan], [np.inf]]), ("x", "y"), "Label")
         with pytest.raises(DataError, match="every row"):
             drop_nonfinite_rows(table)
 
+    def test_all_rows_bad_names_the_files_and_columns(self):
+        values = np.array([[np.nan, 1.0, 2.0], [3.0, 1.0, np.inf], [5.0, 1.0, np.inf]])
+        table = RawTable.from_labels(("a", "b", "c"), values, ("x", "y", "x"), "Label",
+                                     sources=("mon.csv", "tue.csv"))
+        with pytest.raises(DataError) as err:
+            clean_table(table, drop_columns=())
+        assert str(err.value) == (
+            "mon.csv, tue.csv: every row has a missing or non-finite cell, in columns "
+            "['a', 'c']; fill those cells or drop those columns")
+
+    def test_no_data_rows_names_the_files(self, tmp_path):
+        paths = [write_csv(tmp_path / f"{day}.csv", "a,b,Label\n") for day in ("mon", "tue")]
+        table = merge_tables([load_csv(p) for p in paths])
+        for clean in (lambda t: clean_table(t), drop_constant_columns,
+                      lambda t: prepare_splits(t, "Benign")):
+            with pytest.raises(DataError) as err:
+                clean(table)
+            assert str(err.value) == (f"{paths[0]}, {paths[1]}: no data rows below the "
+                                      "header; give input files that hold flows")
+
     def test_drop_constant_columns(self):
-        table = RawTable(
+        table = RawTable.from_labels(
             ("live", "dead"),
             np.array([[1.0, 7.0], [2.0, 7.0]]),
             ("x", "y"),
@@ -336,7 +388,7 @@ class TestColumnAndRowHygiene:
         assert out.columns == ("live",)
 
     def test_clean_table_report(self):
-        table = RawTable(
+        table = RawTable.from_labels(
             ("Flow ID", "a", "dead"),
             np.array([[1.0, 1.0, 5.0], [2.0, np.nan, 5.0], [3.0, 2.0, 5.0]]),
             ("x", "y", "x"),
@@ -384,7 +436,7 @@ class TestEncodeLabels:
         np.testing.assert_array_equal(labels_bin, [False, True, False, True])
 
     def test_grouping_folds_labels(self):
-        table = RawTable(
+        table = RawTable.from_labels(
             ("a",),
             np.arange(4.0).reshape(-1, 1),
             ("Benign", "DoS-Hulk", "DoS-Slowloris", "Benign"),
@@ -494,7 +546,7 @@ class TestPrepareSplits:
             [rng.normal(size=rows) * 5, rng.normal(size=rows) + 2, np.full(rows, 9.0)]
         )
         labels = tuple("Benign" if i % 2 == 0 else "DoS" for i in range(rows))
-        return RawTable(("a", "b", "dead"), values, labels, "Label")
+        return RawTable.from_labels(("a", "b", "dead"), values, labels, "Label")
 
     def test_end_to_end(self):
         pair, report = prepare_splits(self.raw(), benign="Benign", ratio=0.5, seed=4)
@@ -567,3 +619,296 @@ class TestDatasetCache:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             load_dataset(str(tmp_path / "absent.ds"))
+
+
+# ---------------------------------------------------------------------------
+# The cleaning and splitting that copied the table at every pass, kept as the
+# reference the row and column selections must reproduce bit for bit.  Its
+# table holds one label text per row.
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceTable:
+    columns: tuple
+    values: np.ndarray
+    labels: tuple
+    label_column: str
+    dropped: tuple = ()
+
+
+def reference_merge_tables(tables):
+    return ReferenceTable(
+        tables[0].columns,
+        np.vstack([t.values for t in tables]),
+        tuple(l for t in tables for l in t.labels),
+        tables[0].label_column,
+        tuple(dict.fromkeys(c for t in tables for c in t.dropped)),
+    )
+
+
+def reference_clean_table(table, drop_columns):
+    names = set(drop_columns)
+    if table.label_column in names:
+        raise DataError(f"cannot drop the label column {table.label_column!r}")
+    keep = [i for i, c in enumerate(table.columns) if c not in names]
+    t = dataclasses.replace(
+        table,
+        columns=tuple(table.columns[i] for i in keep),
+        values=table.values[:, keep],
+        dropped=table.dropped + tuple(c for c in table.columns if c in names),
+    )
+    # drop_nonfinite_rows
+    if t.values.shape[1]:
+        finite = np.isfinite(t.values).all(axis=1)
+    else:
+        finite = np.ones(len(t.labels), bool)
+    removed = int(np.count_nonzero(~finite))
+    if removed:
+        if not finite.any():
+            raise DataError("every row has a missing or non-finite cell")
+        kept_labels = tuple(l for l, ok in zip(t.labels, finite) if ok)
+        t = dataclasses.replace(t, values=t.values[finite], labels=kept_labels)
+    # drop_constant_columns
+    if t.values.shape[0] == 0:
+        raise DataError("cannot scan constant columns of an empty table")
+    keep, dropped_const = [], []
+    for i, name in enumerate(t.columns):
+        col = t.values[:, i]
+        if np.all(col == col[0]):
+            dropped_const.append(name)
+        else:
+            keep.append(i)
+    if dropped_const:
+        t = dataclasses.replace(t, columns=tuple(t.columns[i] for i in keep),
+                                values=t.values[:, keep])
+    report = {
+        "columns_dropped_named": list(t.dropped),
+        "rows_removed_nonfinite": removed,
+        "columns_dropped_constant": dropped_const,
+    }
+    return t, report
+
+
+def reference_minmax_normalize(train, apply_to=None):
+    train = np.asarray(train, dtype=np.float64)
+    lo = train.min(axis=0)
+    hi = train.max(axis=0)
+    span = hi - lo
+    flat = np.flatnonzero(span == 0)
+    if flat.size:
+        raise DataError(
+            f"column index(es) {flat.tolist()} are constant in the training rows; "
+            "prune constants before normalizing"
+        )
+    train_scaled = (train - lo) / span
+    apply_scaled = None
+    if apply_to is not None:
+        apply_to = np.asarray(apply_to, dtype=np.float64)
+        apply_scaled = np.clip((apply_to - lo) / span, 0.0, 1.0)
+    return train_scaled, apply_scaled, [(float(a), float(b)) for a, b in zip(lo, hi)]
+
+
+def reference_encode_labels(table, benign, grouping):
+    if grouping is not None:
+        missing = sorted({l for l in table.labels if l not in grouping})
+        if missing:
+            raise DataError(f"labels missing from the grouping map: {missing}")
+        grouped = [grouping[l] for l in table.labels]
+    else:
+        grouped = list(table.labels)
+    class_names = tuple(sorted(set(grouped)))
+    if benign not in class_names:
+        raise DataError(f"benign label {benign!r} does not occur in the data")
+    index = {c: i for i, c in enumerate(class_names)}
+    labels_cat = np.array([index[g] for g in grouped], dtype=np.int64)
+    return labels_cat, labels_cat != index[benign], class_names
+
+
+def reference_prepare_splits(table, benign, grouping, ratio, seed, stratified,
+                             normalize_before_split, drop_columns):
+    cleaned, report = reference_clean_table(table, drop_columns)
+    if not cleaned.columns:
+        raise DataError("no feature columns survived cleaning")
+    labels_cat, labels_bin, class_names = reference_encode_labels(cleaned, benign, grouping)
+    if normalize_before_split:
+        scaled, _, bounds = reference_minmax_normalize(cleaned.values)
+        full = Dataset(scaled, cleaned.columns, labels_cat, labels_bin, class_names)
+        pair = split(full, ratio, seed, stratified)
+    else:
+        train_idx, test_idx = split_indices(
+            len(cleaned.labels), ratio, seed, stratified, labels_cat if stratified else None
+        )
+        train_scaled, test_scaled, bounds = reference_minmax_normalize(
+            cleaned.values[train_idx], cleaned.values[test_idx]
+        )
+        pair = dataset.SplitPair(
+            Dataset(train_scaled, cleaned.columns, labels_cat[train_idx],
+                    labels_bin[train_idx], class_names),
+            Dataset(test_scaled, cleaned.columns, labels_cat[test_idx],
+                    labels_bin[test_idx], class_names),
+            seed,
+            ratio,
+        )
+    report["normalization"] = {n: [lo, hi] for n, (lo, hi) in zip(cleaned.columns, bounds)}
+    report["rows_total"] = len(cleaned.labels)
+    report["rows_train"] = pair.train.n_rows
+    report["rows_test"] = pair.test.n_rows
+    report["class_names"] = list(class_names)
+    report["normalize_before_split"] = normalize_before_split
+    report["stratified"] = stratified
+    report["split_seed"] = seed
+    report["split_ratio"] = ratio
+    return pair, report
+
+
+RAW_LABELS = ("Benign", "DoS attacks-Hulk", "DoS attacks-Slowloris", "Bot", "Infilteration")
+GROUPING = {"Benign": "Benign", "DoS attacks-Hulk": "DoS", "DoS attacks-Slowloris": "DoS",
+            "Bot": "Bot", "Infilteration": "Infiltration"}
+FINITE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def table_column(data, n):
+    """A column of ties, signed zeros, one value, or any finite floats."""
+    kind = data.draw(st.sampled_from(["ties", "zeros", "constant", "floats"]))
+    if kind == "constant":
+        return np.full(n, data.draw(FINITE_CELLS))
+    cells = {"ties": st.integers(0, 3).map(float),
+             "zeros": st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+             "floats": FINITE_CELLS}[kind]
+    return np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+
+
+def drawn_tables(data):
+    """One to three day tables that share their columns: drawn columns, a
+    named identifier column, NaN and infinite cells in some rows, and
+    repeated labels, as the new and the reference tables."""
+    n_columns = data.draw(st.integers(1, 4))
+    names = ["Flow ID", *(f"f{j}" for j in range(n_columns))]
+    names = data.draw(st.permutations(names))
+    new, ref = [], []
+    for day in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(0, 25))
+        values = np.empty((n, len(names)))
+        for j in range(len(names)):
+            values[:, j] = table_column(data, n)
+        for _ in range(data.draw(st.integers(0, 4)) if n else 0):
+            row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(names) - 1))
+            values[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        labels = tuple(data.draw(st.lists(st.sampled_from(RAW_LABELS), min_size=n, max_size=n)))
+        new.append(RawTable.from_labels(names, values, labels, "Label", sources=(f"day{day}.csv",)))
+        ref.append(ReferenceTable(tuple(names), values, labels, "Label"))
+    return new, ref
+
+
+def outcome(prepare, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return prepare(*args)
+        except DataError as exc:
+            return exc
+
+
+# Cleaning messages that now name the files and say what to do.
+REWORDED = {"every row has a missing": "every row has a missing",
+            "cannot scan constant columns": "no data rows below the header"}
+
+
+class TestSelectionsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_splits_and_report(self, data):
+        tables, ref_tables = drawn_tables(data)
+        grouping = data.draw(st.sampled_from([None, GROUPING, {"Benign": "Benign", "Bot": "Bot"}]))
+        args = (grouping, data.draw(st.sampled_from([0.3, 0.5, 0.8])),
+                data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans()),
+                data.draw(st.booleans()), DEFAULT_DROP_COLUMNS)
+        want = outcome(reference_prepare_splits, reference_merge_tables(ref_tables),
+                       "Benign", *args)
+        got = outcome(prepare_splits, merge_tables(tables), "Benign", *args)
+        if isinstance(want, DataError):
+            assert isinstance(got, DataError), got
+            old = str(want)
+            for prefix, now in REWORDED.items():
+                if old.startswith(prefix):
+                    assert now in str(got)
+                    break
+            else:
+                assert str(got) == old
+            return
+        assert not isinstance(got, DataError), got
+        (pair, report), (ref_pair, ref_report) = got, want
+        assert report == ref_report
+        assert json.dumps(report, sort_keys=True) == json.dumps(ref_report, sort_keys=True)
+        for side, ref_side in ((pair.train, ref_pair.train), (pair.test, ref_pair.test)):
+            for name in ("features", "labels_cat", "labels_bin"):
+                a, b = getattr(side, name), getattr(ref_side, name)
+                assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True)
+                assert a.tobytes() == b.tobytes()
+            assert side.feature_names == ref_side.feature_names
+            assert side.class_names == ref_side.class_names
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clean_table_and_its_passes(self, data):
+        tables, ref_tables = drawn_tables(data)
+        table, ref_table = merge_tables(tables), reference_merge_tables(ref_tables)
+        want = outcome(reference_clean_table, ref_table, DEFAULT_DROP_COLUMNS)
+        got = outcome(clean_table, table, DEFAULT_DROP_COLUMNS)
+        if isinstance(want, DataError):
+            assert isinstance(got, DataError)
+            return
+        (cleaned, report), (ref_cleaned, ref_report) = got, want
+        assert report == ref_report
+        assert cleaned.columns == ref_cleaned.columns
+        assert cleaned.labels == ref_cleaned.labels
+        assert cleaned.dropped == ref_cleaned.dropped
+        assert cleaned.values.tobytes() == ref_cleaned.values.tobytes()
+        # the three passes one at a time give the same table
+        step = drop_named_columns(table, DEFAULT_DROP_COLUMNS)
+        step, removed = drop_nonfinite_rows(step)
+        step, constant = drop_constant_columns(step)
+        assert (removed, constant) == (report["rows_removed_nonfinite"],
+                                       report["columns_dropped_constant"])
+        assert step.columns == cleaned.columns and step.labels == cleaned.labels
+        assert step.values.tobytes() == cleaned.values.tobytes()
+
+
+def traced_peak(call):
+    """The bytes ``call()`` allocates at its peak, beyond what it started
+    with, and its result."""
+    call()  # warm: first calls import modules and fill caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base, result
+
+
+class TestMemoryBounds:
+    """Allocation bounds from array sizes, so the same on any machine."""
+
+    def table(self, rows=12000, columns=30):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(rows, columns))
+        values[::50, 4] = np.nan
+        values[::70, 9] = np.inf
+        values[:, 6] = 7.0
+        labels = [RAW_LABELS[i % 3] for i in range(rows)]
+        names = ["Flow ID", *(f"f{j}" for j in range(1, columns))]
+        return RawTable.from_labels(names, values, labels, "Label")
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_prepare_splits_allocates_little_beyond_the_kept_table(self, stratified):
+        table = self.table()
+        peak, (pair, _) = traced_peak(
+            lambda: prepare_splits(table, "Benign", stratified=stratified, seed=1))
+        kept = pair.train.features.nbytes + pair.test.features.nbytes
+        assert kept > 0.9 * table.values.nbytes
+        assert peak <= 1.3 * kept, peak / kept

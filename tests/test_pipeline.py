@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from flowsel.pipeline import (
     compare,
     depth_sweep,
     load_records,
+    preprocess_stage,
     run_pipeline,
     run_record_row,
     stage_key,
@@ -108,6 +110,25 @@ class TestSynth:
             make_dataset(2, -1, 50, seed=0)
         with pytest.raises(DataError):
             make_dataset(2, 2, 3, seed=0)
+
+
+class TestPreprocessMemory:
+    def test_peak_stays_within_two_and_a_half_tables(self, tmp_path):
+        """Parsing, cleaning, splitting and saving hold at most the parsed
+        table, the kept one and per-row index arrays; the bound comes from
+        array sizes, so it is the same on any machine."""
+        csv_path, _ = write_fixture(str(tmp_path), "wide", 6, 24, 4000, seed=1)
+        cfg = ExperimentConfig(data_paths=(csv_path,), out_dir=str(tmp_path / "runs"))
+        preprocess_stage(dataclasses.replace(cfg, out_dir=str(tmp_path / "warm")))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pair, _ = preprocess_stage(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        table = pair.train.features.nbytes + pair.test.features.nbytes
+        assert peak <= 2.5 * table, peak / table
 
 
 class TestStageSeeds:
@@ -877,6 +898,32 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 1
+
+    def test_a_repeated_input_exits_1(self, fixture_csv, tmp_path, capsys):
+        """A file given twice would put each of its rows on both sides of
+        the split; any spelling of the same file counts."""
+        csv_path, _ = fixture_csv
+        link = tmp_path / "link.csv"
+        link.symlink_to(csv_path)
+        spelled = os.path.join(os.path.dirname(csv_path), ".", os.path.basename(csv_path))
+        out = str(tmp_path / "runs")
+        for second, line in ((csv_path, f"input {csv_path} is given twice"),
+                             (spelled, f"input {spelled} is the same file as {csv_path}"),
+                             (str(link), f"input {link} is the same file as {csv_path}")):
+            assert main(["correlate", "--data", csv_path, second, "--out", out]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {line}; give each input file once"]
+        assert not os.path.exists(out)
+
+    def test_header_only_input_exits_2_naming_it(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("a,b,Label\n")
+        for command in ("preprocess", "correlate"):
+            code = main([command, "--data", str(empty), "--out", str(tmp_path / "runs")])
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {empty}: no data rows below the header; "
+                "give input files that hold flows"]
 
     def test_alias_subcommands_are_gone(self, capsys):
         """`run` trains and scores; `train` and `evaluate` are not commands."""
