@@ -296,7 +296,17 @@ def collapse_to_binary(cm: ConfusionMatrix, benign: str) -> ConfusionMatrix:
 
 
 def save_confusion(cm: ConfusionMatrix, path: str) -> None:
-    """CSV with named rows and columns."""
+    """CSV with named rows and columns at ``path``, and the counts as a
+    container beside it."""
     rows = "".join(f"{name}," + ",".join(str(int(v)) for v in cm.counts[i]) + "\n"
                    for i, name in enumerate(cm.class_names))
     artifacts.write_atomic(path, "true\\predicted," + ",".join(cm.class_names) + "\n" + rows)
+    artifacts.save(artifacts.container_for(path), "confusion",
+                   {"counts": np.asarray(cm.counts, dtype=np.int64)},
+                   class_names=list(cm.class_names))
+
+
+def load_confusion(path: str) -> ConfusionMatrix:
+    """The matrix save_confusion wrote for ``path``, from its container."""
+    return artifacts.load(artifacts.container_for(path), "confusion", lambda header, arrays:
+                          ConfusionMatrix(arrays["counts"], tuple(header["class_names"])))

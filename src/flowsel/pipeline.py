@@ -133,6 +133,8 @@ _READS = {
                                                   "rf-ig": ("k", "importance")}.get(c.method, ())),
     "train": lambda c: ("preprocess", "mode", "subset", "model",
                         "forest" if c.model == "rf" else "mlp", "train_seed"),
+    # the counts, collapsed or not; the averaging only scores them
+    "evaluate": lambda c: ("train", "collapse"),
     # the record's ig_sum reads the importance forest, whatever the model
     "run": lambda c: ("select", "train", "importance", "seed", "collapse",
                       *(("averaging",) if c.mode == "categorical" and not c.collapse else ())),
@@ -156,9 +158,12 @@ def _read(cfg: ExperimentConfig, name: str, subset) -> object:
     return value
 
 
-def stage_key(cfg: ExperimentConfig, stage: str, subset=None) -> str:
-    """The cache key of a stage in ``_READS``; each key it chains on is computed once."""
-    keys = {}
+def stage_key(cfg: ExperimentConfig, stage: str, subset=None, keys: dict | None = None) -> str:
+    """The cache key of a stage in ``_READS``; each key it chains on is
+    computed once.  ``keys`` maps the stages already keyed for this config
+    and subset to their keys, and gains the ones computed here: one run
+    passes the same dict to every stage, so it keys each stage once."""
+    keys = {} if keys is None else keys
 
     def key(name):
         if name not in keys:
@@ -175,7 +180,10 @@ def stage_key(cfg: ExperimentConfig, stage: str, subset=None) -> str:
 def _input_fingerprint(path: str) -> list:
     """An input's size and the sha256 of its bytes.  The bytes are hashed
     again only when the file's device, inode, size or times change."""
-    st = os.stat(path)
+    try:
+        st = os.stat(path)
+    except OSError as exc:
+        raise DataError(f"cannot open input file {path}: {exc.strerror}; check --data") from None
     if not stat.S_ISREG(st.st_mode):
         raise DataError(f"{path}: not a regular file; inputs are cached by their "
                         "bytes, so save it to a file first")
@@ -211,10 +219,13 @@ def _cached(cfg: ExperimentConfig, paths, load):
         return None
 
 
-def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
-    """Load, clean, and split the input; cached as two dataset files."""
+def preprocess_stage(cfg: ExperimentConfig,
+                     keys: dict | None = None) -> tuple[dataset.SplitPair, dict]:
+    """Load, clean, and split the input; cached as two dataset files.
+    ``keys``, here and in every stage, is the run's memo of stage keys,
+    as ``stage_key`` takes it."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    key = stage_key(cfg, "preprocess")
+    key = stage_key(cfg, "preprocess", keys=keys)
     files = {
         "train": os.path.join(cfg.out_dir, f"clean_{key}.train.ds"),
         "test": os.path.join(cfg.out_dir, f"clean_{key}.test.ds"),
@@ -246,10 +257,10 @@ def preprocess_stage(cfg: ExperimentConfig) -> tuple[dataset.SplitPair, dict]:
     return pair, files
 
 
-def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
+def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict | None = None):
     """Spearman matrix over the training partition, cached as a container
     beside its heatmap CSV."""
-    key = stage_key(cfg, "correlate")
+    key = stage_key(cfg, "correlate", keys=keys)
     path = os.path.join(cfg.out_dir, f"corr_{key}.csv")
     corr = _cached(cfg, [path, artifacts.container_for(path)],
                    lambda: correlation.load_heatmap(path))
@@ -270,14 +281,14 @@ def _train_view(cfg: ExperimentConfig, pair: dataset.SplitPair) -> dataset.Datas
     return pair.train
 
 
-def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair):
+def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict | None = None):
     """Full-feature forest importances, cached as a container beside a
     sorted CSV.
 
     Used both to drive rf-ig selection and to report the importance mass a
     subset captures.
     """
-    key = stage_key(cfg, "importance")
+    key = stage_key(cfg, "importance", keys=keys)
     path = os.path.join(cfg.out_dir, f"importance_{key}.csv")
     names = pair.train.feature_names
     hit = _cached(cfg, [path, artifacts.container_for(path)],
@@ -344,7 +355,7 @@ def _search(cfg: ExperimentConfig, corr, n_features: int, importances, importanc
 
 
 def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
-                 importances=None, importance_seconds: float = 0.0):
+                 importances=None, importance_seconds: float = 0.0, keys: dict | None = None):
     """Produce the feature subset for the configured method.
 
     Returns (subset, selection_seconds, artifacts).  Selection time for
@@ -352,7 +363,7 @@ def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
     selector.  Scores are computed afresh, also on a cache hit.
     """
     names = pair.train.feature_names
-    key = stage_key(cfg, "select")
+    key = stage_key(cfg, "select", keys=keys)
     subset_path = os.path.join(cfg.out_dir, f"subset_{key}.txt")
     files = {"subset": subset_path}
     if cfg.method in ("ba", "ao", "brute"):
@@ -389,9 +400,9 @@ def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) 
 
 
 def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
-                subset: subset_search.FeatureSubset):
+                subset: subset_search.FeatureSubset, keys: dict | None = None):
     """Fit the configured model on the selected features; cached on disk."""
-    key = stage_key(cfg, "train", subset)
+    key = stage_key(cfg, "train", subset, keys)
     path = os.path.join(cfg.out_dir, f"model_{key}.bin")
     files = {"model": path}
     if cfg.model == "mlp":
@@ -425,22 +436,32 @@ def _predict(cfg: ExperimentConfig, model, features) -> np.ndarray:
 
 
 def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
-                   subset: subset_search.FeatureSubset):
-    """Test-set confusion matrix and metric report for the configured view."""
-    test_view = _slice_features(
-        dataset.binary_view(pair.test, cfg.benign) if cfg.mode == "binary" else pair.test,
-        subset,
-    )
-    preds = _predict(cfg, model, test_view.features)
-    cm = metrics.confusion(test_view.labels_cat, preds, test_view.class_names)
-    if cfg.mode == "binary":
-        report = metrics.binary_metrics(cm, positive="attack")
-    elif cfg.collapse:
-        cm = metrics.collapse_to_binary(cm, cfg.benign)
+                   subset: subset_search.FeatureSubset, keys: dict | None = None):
+    """Metric report for the configured view, scored from the test-set
+    confusion matrix.
+
+    The counts, collapsed when ``collapse`` asks, are cached as a container
+    beside their CSV; the report is scored from them on every run, so the
+    averaging does not key them."""
+    key = stage_key(cfg, "evaluate", subset, keys)
+    path = os.path.join(cfg.out_dir, f"cm_{key}.csv")
+    cm = _cached(cfg, [path, artifacts.container_for(path)],
+                 lambda: metrics.load_confusion(path))
+    if cm is None:
+        test_view = _slice_features(
+            dataset.binary_view(pair.test, cfg.benign) if cfg.mode == "binary" else pair.test,
+            subset,
+        )
+        preds = _predict(cfg, model, test_view.features)
+        cm = metrics.confusion(test_view.labels_cat, preds, test_view.class_names)
+        if cfg.collapse:
+            cm = metrics.collapse_to_binary(cm, cfg.benign)
+        metrics.save_confusion(cm, path)
+    if cfg.mode == "binary" or cfg.collapse:
         report = metrics.binary_metrics(cm, positive="attack")
     else:
         report = metrics.multiclass_metrics(cm, cfg.averaging)
-    return cm, report
+    return report, {"confusion": path}
 
 
 # ---------------------------------------------------------------------------
@@ -502,36 +523,35 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     """
     cfg = cfg.validated()
     completed: dict = {}
+    keys: dict = {}  # every stage key of this run, each computed once
     started = datetime.now(timezone.utc).isoformat()
     stage = "preprocess"
     try:
-        pair, files = preprocess_stage(cfg)
+        pair, files = preprocess_stage(cfg, keys)
         completed.update(files)
         stage = "correlate"
-        corr, files = correlate_stage(cfg, pair)
+        corr, files = correlate_stage(cfg, pair, keys)
         completed.update(files)
         stage = "importance"
-        importances, imp_seconds, files = importance_stage(cfg, pair)
+        importances, imp_seconds, files = importance_stage(cfg, pair, keys)
         completed.update(files)
         stage = "select"
         subset, selection_seconds, files = select_stage(
-            cfg, corr, pair, importances, imp_seconds
+            cfg, corr, pair, importances, imp_seconds, keys
         )
         completed.update(files)
         stage = "train"
-        model, build_seconds, files = train_stage(cfg, pair, subset)
+        model, build_seconds, files = train_stage(cfg, pair, subset, keys)
         completed.update(files)
         stage = "evaluate"
-        cm, report = evaluate_stage(cfg, model, pair, subset)
+        report, files = evaluate_stage(cfg, model, pair, subset, keys)
+        completed.update(files)
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(stage, str(exc), completed) from exc
 
-    key = stage_key(cfg, "run", subset)
-    cm_path = os.path.join(cfg.out_dir, f"cm_{key}.csv")
-    metrics.save_confusion(cm, cm_path)
-    completed["confusion"] = cm_path
+    key = stage_key(cfg, "run", subset, keys)
 
     record = {
         "methodology": _methodology(cfg),

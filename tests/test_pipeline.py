@@ -1,5 +1,6 @@
 """Fixture generation, stage orchestration, run records, and the CLI."""
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowsel
-from flowsel import artifacts
+from flowsel import artifacts, pipeline
 from flowsel.cli import build_parser, main
 from flowsel.dataset import load_csv, load_dataset
 from flowsel.errors import DataError, PipelineError
@@ -262,6 +263,51 @@ class TestRunPipeline:
             assert exc.completed == {}
 
 
+def _watch_predict(monkeypatch) -> list:
+    """The names of the predict functions called from now on."""
+    calls = []
+    for owner in (flowsel.random_forest, flowsel.neural_net):
+        real = owner.predict
+        monkeypatch.setattr(owner, "predict", lambda *a, _real=real, _owner=owner, **kw: (
+            calls.append(_owner.__name__), _real(*a, **kw))[1])
+    return calls
+
+
+class TestEvaluateCache:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("overrides", [{}, {"mode": "binary"}, {"collapse": True}],
+                             ids=["categorical", "binary", "collapse"])
+    def test_a_hit_predicts_nothing_and_records_what_the_miss_did(
+            self, fixture_csv, tmp_path, monkeypatch, model, overrides):
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path, model=model, **overrides)
+        miss = run_pipeline(cfg)
+        calls = _watch_predict(monkeypatch)
+        hit = run_pipeline(cfg)
+        assert calls == []
+        assert os.path.exists(artifacts.container_for(hit["artifacts"]["confusion"]))
+        untimed = [{k: v for k, v in r.items() if k != "timestamps"} for r in (miss, hit)]
+        assert untimed[1] == untimed[0]
+        forced = run_pipeline(dataclasses.replace(cfg, force=True))
+        assert len(calls) == 1
+        assert forced["metrics"] == miss["metrics"]
+
+    def test_another_averaging_rescores_the_cached_counts(self, fixture_csv, tmp_path,
+                                                          monkeypatch):
+        """The averaging keys the record, not the counts: a run that changes
+        only it scores the cached counts as a fresh run scores its own."""
+        csv_path, _ = fixture_csv
+        macro = run_pipeline(quick_config(csv_path, tmp_path / "runs"))
+        calls = _watch_predict(monkeypatch)
+        micro = run_pipeline(quick_config(csv_path, tmp_path / "runs", averaging="micro"))
+        assert calls == []
+        assert micro["artifacts"]["confusion"] == macro["artifacts"]["confusion"]
+        assert micro["artifacts"]["record"] != macro["artifacts"]["record"]
+        fresh = run_pipeline(quick_config(csv_path, tmp_path / "fresh", averaging="micro"))
+        assert micro["averaging"] == fresh["averaging"] == "micro"
+        assert micro["metrics"] == fresh["metrics"]
+
+
 @st.composite
 def another_value(draw, value):
     """A valid setting different from ``value``, typed like it.
@@ -325,18 +371,35 @@ class TestStageKeys:
             unnamed = {**comparable(want), "artifacts": None, "format": None}
             assert {**comparable(record), "artifacts": None, "format": None} == unnamed
 
+    def test_a_run_keys_each_stage_once(self, fixture_csv, tmp_path, monkeypatch):
+        """One run hashes each stage key once, chained keys included: every
+        setting is read as often as stages read it, and the input is
+        fingerprinted once."""
+        cfg = quick_config(fixture_csv[0], tmp_path, method="ba").validated()
+        want = collections.Counter(name for stage in pipeline._READS
+                                   for name in pipeline._READS[stage](cfg)
+                                   if name not in pipeline._READS)
+        real, reads = pipeline._read, []
+        monkeypatch.setattr(pipeline, "_read", lambda *a: (reads.append(a[1]), real(*a))[1])
+        for _ in range(2):  # a miss, then a full hit
+            reads.clear()
+            run_pipeline(cfg)
+            assert collections.Counter(reads) == want
+        assert want["data_paths"] == 1
+
 
 # The stage that wrote a file, by the file's name.
 STAGE_OF_FILE = (("clean_", "preprocess"), ("preprocess_", "preprocess"),
                  ("corr_", "correlate"), ("importance_", "importance"),
                  ("subset_", "select"), ("trace_", "select"), ("model_", "train"),
-                 ("loss_", "train"), ("run_", "run"), ("cm_", "run"))
-EVERY_STAGE = frozenset({"preprocess", "correlate", "importance", "select", "train", "run"})
+                 ("loss_", "train"), ("cm_", "evaluate"), ("run_", "run"))
+EVERY_STAGE = frozenset({"preprocess", "correlate", "importance", "select", "train",
+                         "evaluate", "run"})
 # The functions that compute a stage's output; a full cache hit calls none.
 COMPUTE = (("dataset", "load_csv"), ("correlation", "spearman_matrix"),
            ("random_forest", "train_forest"), ("subset_search", "bat_run"),
            ("subset_search", "aquila_run"), ("subset_search", "brute_force_best"),
-           ("neural_net", "train"))
+           ("neural_net", "train"), ("random_forest", "predict"), ("neural_net", "predict"))
 
 
 def _stages_of(names):
@@ -435,25 +498,26 @@ KEY_CASES = [
     ("rf", ["--data", "{csv}", "{copy}"], EVERY_STAGE),
     # later stages
     ("rf", ["--binary"], EVERY_STAGE - {"preprocess"}),
-    ("rf", ["--trees", "4"], {"importance", "train", "run"}),
-    ("rf", ["--max-depth", "6"], {"importance", "train", "run"}),
-    ("rf", ["--min-node-size", "3"], {"importance", "train", "run"}),
-    ("rf", ["--method", "brute"], {"select", "train", "run"}),
-    ("rf", ["--model", "mlp"], {"train", "run"}),
+    ("rf", ["--trees", "4"], {"importance", "train", "evaluate", "run"}),
+    ("rf", ["--max-depth", "6"], {"importance", "train", "evaluate", "run"}),
+    ("rf", ["--min-node-size", "3"], {"importance", "train", "evaluate", "run"}),
+    ("rf", ["--method", "brute"], {"select", "train", "evaluate", "run"}),
+    ("rf", ["--model", "mlp"], {"train", "evaluate", "run"}),
+    # the counts are cached before they are averaged
     ("rf", ["--averaging", "micro"], {"run"}),
-    ("rf", ["--collapse"], {"run"}),
-    ("ba", ["--bat-n", "7"], {"select", "train", "run"}),
+    ("rf", ["--collapse"], {"evaluate", "run"}),
+    ("ba", ["--bat-n", "7"], {"select", "train", "evaluate", "run"}),
     # these searches find the subset they found before, and the model reads
     # the subset, not the search settings
     ("ba", ["--bat-epochs", "7"], {"select", "run"}),
     ("ao", ["--aquila-n", "7"], {"select", "run"}),
-    ("rf-ig", ["--k", "3"], {"select", "train", "run"}),
-    ("rf-ig", ["--trees", "4"], {"importance", "select", "train", "run"}),
+    ("rf-ig", ["--k", "3"], {"select", "train", "evaluate", "run"}),
+    ("rf-ig", ["--trees", "4"], {"importance", "select", "train", "evaluate", "run"}),
     # the importance forest is read by the record's ig_sum, not by the MLP
     ("mlp", ["--trees", "4"], {"importance", "run"}),
-    ("mlp", ["--hidden", "16"], {"train", "run"}),
-    ("mlp", ["--epochs", "3"], {"train", "run"}),
-    ("mlp", ["--optimizer", "adam"], {"train", "run"}),
+    ("mlp", ["--hidden", "16"], {"train", "evaluate", "run"}),
+    ("mlp", ["--epochs", "3"], {"train", "evaluate", "run"}),
+    ("mlp", ["--optimizer", "adam"], {"train", "evaluate", "run"}),
 ]
 
 
@@ -570,7 +634,10 @@ class TestCacheRecovery:
         ("subset", "rf", _container("subset")),
         ("forest", "rf", lambda files: files["model"]),
         ("mlp", "mlp", lambda files: files["model"]),
-    ], ids=["dataset", "heatmap", "importance", "subset", "forest", "mlp"])
+        ("confusion", "rf", _container("confusion")),
+        ("confusion", "mlp", _container("confusion")),
+    ], ids=["dataset", "heatmap", "importance", "subset", "forest", "mlp",
+            "confusion-rf", "confusion-mlp"])
     @settings(max_examples=5, deadline=None)
     @given(cut=st.floats(0.0, 1.0, exclude_max=True))
     def test_truncated_entry_is_recomputed(self, fixture_csv, cached_runs, tmp_path_factory,
@@ -980,6 +1047,19 @@ class TestCli:
         assert main(["run", "--data", str(tmp_path / "ghost.csv"), "--out", out]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["correlate", "run"])
+    def test_a_missing_input_exits_2_naming_it(self, fixture_csv, tmp_path, capsys, command):
+        """Inputs are keyed before any stage opens them; a missing one is one
+        line that names it and points at --data, not a bare OSError."""
+        missing = tmp_path / "missing.csv"
+        code = main([command, "--data", fixture_csv[0], str(missing),
+                     "--out", str(tmp_path / "runs")])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert f"cannot open input file {missing}: " in line
+        assert line.endswith("; check --data")
 
     @pytest.mark.parametrize("text,line", [
         (b"a,caf\xe9,Label\n1,2,x\n", 1),
