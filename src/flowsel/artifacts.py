@@ -1,12 +1,17 @@
 """One checked container for every cached stage output, and atomic writes.
 
-A container is the magic, the header length and a crc32 of everything
-after it (``<II``), then a JSON header and the raw bytes of the arrays it
-lists.  The header holds ``kind``, ``version``, one ``[name, dtype,
-shape]`` entry per array and whatever fields the writer adds.  Arrays are
-little-endian float64, int64 or uint8.  ``save`` pads the header with
-spaces, and each array with zero bytes, to a multiple of 8, so every array
-starts 8-byte aligned and loads as an aligned view.
+A container is the magic, the header length and a crc32 of the header
+(``<II``), then a JSON header and the raw bytes of the arrays it lists.
+The header holds ``kind``, ``version``, one ``[name, dtype, shape]`` entry
+per array, ``body_crc``, a crc32 of every byte after the header, and
+whatever fields the writer adds.  Arrays are little-endian float64, int64
+or uint8.  ``save`` pads the header with spaces, and each array with zero
+bytes, to a multiple of 8, so every array starts 8-byte aligned and loads
+as an aligned view.
+
+The two checksums let ``load_header`` check a header, and the file's size
+against the arrays it declares, without reading the arrays; ``load``
+checks both.
 
 Every file under ``--out`` is written through ``write_atomic``, so a
 killed writer leaves the old file or none, never half of one.
@@ -26,11 +31,11 @@ from .errors import DataError
 
 MAGIC = b"FLOWSEL1"
 # Part of every stage key and run record, so a cache of another layout or
-# keying is never looked up.  Version 3 has version 2's layout; its stage
-# keys hash what each stage reads and the bytes of the inputs.
-VERSION = 3
+# keying is never looked up.  Version 4 checks the header and the arrays
+# apart; version 3 had one checksum over both.
+VERSION = 4
 DTYPES = ("<f8", "<i8", "|u1")
-_LENGTHS = struct.Struct("<II")
+_LENGTHS = struct.Struct("<II")  # header length, header crc32
 _START = len(MAGIC) + _LENGTHS.size
 _ALIGN = 8
 
@@ -69,15 +74,11 @@ def save(path: str, kind: str, arrays: dict, **fields) -> None:
             raise TypeError(f"array {name!r} is {a.dtype.str}, not one of {DTYPES}")
     header = {**fields, "kind": kind, "version": VERSION,
               "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]}
-    blob = json.dumps(header).encode("utf-8")
-    # _START is a multiple of 8, so padding the header and every array
-    # to one puts each array at an aligned offset
-    blob += b" " * _padding(len(blob))
     body = []
     for a in arrays.values():
         body.append(np.ascontiguousarray(a))
         body.append(bytes(_padding(a.nbytes)))
-    write_atomic(path, _framed(blob, body))
+    write_atomic(path, _framed(header, body, pad=True))
 
 
 def _padding(size: int) -> int:
@@ -85,69 +86,102 @@ def _padding(size: int) -> int:
 
 
 def frame(header: dict, body: list) -> list:
-    """Magic, lengths and checksum, the header, then the array buffers,
-    as chunks to write without joining them; nothing is padded."""
-    return _framed(json.dumps(header).encode("utf-8"), body)
+    """Magic, header length and checksum, the header with the body's
+    checksum added, then the array buffers, as chunks to write without
+    joining them; nothing is padded."""
+    return _framed(header, body, pad=False)
 
 
-def _framed(blob: bytes, body: list) -> list:
-    crc = zlib.crc32(blob)
+def _framed(header: dict, body: list, pad: bool) -> list:
+    crc = 0
     for chunk in body:
         crc = zlib.crc32(chunk, crc)
-    return [MAGIC + _LENGTHS.pack(len(blob), crc), blob, *body]
+    blob = json.dumps({**header, "body_crc": crc}).encode("utf-8")
+    if pad:
+        # _START is a multiple of 8, so padding the header and every array
+        # to one puts each array at an aligned offset
+        blob += b" " * _padding(len(blob))
+    return [MAGIC + _LENGTHS.pack(len(blob), zlib.crc32(blob)), blob, *body]
 
 
-def _unpack(raw: bytearray, kind: str) -> tuple[dict, dict]:
-    """The header and arrays of a container; ValueError when anything in
-    it does not fit the bytes present."""
-    if raw[:len(MAGIC)] != MAGIC:
+def _read_header(fh, size: int, kind: str) -> tuple[dict, int, list]:
+    """The header of the ``size``-byte container open on ``fh``, the offset
+    of its body, and where each array it lists lies in the file (name,
+    dtype, shape, count, offset).  ValueError unless the header passes its
+    checksum, kind and version and its arrays fill the rest of the file
+    exactly.  Reads nothing after the header."""
+    head = fh.read(_START)
+    if head[:len(MAGIC)] != MAGIC:
         raise ValueError("bad magic")
-    if len(raw) < _START:
+    if len(head) < _START:
         raise ValueError("no header length")
-    hlen, crc = _LENGTHS.unpack_from(raw, len(MAGIC))
-    if len(raw) < _START + hlen:
-        raise ValueError(f"header of {hlen} bytes but {len(raw) - _START} present")
-    if zlib.crc32(memoryview(raw)[_START:]) != crc:
-        raise ValueError("checksum mismatch")
-    header = json.loads(raw[_START:_START + hlen].decode("utf-8"))
+    hlen, crc = _LENGTHS.unpack_from(head, len(MAGIC))
+    if size < _START + hlen:
+        raise ValueError(f"header of {hlen} bytes but {size - _START} present")
+    blob = fh.read(hlen)
+    if zlib.crc32(blob) != crc:
+        raise ValueError("header checksum mismatch")
+    header = json.loads(blob.decode("utf-8"))
     if not isinstance(header, dict) or header.get("kind") != kind:
         raise ValueError(f"not a {kind} file")
     if header.get("version") != VERSION:
         raise ValueError(f"unsupported version {header.get('version')}")
-    off = _START + hlen
-    arrays = {}
+    start = off = _START + hlen
+    layout = []
     for name, dtype, shape in header["arrays"]:
         if dtype not in DTYPES or not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(f"array {name!r} declares {dtype} {shape}")
         count = math.prod(shape)
-        size = count * np.dtype(dtype).itemsize
-        padded = size + _padding(size)
-        if len(raw) < off + padded:
-            raise ValueError(f"array {name!r} needs {padded} bytes, {len(raw) - off} present")
-        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
+        nbytes = count * np.dtype(dtype).itemsize
+        padded = nbytes + _padding(nbytes)
+        if size < off + padded:
+            raise ValueError(f"array {name!r} needs {padded} bytes, {size - off} present")
+        layout.append((name, dtype, shape, count, off))
         off += padded
-    if off != len(raw):
-        raise ValueError(f"{len(raw) - off} bytes after the last array")
-    return header, arrays
+    if off != size:
+        raise ValueError(f"{size - off} bytes after the last array")
+    return header, start, layout
 
 
-def load(path: str, kind: str, decode):
-    """``decode(header, arrays)`` of the container at ``path``.
-
-    Arrays are writable views of one buffer, aligned when ``save`` wrote
-    it.  Any failure, of the container or of ``decode``, is one DataError
-    naming the file."""
+def _reading(path: str, kind: str, read):
+    """``read(fh, size)`` of the container at ``path``; any failure, of the
+    file, the container or its decoding, is one DataError naming it."""
     try:
         with open(path, "rb") as fh:
-            # readinto a sized buffer: copying read() into a bytearray
-            # took ten times as long on a 1.5 MB dataset
-            raw = bytearray(os.fstat(fh.fileno()).st_size)
-            del raw[fh.readinto(raw):]
+            return read(fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise DataError(f"cannot open {kind} file {path}: {exc}") from exc
-    try:
-        return decode(*_unpack(raw, kind))
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise DataError(
             f"{path}: unreadable {kind} file ({exc}); delete it or rerun with --force"
         ) from None
+
+
+def load_header(path: str, kind: str, decode):
+    """``decode(header)`` of the container at ``path``, reading only its
+    header.  Everything ``load`` checks is checked but the arrays' checksum,
+    so a cut file is refused here; failures are as ``load`` gives them."""
+    return _reading(path, kind, lambda fh, size: decode(_read_header(fh, size, kind)[0]))
+
+
+def load(path: str, kind: str, decode):
+    """``decode(header, arrays)`` of the container at ``path``, once both of
+    its checksums match.
+
+    Arrays are writable views of one buffer, aligned when ``save`` wrote
+    it.  Any failure, of the container or of ``decode``, is one DataError
+    naming the file."""
+    def read(fh, size):
+        header, start, layout = _read_header(fh, size, kind)
+        fh.seek(0)
+        # readinto a sized buffer: copying read() into a bytearray took ten
+        # times as long on a 1.5 MB dataset
+        raw = bytearray(size)
+        del raw[fh.readinto(raw):]
+        if zlib.crc32(memoryview(raw)[start:]) != header["body_crc"]:
+            raise ValueError("body checksum mismatch")
+        return decode(header, {
+            name: np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
+            for name, dtype, shape, count, off in layout})
+
+    return _reading(path, kind, read)

@@ -663,16 +663,31 @@ def save_dataset(data: Dataset, path: str) -> None:
     }, feature_names=list(data.feature_names), class_names=list(data.class_names))
 
 
-def _dataset_from_arrays(header: dict, arrays: dict) -> Dataset:
-    features, labels_cat, labels_bin = (arrays[k] for k in ("features", "labels_cat", "labels_bin"))
+def _dataset_header(header: dict) -> dict:
+    """The names, class names and shape a dataset header declares;
+    ValueError unless its arrays fit them."""
+    shapes = {name: shape for name, _, shape in header["arrays"]}
     names = tuple(header["feature_names"])
-    if features.shape != (labels_cat.size, len(names)) or labels_bin.shape != labels_cat.shape:
-        raise ValueError(f"features {features.shape} for {len(names)} names and "
-                         f"{labels_cat.shape} labels")
-    return Dataset(features, names, labels_cat, labels_bin.astype(bool),
-                   tuple(header["class_names"]))
+    features, labels = shapes["features"], shapes["labels_cat"]
+    if len(labels) != 1 or features != [*labels, len(names)] or shapes["labels_bin"] != labels:
+        raise ValueError(f"features {tuple(features)} for {len(names)} names and "
+                         f"{tuple(labels)} labels")
+    return {"feature_names": names, "class_names": tuple(header["class_names"]),
+            "n_rows": labels[0], "n_features": len(names)}
+
+
+def _dataset_from_arrays(header: dict, arrays: dict) -> Dataset:
+    fields = _dataset_header(header)
+    return Dataset(arrays["features"], fields["feature_names"], arrays["labels_cat"],
+                   arrays["labels_bin"].astype(bool), fields["class_names"])
 
 
 def load_dataset(path: str) -> Dataset:
     """Read back a dataset written by save_dataset."""
     return artifacts.load(path, "dataset", _dataset_from_arrays)
+
+
+def load_dataset_header(path: str) -> dict:
+    """The ``feature_names``, ``class_names``, ``n_rows`` and ``n_features``
+    of the dataset at ``path``, from its header alone."""
+    return artifacts.load_header(path, "dataset", _dataset_header)

@@ -333,3 +333,9 @@ def _model_from_arrays(header: dict, arrays: dict) -> MlpModel:
 
 def load_model(path: str) -> MlpModel:
     return artifacts.load(path, "mlp", _model_from_arrays)
+
+
+def load_model_header(path: str) -> dict:
+    """The ``build_seconds`` of the MLP at ``path``, from its header alone."""
+    return artifacts.load_header(path, "mlp", lambda header: {
+        "build_seconds": float(header["build_seconds"])})

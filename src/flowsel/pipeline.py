@@ -206,6 +206,10 @@ def _file_sha256(path: str, *identity: int) -> str:
 # stages
 
 
+def _recomputing(exc: DataError) -> None:
+    print(f"warning: {exc}; recomputing it", file=sys.stderr)
+
+
 def _cached(cfg: ExperimentConfig, paths, load):
     """``load()`` when every file in ``paths`` exists and it reads them,
     else None.  An unreadable entry is named in one stderr line and the
@@ -215,15 +219,44 @@ def _cached(cfg: ExperimentConfig, paths, load):
     try:
         return load()
     except DataError as exc:
-        print(f"warning: {exc}; recomputing it", file=sys.stderr)
+        _recomputing(exc)
         return None
+
+
+class _OnFirstUse:
+    """A cache hit known by its container's header until more is needed.
+
+    The attributes in ``known`` were read from a header that passed its
+    checks.  Any other attribute loads the entry with ``load()``, which
+    checks the arrays' checksum, on first use.  An entry that fails there
+    is named in one stderr line and ``recompute()`` takes its place, as an
+    unreadable entry does on a hit."""
+
+    def __init__(self, load, recompute, known: dict):
+        self._load, self._recompute, self._known = load, recompute, known
+        self._value = None
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if name in self._known:
+            return self._known[name]
+        if self._value is None:
+            try:
+                self._value = self._load()
+            except DataError as exc:
+                _recomputing(exc)
+                self._value = self._recompute()
+                self._known = {}  # a model trained again has its own build time
+        return getattr(self._value, name)
 
 
 def preprocess_stage(cfg: ExperimentConfig,
                      keys: dict | None = None) -> tuple[dataset.SplitPair, dict]:
-    """Load, clean, and split the input; cached as two dataset files.
-    ``keys``, here and in every stage, is the run's memo of stage keys,
-    as ``stage_key`` takes it."""
+    """Load, clean, and split the input; cached as two dataset files.  A
+    hit reads only their headers; each split loads on first use.
+    ``keys``, here and in every stage, is the run's memo of stage keys, as
+    ``stage_key`` takes it."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     key = stage_key(cfg, "preprocess", keys=keys)
     files = {
@@ -232,29 +265,38 @@ def preprocess_stage(cfg: ExperimentConfig,
         "report": os.path.join(cfg.out_dir, f"preprocess_{key}.json"),
     }
     seed = stage_seed(cfg.seed, "split")
-    splits = _cached(cfg, files.values(), lambda: (
-        dataset.load_dataset(files["train"]), dataset.load_dataset(files["test"])))
+
+    def compute() -> dataset.SplitPair:
+        # Day files may disagree only on columns we drop anyway.  Nothing
+        # here keeps the parsed tables, so the merged one is freed as soon
+        # as prepare_splits returns the splits it gathered from it.
+        pair, report = dataset.prepare_splits(
+            dataset.merge_tables([dataset.load_csv(p, cfg.label_column, cfg.drop_columns)
+                                  for p in cfg.data_paths]),
+            benign=cfg.benign,
+            grouping=load_grouping(cfg.grouping),
+            ratio=cfg.ratio,
+            seed=seed,
+            stratified=cfg.stratified,
+            normalize_before_split=cfg.normalize_before_split,
+            drop_columns=cfg.drop_columns,
+        )
+        dataset.save_dataset(pair.train, files["train"])
+        dataset.save_dataset(pair.test, files["test"])
+        artifacts.write_atomic(files["report"],
+                               json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return pair
+
+    def stored(split: str) -> _OnFirstUse:
+        path = files[split]
+        return _OnFirstUse(lambda: dataset.load_dataset(path),
+                           lambda: getattr(compute(), split),
+                           dataset.load_dataset_header(path))
+
+    splits = _cached(cfg, files.values(), lambda: (stored("train"), stored("test")))
     if splits is not None:
         return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
-
-    # Day files may disagree only on columns we drop anyway.  Nothing here
-    # keeps the parsed tables, so the merged one is freed as soon as
-    # prepare_splits returns the splits it gathered from it.
-    pair, report = dataset.prepare_splits(
-        dataset.merge_tables([dataset.load_csv(p, cfg.label_column, cfg.drop_columns)
-                              for p in cfg.data_paths]),
-        benign=cfg.benign,
-        grouping=load_grouping(cfg.grouping),
-        ratio=cfg.ratio,
-        seed=seed,
-        stratified=cfg.stratified,
-        normalize_before_split=cfg.normalize_before_split,
-        drop_columns=cfg.drop_columns,
-    )
-    dataset.save_dataset(pair.train, files["train"])
-    dataset.save_dataset(pair.test, files["test"])
-    artifacts.write_atomic(files["report"], json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return pair, files
+    return compute(), files
 
 
 def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict | None = None):
@@ -401,32 +443,38 @@ def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) 
 
 def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
                 subset: subset_search.FeatureSubset, keys: dict | None = None):
-    """Fit the configured model on the selected features; cached on disk."""
+    """Fit the configured model on the selected features; cached on disk.
+    A hit reads only the model's header; the model loads on first use."""
     key = stage_key(cfg, "train", subset, keys)
     path = os.path.join(cfg.out_dir, f"model_{key}.bin")
     files = {"model": path}
     if cfg.model == "mlp":
         files["loss_trace"] = os.path.join(cfg.out_dir, f"loss_{key}.csv")
-    load = random_forest.load_forest if cfg.model == "rf" else neural_net.load_model
-    model = _cached(cfg, files.values(), lambda: load(path))
-    if model is not None:
-        return model, model.build_seconds, files
 
-    train_view = _slice_features(_train_view(cfg, pair), subset)
-    seed = stage_seed(cfg.seed, "train")
+    def compute():
+        train_view = _slice_features(_train_view(cfg, pair), subset)
+        seed = stage_seed(cfg.seed, "train")
+        if cfg.model == "rf":
+            model = random_forest.train_forest(
+                train_view, dataclasses.replace(cfg.forest, seed=seed)
+            )
+            random_forest.save_forest(model, path)
+        else:
+            head = "binary" if cfg.mode == "binary" else "categorical"
+            model = neural_net.train(
+                train_view, dataclasses.replace(cfg.mlp, seed=seed), head=head
+            )
+            neural_net.save_model(model, path)
+            neural_net.save_loss_trace(model, files["loss_trace"])
+        return model
+
     if cfg.model == "rf":
-        model = random_forest.train_forest(
-            train_view, dataclasses.replace(cfg.forest, seed=seed)
-        )
-        random_forest.save_forest(model, path)
+        load, load_header = random_forest.load_forest, random_forest.load_forest_header
     else:
-        head = "binary" if cfg.mode == "binary" else "categorical"
-        model = neural_net.train(
-            train_view, dataclasses.replace(cfg.mlp, seed=seed), head=head
-        )
-        neural_net.save_model(model, path)
-        neural_net.save_loss_trace(model, files["loss_trace"])
-    return model, model.build_seconds, files
+        load, load_header = neural_net.load_model, neural_net.load_model_header
+    model = _cached(cfg, files.values(),
+                    lambda: _OnFirstUse(lambda: load(path), compute, load_header(path)))
+    return (compute() if model is None else model), files
 
 
 def _predict(cfg: ExperimentConfig, model, features) -> np.ndarray:
@@ -503,18 +551,6 @@ def write_report_csv(rows: list[dict], path: str) -> None:
     artifacts.write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _forest_summary(forest: random_forest.TrainedForest) -> dict:
-    """Tree sizes and the out-of-bag score, read from the forest itself so
-    that a cached forest reports what a fresh one does."""
-    oob = forest.oob_accuracy
-    return {
-        "nodes": [t.n_nodes for t in forest.trees],
-        "depth": [t.depth for t in forest.trees],
-        "oob_accuracy": None if math.isnan(oob) else oob,
-        "oob_skipped": forest.oob_skipped,
-    }
-
-
 def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Execute every stage and write the run record JSON.
 
@@ -541,7 +577,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         )
         completed.update(files)
         stage = "train"
-        model, build_seconds, files = train_stage(cfg, pair, subset, keys)
+        model, files = train_stage(cfg, pair, subset, keys)
         completed.update(files)
         stage = "evaluate"
         report, files = evaluate_stage(cfg, model, pair, subset, keys)
@@ -580,9 +616,11 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         },
         "timing": {
             "selection_seconds": selection_seconds,
-            "build_seconds": build_seconds,
+            # read after evaluate, which trains again when a cached model
+            # fails its checksum there
+            "build_seconds": model.build_seconds,
         },
-        "forest": _forest_summary(model) if cfg.model == "rf" else None,
+        "forest": model.summary if cfg.model == "rf" else None,
         "seeds": {
             "master": cfg.seed,
             "split": stage_seed(cfg.seed, "split"),

@@ -145,13 +145,16 @@ class Tree:
 
     @property
     def depth(self) -> int:
-        """Splits on the longest root-to-leaf path."""
+        """Splits on the longest root-to-leaf path.  A child that is not a
+        later node, which only a malformed tree has, ends its path, so the
+        walk ends on any tree ``save_forest`` is given."""
         level, depth = np.zeros(1, dtype=np.int64), 0
         while True:
             level = level[self.feature[level] >= 0]
             if level.size == 0:
                 return depth
-            level = np.concatenate([self.left[level], self.right[level]])
+            kids = np.concatenate([self.left[level], self.right[level]])
+            level = kids[(kids > np.tile(level, 2)) & (kids < self.n_nodes)]
             depth += 1
 
 
@@ -440,6 +443,18 @@ class TrainedForest:
     class_names: tuple[str, ...] = ()
     config: ForestConfig = field(default_factory=ForestConfig)
 
+    @property
+    def summary(self) -> dict:
+        """Each tree's nodes and depth and the out-of-bag score, as the run
+        record and the container header hold them."""
+        oob = self.oob_accuracy
+        return {
+            "nodes": [t.n_nodes for t in self.trees],
+            "depth": [t.depth for t in self.trees],
+            "oob_accuracy": None if math.isnan(oob) else oob,
+            "oob_skipped": self.oob_skipped,
+        }
+
 
 def tree_predict(tree: Tree, X) -> np.ndarray:
     """Route rows down one tree a depth level at a time; rows at or below
@@ -586,12 +601,12 @@ def predict(forest: TrainedForest, X, return_votes: bool = False):
 
 
 def save_forest(forest: TrainedForest, path: str) -> None:
-    """A forest container: every tree's node arrays concatenated, with
-    ``tree_nodes`` giving each tree's node count."""
+    """A forest container: every tree's node arrays concatenated.  The
+    header holds the forest's ``summary``, whose ``nodes`` cut the arrays
+    into trees, so a cache hit reads the summary without the arrays."""
     arrays = {
         "importances": forest.importances,
         "in_bag": np.packbits(forest.in_bag.astype(np.uint8)),
-        "tree_nodes": np.array([t.n_nodes for t in forest.trees], dtype=np.int64),
     }
     for name in TREE_ARRAYS:
         arrays[name] = np.concatenate([getattr(t, name) for t in forest.trees])
@@ -601,20 +616,29 @@ def save_forest(forest: TrainedForest, path: str) -> None:
         n_classes=forest.n_classes,
         class_names=list(forest.class_names),
         build_seconds=forest.build_seconds,
-        oob_accuracy=None if math.isnan(forest.oob_accuracy) else forest.oob_accuracy,
-        oob_skipped=forest.oob_skipped,
         n_rows=int(forest.in_bag.shape[1]),
         config={f.name: getattr(forest.config, f.name) for f in fields(ForestConfig)},
+        **forest.summary,
     )
+
+
+def _forest_header(header: dict) -> dict:
+    """The ``build_seconds`` and ``summary`` a forest header declares."""
+    summary = {name: header[name] for name in ("nodes", "depth", "oob_accuracy", "oob_skipped")}
+    nodes, depth = summary["nodes"], summary["depth"]
+    n_trees = ForestConfig(**header["config"]).n_trees
+    if len(nodes) != n_trees or len(depth) != n_trees:
+        raise ValueError(f"{len(nodes)} node counts and {len(depth)} depths for {n_trees} trees")
+    if not all(type(n) is int and n >= 1 for n in nodes):
+        raise ValueError(f"node counts {nodes} are not all positive integers")
+    return {"build_seconds": float(header["build_seconds"]), "summary": summary}
 
 
 def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
     cfg = ForestConfig(**header["config"])
     n_rows, n_classes, n_features = header["n_rows"], header["n_classes"], header["n_features"]
-    sizes = arrays["tree_nodes"]
+    sizes = np.array(_forest_header(header)["summary"]["nodes"], dtype=np.int64)
     total = int(sizes.sum())
-    if sizes.shape != (cfg.n_trees,) or (sizes < 1).any():
-        raise ValueError(f"tree_nodes {sizes.shape} for {cfg.n_trees} trees")
     for name in TREE_ARRAYS:
         want = (total, n_classes) if name == "counts" else (total,)
         if arrays[name].shape != want:
@@ -653,3 +677,9 @@ def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
 
 def load_forest(path: str) -> TrainedForest:
     return artifacts.load(path, "forest", _forest_from_arrays)
+
+
+def load_forest_header(path: str) -> dict:
+    """The ``build_seconds`` and ``summary`` of the forest at ``path``, from
+    its header alone."""
+    return artifacts.load_header(path, "forest", _forest_header)

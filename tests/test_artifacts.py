@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ from flowsel.synth import make_dataset
 
 def read_back(path, kind="probe"):
     return artifacts.load(path, kind, lambda header, arrays: (header, arrays))
+
+
+def header_end(raw):
+    """Where the header of the container ``raw`` ends and its arrays start."""
+    return len(artifacts.MAGIC) + 8 + int.from_bytes(raw[len(artifacts.MAGIC):][:4], "little")
 
 
 class TestWriteAtomic:
@@ -235,3 +241,69 @@ class TestEveryKind:
         header = json.loads(raw[start:start + hlen])
         assert (header["kind"], header["version"]) == (kind, artifacts.VERSION)
         assert all(dtype in artifacts.DTYPES for _, dtype, _ in header["arrays"])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_checksums(self, entries, kind):
+        """One crc32 over the header, after its length; one over the arrays,
+        in the header."""
+        container, _ = entries[kind]
+        raw = open(container, "rb").read()
+        end = header_end(raw)
+        start = len(artifacts.MAGIC) + 8
+        assert int.from_bytes(raw[start - 4:start], "little") == zlib.crc32(raw[start:end])
+        assert json.loads(raw[start:end])["body_crc"] == zlib.crc32(raw[end:])
+
+
+def header_of(path, kind):
+    return artifacts.load_header(str(path), kind, lambda header: header)
+
+
+class TestHeaderRead:
+    """``load_header`` checks all a cache hit trusts without the arrays."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_truncation_is_refused(self, entries, kind, tmp_path):
+        container, _ = entries[kind]
+        raw = open(container, "rb").read()
+        path = tmp_path / "cut.bin"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError, match=re.escape(f"{path}: unreadable {kind} file (")):
+                header_of(path, kind)
+        path.write_bytes(raw)
+        assert header_of(path, kind) == header_of(container, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_flipped_header_byte_is_refused(self, entries, kind, tmp_path):
+        container, _ = entries[kind]
+        raw = open(container, "rb").read()
+        path = tmp_path / "flipped.bin"
+        for at in range(header_end(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(raw)
+                flipped[at] ^= mask
+                path.write_bytes(flipped)
+                with pytest.raises(DataError, match=re.escape(
+                        f"{path}: unreadable {kind} file (")):
+                    header_of(path, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_flipped_array_byte_passes_the_header_and_fails_the_load(
+            self, entries, kind, tmp_path_factory, data):
+        container, _ = entries[kind]
+        raw = open(container, "rb").read()
+        flipped = bytearray(raw)
+        flipped[data.draw(st.integers(header_end(raw), len(raw) - 1))] ^= data.draw(
+            st.integers(1, 255))
+        path = tmp_path_factory.mktemp("flip") / "flipped.bin"
+        path.write_bytes(flipped)
+        assert header_of(path, kind) == header_of(container, kind)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: unreadable {kind} file (body checksum mismatch)")):
+            read_back(str(path), kind)
+
+    def test_a_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot open probe file"):
+            header_of(tmp_path / "absent.bin", "probe")

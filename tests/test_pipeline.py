@@ -690,6 +690,100 @@ class TestCacheRecovery:
         assert comparable(record) == comparable(cached_runs["rf"][1])
 
 
+def _count_body_loads(monkeypatch) -> collections.Counter:
+    """Calls from now on to the loaders of split and model bodies."""
+    calls = collections.Counter()
+    for owner, name in ((flowsel.dataset, "load_dataset"), (flowsel.random_forest, "load_forest"),
+                        (flowsel.neural_net, "load_model")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **kw: (
+            calls.update([_name]), _real(*a, **kw))[1])
+    return calls
+
+
+def _quietly(cfg):
+    """The record of a run of ``cfg`` and the lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        record = run_pipeline(cfg)
+    return record, err.getvalue().splitlines()
+
+
+def _flip(path, data, body: bool):
+    """Flip one byte of the container at ``path``, drawn in its arrays when
+    ``body`` is true, else in its magic, lengths or header."""
+    raw = bytearray(path.read_bytes())
+    end = len(artifacts.MAGIC) + 8 + int.from_bytes(raw[len(artifacts.MAGIC):][:4], "little")
+    at = data.draw(st.integers(end, len(raw) - 1) if body else st.integers(0, end - 1))
+    raw[at] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(raw)
+
+
+# (kind, model, the entry, a change whose run reads that entry's arrays)
+BODIES = [
+    ("dataset", "rf", lambda files: files["train"],
+     {"forest": ForestConfig(n_trees=4, max_depth=8, seed=0)}),
+    ("dataset", "rf", lambda files: files["test"],
+     {"forest": ForestConfig(n_trees=4, max_depth=8, seed=0)}),
+    ("forest", "rf", lambda files: files["model"], {"collapse": True}),
+    ("mlp", "mlp", lambda files: files["model"], {"collapse": True}),
+]
+BODY_IDS = ["train-split", "test-split", "forest", "mlp"]
+
+
+class TestBodiesOnFirstUse:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_full_hit_reads_no_split_or_model_body(self, fixture_csv, tmp_path, monkeypatch,
+                                                     model):
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path, method="ba", model=model)
+        cold = run_pipeline(cfg)
+        calls = _count_body_loads(monkeypatch)
+        hit, err = _quietly(cfg)
+        assert calls == {} and err == []
+        assert comparable(hit) == comparable(cold)
+        assert hit["timing"] == cold["timing"]
+
+    @pytest.mark.parametrize("kind,model,entry,change", BODIES, ids=BODY_IDS)
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_a_flipped_array_byte_is_caught_by_the_run_that_reads_it(
+            self, fixture_csv, cached_runs, tmp_path_factory, kind, model, entry, change, data):
+        """A full hit reads no arrays, so it is silent.  The first run that
+        reads them names the file in one stderr line and records what a
+        fresh directory does; the run after it hits silently."""
+        csv_path, _ = fixture_csv
+        source, want = cached_runs[model]
+        out = tmp_path_factory.mktemp("flip")
+        shutil.copytree(source, out, dirs_exist_ok=True)
+        path = out / os.path.basename(entry(want["artifacts"]))
+        _flip(path, data, body=True)
+        cfg = quick_config(csv_path, out, method="ba", model=model)
+        hit, err = _quietly(cfg)
+        assert err == [] and comparable(hit) == comparable(want)
+        changed = dataclasses.replace(cfg, **change)
+        (record, (line,)), (again, quiet) = _quietly(changed), _quietly(changed)
+        assert line.startswith(f"warning: {path}: unreadable {kind} file (body checksum mismatch)")
+        assert quiet == []
+        fresh = run_pipeline(dataclasses.replace(changed, out_dir=str(out / "fresh")))
+        assert comparable(record) == comparable(again) == comparable(fresh)
+
+    @pytest.mark.parametrize("kind,model,entry", [b[:3] for b in BODIES], ids=BODY_IDS)
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_a_flipped_header_byte_is_caught_at_the_hit(
+            self, fixture_csv, cached_runs, tmp_path_factory, kind, model, entry, data):
+        csv_path, _ = fixture_csv
+        source, want = cached_runs[model]
+        out = tmp_path_factory.mktemp("flip")
+        shutil.copytree(source, out, dirs_exist_ok=True)
+        path = out / os.path.basename(entry(want["artifacts"]))
+        _flip(path, data, body=False)
+        record, (line,) = _quietly(quick_config(csv_path, out, method="ba", model=model))
+        assert line.startswith(f"warning: {path}: unreadable {kind} file (")
+        assert comparable(record) == comparable(want)
+
+
 def fake_record(method, indices, universe=6):
     return {
         "methodology": f"cat.{method}.rf",
@@ -1087,6 +1181,30 @@ class TestCli:
                      "--trees", "5", "--min-node-size", "100000"])
         assert code == 3
         assert "importance" in capsys.readouterr().err
+
+    def test_subcommands_read_split_bodies_only_to_compute(self, fixture_csv, tmp_path,
+                                                           monkeypatch, capsys):
+        """``preprocess`` on a hit prints its rows, features and classes from
+        the split headers; ``correlate`` and ``select`` on a hit read no
+        split; a binary ``correlate`` and ``sweep-depth`` read the training
+        split once each, to compute."""
+        csv_path, _ = fixture_csv
+        base = ["--data", csv_path, "--out", str(tmp_path / "runs")]
+        select = ["select", *base, "--method", "ba", "--trees", "3"]
+        assert main(["preprocess", *base]) == 0
+        cold = capsys.readouterr().out
+        assert main(select) == 0
+        capsys.readouterr()
+        calls = _count_body_loads(monkeypatch)
+        assert main(["preprocess", *base]) == 0
+        assert capsys.readouterr().out == cold
+        assert main(["correlate", *base]) == 0
+        assert main(select) == 0
+        assert calls == {}
+        assert main(["correlate", *base, "--binary"]) == 0
+        assert calls == {"load_dataset": 1}
+        assert main(["sweep-depth", *base, "--depths", "2", "--trees", "3"]) == 0
+        assert calls == {"load_dataset": 2}
 
     def test_select_command_prints_the_subset(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

@@ -789,6 +789,36 @@ class TestForestFiles:
         save_forest(forest, path)
         assert math.isnan(load_forest(path).oob_accuracy)
 
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_the_header_holds_the_summary(self, tmp_path, bootstrap):
+        """Tree sizes and depths and the out-of-bag score read from the
+        header alone, as the grown forest and the loaded one give them."""
+        data = toy_dataset(rows=120, n_features=4, seed=17)
+        forest = train_forest(data, ForestConfig(n_trees=5, max_depth=6, seed=1,
+                                                 bootstrap=bootstrap))
+        path = str(tmp_path / "model.rf")
+        save_forest(forest, path)
+        header = random_forest.load_forest_header(path)
+        assert header == {"build_seconds": forest.build_seconds, "summary": forest.summary}
+        assert load_forest(path).summary == forest.summary
+        assert forest.summary["nodes"] == [t.n_nodes for t in forest.trees]
+        assert all(1 <= d <= 6 for d in forest.summary["depth"])
+        assert (forest.summary["oob_accuracy"] is None) == (not bootstrap)
+
+    @pytest.mark.parametrize("side,value,depth", [(None, None, 2), ("left", 0, 1),
+                                                  ("right", 10**6, 2)])
+    def test_depth_ends_on_a_malformed_tree(self, side, value, depth):
+        """A child that points back up or past the last node ends its path,
+        so such a forest can still be saved for the loader to refuse."""
+        tree = flat_tree(feature=[0, 1, -1, -1, -1], threshold=[0.5, 0.5, 0.0, 0.0, 0.0],
+                         left=[1, 2, -1, -1, -1], right=[4, 3, -1, -1, -1],
+                         counts=[[2, 2], [1, 2], [0, 1], [1, 1], [1, 0]],
+                         sample_fraction=[1.0, 0.75, 0.25, 0.5, 0.25],
+                         entropy_gain=[0.1, 0.1, 0.0, 0.0, 0.0])
+        if side is not None:
+            getattr(tree, side)[0] = value
+        assert tree.depth == depth
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.rf")
         with open(path, "wb") as fh:
@@ -847,11 +877,12 @@ class TestForestFiles:
     @pytest.mark.parametrize("edit,reason", [
         (lambda h: h.update(arrays=[[n, "<f4", s] for n, _, s in h["arrays"]]),
          "array 'importances' declares <f4 [4]"),
-        (lambda h: h["arrays"][3].__setitem__(2, [10**6]), "array 'feature' needs 8000000 bytes"),
+        (lambda h: h["arrays"][2].__setitem__(2, [10**6]), "array 'feature' needs 8000000 bytes"),
         (lambda h: h.pop("n_rows"), "'n_rows'"),
-        (lambda h: h["config"].update(n_trees=99), "tree_nodes (3,) for 99 trees"),
+        (lambda h: h["config"].update(n_trees=99), "3 node counts and 3 depths for 99 trees"),
         (lambda h: h.update(n_features=1), "(4,) importances for 1 features"),
-    ], ids=["dtype", "shape", "missing key", "tree count", "feature count"])
+        (lambda h: h["nodes"].__setitem__(0, 0), "node counts [0, "),
+    ], ids=["dtype", "shape", "missing key", "tree count", "feature count", "empty tree"])
     def test_malformed_header_raises_data_error(self, saved_forest, tmp_path, edit, reason):
         """The edited header is framed with a fresh checksum, so each case
         reaches its own check rather than failing the checksum."""
