@@ -401,7 +401,7 @@ def _cmd_sweep_depth(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg = build_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    pipeline.make_out_dir(cfg.out_dir)
     csv_path, sidecar = synth.write_fixture(
         cfg.out_dir, args.stem, args.informative, args.noise,
         args.rows, cfg.seed, args.classes,

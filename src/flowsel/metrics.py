@@ -310,3 +310,10 @@ def load_confusion(path: str) -> ConfusionMatrix:
     """The matrix save_confusion wrote for ``path``, from its container."""
     return artifacts.load(artifacts.container_for(path), "confusion", lambda header, arrays:
                           ConfusionMatrix(arrays["counts"], tuple(header["class_names"])))
+
+
+def load_confusion_header(path: str) -> tuple[str, ...]:
+    """The class names of the matrix save_confusion wrote for ``path``,
+    from its container's header alone."""
+    return artifacts.load_header(artifacts.container_for(path), "confusion",
+                                 lambda header: tuple(header["class_names"]))

@@ -210,6 +210,26 @@ def _recomputing(exc: DataError) -> None:
     print(f"warning: {exc}; recomputing it", file=sys.stderr)
 
 
+def _bad_out(path: str, exc: OSError, advice: str) -> DataError:
+    """The DataError for an ``--out`` that cannot serve as the directory."""
+    if isinstance(exc, (FileExistsError, NotADirectoryError)):
+        why = "not a directory"
+    elif isinstance(exc, FileNotFoundError):
+        why = "no such directory"
+    else:
+        why = exc.strerror
+    return DataError(f"--out {path}: {why}; {advice}")
+
+
+def make_out_dir(path: str) -> None:
+    """Create the artifact directory ``path`` unless it exists; a path that
+    cannot be one is a DataError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _bad_out(path, exc, "pass a directory") from None
+
+
 def _cached(cfg: ExperimentConfig, paths, load):
     """``load()`` when every file in ``paths`` exists and it reads them,
     else None.  An unreadable entry is named in one stderr line and the
@@ -257,7 +277,7 @@ def preprocess_stage(cfg: ExperimentConfig,
     hit reads only their headers; each split loads on first use.
     ``keys``, here and in every stage, is the run's memo of stage keys, as
     ``stage_key`` takes it."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    make_out_dir(cfg.out_dir)
     key = stage_key(cfg, "preprocess", keys=keys)
     files = {
         "train": os.path.join(cfg.out_dir, f"clean_{key}.train.ds"),
@@ -483,16 +503,23 @@ def _predict(cfg: ExperimentConfig, model, features) -> np.ndarray:
     return neural_net.predict(model, features)
 
 
+def _scored_binary(cfg: ExperimentConfig) -> bool:
+    return cfg.mode == "binary" or cfg.collapse
+
+
+def _confusion_path(cfg: ExperimentConfig, subset, keys: dict | None) -> str:
+    return os.path.join(cfg.out_dir, f"cm_{stage_key(cfg, 'evaluate', subset, keys)}.csv")
+
+
 def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
                    subset: subset_search.FeatureSubset, keys: dict | None = None):
     """Metric report for the configured view, scored from the test-set
     confusion matrix.
 
     The counts, collapsed when ``collapse`` asks, are cached as a container
-    beside their CSV; the report is scored from them on every run, so the
-    averaging does not key them."""
-    key = stage_key(cfg, "evaluate", subset, keys)
-    path = os.path.join(cfg.out_dir, f"cm_{key}.csv")
+    beside their CSV; the report is scored from them whenever the run
+    record is written, so the averaging does not key them."""
+    path = _confusion_path(cfg, subset, keys)
     cm = _cached(cfg, [path, artifacts.container_for(path)],
                  lambda: metrics.load_confusion(path))
     if cm is None:
@@ -505,7 +532,7 @@ def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
         if cfg.collapse:
             cm = metrics.collapse_to_binary(cm, cfg.benign)
         metrics.save_confusion(cm, path)
-    if cfg.mode == "binary" or cfg.collapse:
+    if _scored_binary(cfg):
         report = metrics.binary_metrics(cm, positive="attack")
     else:
         report = metrics.multiclass_metrics(cm, cfg.averaging)
@@ -517,7 +544,7 @@ def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
 
 
 def _methodology(cfg: ExperimentConfig) -> str:
-    mode = "bi" if cfg.mode == "binary" or cfg.collapse else "cat"
+    mode = "bi" if _scored_binary(cfg) else "cat"
     return f"{mode}.{cfg.method}.{cfg.model}"
 
 
@@ -548,16 +575,110 @@ def run_record_row(record: dict) -> dict:
 def write_report_csv(rows: list[dict], path: str) -> None:
     lines = [",".join(REPORT_COLUMNS)]
     lines += [",".join(_report_value(row[c]) for c in REPORT_COLUMNS) for row in rows]
-    artifacts.write_atomic(path, "\n".join(lines) + "\n")
+    _write_if_changed(path, "\n".join(lines) + "\n")
+
+
+def _write_if_changed(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file holds it already, so a
+    report of unchanged records leaves its files as they were."""
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(data) + 1) == data:
+                return
+    except OSError:  # missing, or not a file: writing it says what is wrong
+        pass
+    artifacts.write_atomic(path, data)
+
+
+# The scores in a run record, each read from the evaluate stage's report.
+_METRICS = ("accuracy", "precision", "recall", "far", "f1", "undefined", "skipped")
+
+
+def _unscored_record(cfg: ExperimentConfig, pair: dataset.SplitPair,
+                     subset: subset_search.FeatureSubset, selection_seconds: float,
+                     model, files: dict) -> dict:
+    """A run's record without its ``metrics`` and ``timestamps``: what a
+    stored record must match to be served."""
+    return {
+        "methodology": _methodology(cfg),
+        "mode": cfg.mode,
+        "method": cfg.method,
+        "model": cfg.model,
+        # as the evaluate stage's report names it
+        "averaging": "binary" if _scored_binary(cfg) else cfg.averaging,
+        "feature_names": list(pair.train.feature_names),
+        "subset": {
+            "k": subset.k,
+            "indices": list(subset.indices),
+            "names": [pair.train.feature_names[i] for i in subset.indices],
+            "cfs_merit": subset.cfs.merit if subset.cfs else None,
+            "r_cf": subset.cfs.r_cf if subset.cfs else None,
+            "r_ff": subset.cfs.r_ff if subset.cfs else None,
+            "ig_sum": subset.ig,
+        },
+        "timing": {
+            "selection_seconds": selection_seconds,
+            "build_seconds": model.build_seconds,
+        },
+        "forest": model.summary if cfg.model == "rf" else None,
+        "seeds": {
+            "master": cfg.seed,
+            "split": stage_seed(cfg.seed, "split"),
+            "select": stage_seed(cfg.seed, "select"),
+            "train": stage_seed(cfg.seed, "train"),
+            "importance": stage_seed(cfg.seed, "importance"),
+        },
+        "artifacts": files,
+        # the cache layout it was computed under; report skips other layouts
+        "format": artifacts.VERSION,
+    }
+
+
+def _stored_record(path: str, unscored: dict) -> dict | None:
+    """The run record at ``path`` when it is ``unscored`` with metrics and
+    timestamps added, and the confusion counts it names pass their header
+    check; else None.  An unreadable record is named in one stderr line.
+
+    The run key covers all that the metrics are scored from, and a stage
+    that recomputes records its own seconds, so a record that matches was
+    scored from the counts this run would score."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+        if sorted(stored["metrics"]) != sorted(_METRICS) or "timestamps" not in stored:
+            raise ValueError("not a run record")
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _recomputing(DataError(f"{path}: unreadable run record ({exc})"))
+        return None
+    rest = {name: value for name, value in stored.items()
+            if name not in ("metrics", "timestamps")}
+    # compared as JSON text, in which a tuple reads as the list it is
+    # stored as and NaN equals itself
+    if json.dumps(rest, sort_keys=True) != json.dumps(unscored, sort_keys=True):
+        return None
+    confusion = unscored["artifacts"]["confusion"]
+    if not os.path.exists(confusion):
+        return None
+    try:
+        metrics.load_confusion_header(confusion)
+    except DataError:  # the evaluate stage names it as it recomputes it
+        return None
+    return stored
 
 
 def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Execute every stage and write the run record JSON.
 
-    Any stage failure is re-raised as PipelineError naming the stage and
-    the artifacts completed before it.
+    A stored record that matches what this run would write, but for its
+    metrics and timestamps, is returned as it is: nothing is scored and
+    nothing is written.  Any stage failure is re-raised as PipelineError
+    naming the stage and the artifacts completed before it.
     """
     cfg = cfg.validated()
+    make_out_dir(cfg.out_dir)
     completed: dict = {}
     keys: dict = {}  # every stage key of this run, each computed once
     started = datetime.now(timezone.utc).isoformat()
@@ -580,61 +701,28 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         model, files = train_stage(cfg, pair, subset, keys)
         completed.update(files)
         stage = "evaluate"
-        report, files = evaluate_stage(cfg, model, pair, subset, keys)
+        record_path = os.path.join(cfg.out_dir, f"run_{stage_key(cfg, 'run', subset, keys)}.json")
+        files = {"confusion": _confusion_path(cfg, subset, keys)}
+        stored = None if cfg.force else _stored_record(record_path, _unscored_record(
+            cfg, pair, subset, selection_seconds, model, {**completed, **files}))
+        if stored is None:
+            report, files = evaluate_stage(cfg, model, pair, subset, keys)
         completed.update(files)
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(stage, str(exc), completed) from exc
 
-    key = stage_key(cfg, "run", subset, keys)
-
-    record = {
-        "methodology": _methodology(cfg),
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "model": cfg.model,
-        "averaging": report.averaging,
-        "feature_names": list(pair.train.feature_names),
-        "subset": {
-            "k": subset.k,
-            "indices": list(subset.indices),
-            "names": [pair.train.feature_names[i] for i in subset.indices],
-            "cfs_merit": subset.cfs.merit if subset.cfs else None,
-            "r_cf": subset.cfs.r_cf if subset.cfs else None,
-            "r_ff": subset.cfs.r_ff if subset.cfs else None,
-            "ig_sum": subset.ig,
-        },
-        "metrics": {
-            "accuracy": report.accuracy,
-            "precision": report.precision,
-            "recall": report.recall,
-            "far": report.far,
-            "f1": report.f1,
-            "undefined": list(report.undefined),
-            "skipped": report.skipped,
-        },
-        "timing": {
-            "selection_seconds": selection_seconds,
-            # read after evaluate, which trains again when a cached model
-            # fails its checksum there
-            "build_seconds": model.build_seconds,
-        },
-        "forest": model.summary if cfg.model == "rf" else None,
-        "seeds": {
-            "master": cfg.seed,
-            "split": stage_seed(cfg.seed, "split"),
-            "select": stage_seed(cfg.seed, "select"),
-            "train": stage_seed(cfg.seed, "train"),
-            "importance": stage_seed(cfg.seed, "importance"),
-        },
-        "timestamps": {"started": started,
-                       "finished": datetime.now(timezone.utc).isoformat()},
-        "artifacts": completed,
-        # the cache layout it was computed under; report skips other layouts
-        "format": artifacts.VERSION,
-    }
-    record_path = os.path.join(cfg.out_dir, f"run_{key}.json")
+    if stored is not None:
+        stored["artifacts"]["record"] = record_path
+        return stored
+    # built after evaluate, which trains again when a cached model fails
+    # its checksum there, so the build seconds are those of the model scored
+    record = _unscored_record(cfg, pair, subset, selection_seconds, model, completed)
+    record["metrics"] = {name: getattr(report, name) for name in _METRICS}
+    record["metrics"]["undefined"] = list(report.undefined)  # as it reads back
+    record["timestamps"] = {"started": started,
+                            "finished": datetime.now(timezone.utc).isoformat()}
     artifacts.write_atomic(record_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
     record["artifacts"]["record"] = record_path
     return record
@@ -645,9 +733,13 @@ def load_records(out_dir: str) -> list[dict]:
     ordered by methodology, K and subset, then by file name.  Records of
     another format, left by a run before a re-key, are skipped and counted
     in one stderr line; an unreadable record is a DataError."""
+    try:
+        names = os.listdir(out_dir)
+    except OSError as exc:
+        raise _bad_out(out_dir, exc, "pass the --out of earlier runs") from None
     keyed = []
     skipped = 0
-    for name in os.listdir(out_dir):
+    for name in names:
         if name.startswith("run_") and name.endswith(".json"):
             path = os.path.join(out_dir, name)
             try:
@@ -705,7 +797,7 @@ def compare(records: list[dict]):
 
 def write_overlap_csv(overlap_rows: list[dict], path: str) -> None:
     rows = "".join(f"{row['methods']},{row['count']}\n" for row in overlap_rows)
-    artifacts.write_atomic(path, "methods,count\n" + rows)
+    _write_if_changed(path, "methods,count\n" + rows)
 
 
 def depth_sweep(train: dataset.Dataset, depths, forest_cfg: random_forest.ForestConfig):

@@ -308,6 +308,140 @@ class TestEvaluateCache:
         assert micro["metrics"] == fresh["metrics"]
 
 
+def _files(out) -> dict:
+    """Every file in ``out`` by name: its size, mtime and inode, the last of
+    which a file renamed into place changes."""
+    return {name: (st.st_size, st.st_mtime_ns, st.st_ino)
+            for name in os.listdir(out) for st in [os.stat(os.path.join(out, name))]}
+
+
+def _watch_scoring(monkeypatch) -> list:
+    """The names of the confusion loaders and scorers called from now on."""
+    calls = []
+    for name in ("load_confusion", "confusion", "collapse_to_binary", "binary_metrics",
+                 "multiclass_metrics"):
+        real = getattr(flowsel.metrics, name)
+        monkeypatch.setattr(flowsel.metrics, name, lambda *a, _real=real, _name=name, **kw: (
+            calls.append(_name), _real(*a, **kw))[1])
+    return calls
+
+
+class TestRecordHit:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("overrides", [{}, {"mode": "binary"}, {"collapse": True}],
+                             ids=["categorical", "binary", "collapse"])
+    def test_a_full_hit_writes_nothing_and_scores_nothing(self, fixture_csv, tmp_path,
+                                                          monkeypatch, model, overrides):
+        """The stored record is returned as it is, timestamps included."""
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path, model=model, **overrides)
+        cold = run_pipeline(cfg)
+        before = _files(tmp_path)
+        calls = _watch_scoring(monkeypatch)
+        hit, err = _quietly(cfg)
+        assert calls == [] and err == []
+        assert _files(tmp_path) == before
+        assert hit == cold
+
+    def test_a_retrained_forest_rewrites_the_record(self, fixture_csv, tmp_path):
+        """A cut forest is grown again, and the record carries its build
+        time; the run after that is served the new record."""
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path)
+        cold = run_pipeline(cfg)
+        model = cold["artifacts"]["model"]
+        with open(model, "r+b") as fh:
+            fh.truncate(os.path.getsize(model) // 2)
+        record, (line,) = _quietly(cfg)
+        assert line.startswith(f"warning: {model}: unreadable forest file (")
+        build = flowsel.random_forest.load_forest_header(model)["build_seconds"]
+        assert record["timing"]["build_seconds"] == build != cold["timing"]["build_seconds"]
+        assert json.load(open(record["artifacts"]["record"]))["timing"] == record["timing"]
+        assert comparable(record) == comparable(cold)
+        before = _files(tmp_path)
+        assert _quietly(cfg) == (record, [])
+        assert _files(tmp_path) == before
+
+    def test_a_forest_grown_again_by_evaluate_is_recorded(self, fixture_csv, tmp_path):
+        """The evaluate stage grows a forest whose arrays fail their
+        checksum again; the record carries that forest's build time."""
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path)
+        cold = run_pipeline(cfg)
+        model = cold["artifacts"]["model"]
+        with open(model, "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last[0] ^ 0xFF]))
+        record, (line,) = _quietly(dataclasses.replace(cfg, collapse=True))
+        assert line.startswith(f"warning: {model}: unreadable forest file (body checksum")
+        build = flowsel.random_forest.load_forest_header(model)["build_seconds"]
+        assert record["timing"]["build_seconds"] == build != cold["timing"]["build_seconds"]
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("damage", ["cut container", "deleted csv"])
+    def test_a_record_is_served_only_beside_its_counts(self, fixture_csv, tmp_path, model,
+                                                       damage):
+        """A matching record whose confusion counts would miss is not
+        served: the evaluate stage recomputes them in place, and the run
+        after that is served the record written beside them."""
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path, model=model)
+        cold = run_pipeline(cfg)
+        csv = cold["artifacts"]["confusion"]
+        container = artifacts.container_for(csv)
+        if damage == "cut container":
+            with open(container, "r+b") as fh:
+                fh.truncate(os.path.getsize(container) - 1)
+        else:
+            os.remove(csv)
+        record, err = _quietly(cfg)
+        if damage == "cut container":
+            (line,) = err
+            assert line.startswith(f"warning: {container}: unreadable confusion file (")
+        else:
+            assert err == []
+        assert os.path.exists(csv)
+        assert flowsel.metrics.load_confusion(csv).total > 0
+        assert record["timestamps"] != cold["timestamps"]
+        assert {k: v for k, v in record.items() if k != "timestamps"} == \
+            {k: v for k, v in cold.items() if k != "timestamps"}
+        assert _quietly(cfg) == (record, [])
+
+    def test_a_copied_out_rewrites_the_record_once(self, fixture_csv, cached_runs, tmp_path):
+        """A record names its artifacts by path, so a copy of ``--out`` is
+        recorded under its own paths, then served."""
+        csv_path, _ = fixture_csv
+        source, want = cached_runs["rf"]
+        out = tmp_path / "copy"
+        shutil.copytree(source, out)
+        cfg = quick_config(csv_path, out, method="ba")
+        before = _files(out)
+        record, err = _quietly(cfg)
+        assert err == [] and comparable(record) == comparable(want)
+        assert all(path.startswith(str(out)) for path in record["artifacts"].values())
+        name = os.path.basename(record["artifacts"]["record"])
+        after = _files(out)
+        assert after[name] != before[name]
+        assert {n: f for n, f in after.items() if n != name} == \
+            {n: f for n, f in before.items() if n != name}
+        assert _quietly(cfg) == (record, []) and _files(out) == after
+
+    def test_force_rewrites_the_record(self, fixture_csv, tmp_path):
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path)
+        cold = run_pipeline(cfg)
+        path = cold["artifacts"]["record"]
+        before = os.stat(path).st_ino
+        forced = run_pipeline(dataclasses.replace(cfg, force=True))
+        assert os.stat(path).st_ino != before
+        assert forced["timestamps"] != cold["timestamps"]
+        assert forced["timing"] != cold["timing"]
+        assert json.load(open(path))["timestamps"] == forced["timestamps"]
+        assert comparable(forced) == comparable(cold)
+
+
 @st.composite
 def another_value(draw, value):
     """A valid setting different from ``value``, typed like it.
@@ -410,8 +544,9 @@ def _stages_of(names):
 def _run_and_watch(argv, out, monkeypatch):
     """Run ``argv`` in-process; returns the stages that missed the cache
     (those that wrote a file under a name new to ``out``) and the compute
-    calls made.  Every run rewrites its record, so a stage that writes a
-    name ``out`` already held is a rewrite, not a miss."""
+    calls made.  A run that misses rewrites its record under the name it
+    had, so a stage that writes a name ``out`` already held is a rewrite,
+    not a miss."""
     before = set(os.listdir(out))
     calls = []
     for module, name in COMPUTE:
@@ -663,6 +798,40 @@ class TestCacheRecovery:
         assert line.startswith(f"warning: {path}: unreadable {kind} file (")
         assert again == []
 
+    @pytest.mark.parametrize("model", MODELS)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_a_cut_or_garbled_record_is_rewritten(self, fixture_csv, cached_runs,
+                                                  tmp_path_factory, model, data):
+        """A run record that does not parse as one is named in one stderr
+        line and written again into the same record; the next run is served
+        it silently."""
+        csv_path, _ = fixture_csv
+        source, want = cached_runs[model]
+        out = tmp_path_factory.mktemp("record")
+        shutil.copytree(source, out, dirs_exist_ok=True)
+        path = out / os.path.basename(want["artifacts"]["record"])
+        raw = path.read_bytes()
+        garbled = data.draw(st.sampled_from(["cut", "byte", "list", "no metrics"]))
+        if garbled == "cut":  # at least the closing brace goes
+            raw = raw[:data.draw(st.integers(0, len(raw) - 2))]
+        elif garbled == "byte":  # never valid UTF-8
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:at] + b"\xff" + raw[at + 1:]
+        elif garbled == "list":
+            raw = b"[]\n"
+        else:
+            raw = json.dumps({k: v for k, v in json.loads(raw).items()
+                              if k != "metrics"}).encode()
+        path.write_bytes(raw)
+        cfg = quick_config(csv_path, out, method="ba", model=model)
+        (record, (line,)), (again, quiet) = _quietly(cfg), _quietly(cfg)
+        assert line.startswith(f"warning: {path}: unreadable run record (")
+        assert line.endswith("; recomputing it")
+        assert quiet == []
+        assert comparable(record) == comparable(want)
+        assert again == record
+
     @pytest.mark.parametrize("fail_at", range(0, 13, 3))
     def test_failed_rename_leaves_nothing_to_hit(self, fixture_csv, cached_runs, tmp_path,
                                                  monkeypatch, fail_at):
@@ -853,6 +1022,46 @@ class TestCompareAndReports:
         path = str(tmp_path / "overlap.csv")
         write_overlap_csv([{"methods": "ba+ao", "count": 4}], path)
         assert open(path).read() == "methods,count\nba+ao,4\n"
+
+
+    def test_report_files_are_rewritten_only_when_their_bytes_change(self, tmp_path):
+        path = str(tmp_path / "overlap.csv")
+        write_overlap_csv([{"methods": "ba+ao", "count": 4}], path)
+        stamp = os.stat(path)
+        write_overlap_csv([{"methods": "ba+ao", "count": 4}], path)
+        assert os.stat(path) == stamp
+        write_overlap_csv([], path)  # a prefix of what the file holds
+        assert open(path).read() == "methods,count\n"
+
+    def test_a_second_report_leaves_its_files_alone(self, fixture_csv, tmp_path):
+        """A report of unchanged records rewrites neither file; after a new
+        run record both hold what a report of the same records in a fresh
+        directory holds."""
+        csv_path, _ = fixture_csv
+        out = tmp_path / "runs"
+        base = ["run", "--data", csv_path, "--out", str(out), "--trees", "3", "--max-depth", "5"]
+        names = ("report.csv", "overlap.csv")
+
+        def report(directory):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["report", "--out", str(directory)]) == 0
+            return {name: _files(directory)[name] for name in names}
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(base) == 0
+        first = report(out)
+        assert report(out) == first
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*base, "--method", "rf-ig", "--k", "2"]) == 0
+        second = report(out)
+        assert all(second[name] != first[name] for name in names)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for record in out.glob("run_*.json"):
+            shutil.copy(record, fresh)
+        report(fresh)
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestDepthSweep:
@@ -1051,6 +1260,29 @@ class TestCli:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: {record}: unreadable run record (")
+
+    @pytest.mark.parametrize("command,target,line", [
+        (["report"], "file", "not a directory; pass the --out of earlier runs"),
+        (["report"], "missing", "no such directory; pass the --out of earlier runs"),
+        (["run", "--trees", "3"], "file", "not a directory; pass a directory"),
+        (["run", "--trees", "3"], "file/runs", "not a directory; pass a directory"),
+        (["preprocess"], "file", "not a directory; pass a directory"),
+        (["synth"], "file", "not a directory; pass a directory"),
+    ], ids=["report-file", "report-missing", "run-file", "run-under-file", "preprocess-file",
+            "synth-file"])
+    def test_an_out_that_is_no_directory_exits_2(self, fixture_csv, tmp_path, capsys,
+                                                 command, target, line):
+        """One line that names the path and says what to pass, not a
+        traceback or a bare OSError."""
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / target
+        data = ["--data", fixture_csv[0]] if command[0] in ("run", "preprocess") else []
+        assert main([*command, *data, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --out {out}: {line}"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["file"]
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as err:
