@@ -105,11 +105,16 @@ def init_model(n_features: int, hidden_sizes, n_classes: int, head: str, seed: i
     return MlpModel(weights, biases, head)
 
 
-def _forward_full(model: MlpModel, X):
-    """All layer pre-activations and activations, input included."""
+def _checked_input(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DataError(f"expected (rows, {model.n_features}) features, got {X.shape}")
+    return X
+
+
+def _forward_full(model: MlpModel, X):
+    """All layer pre-activations and activations, input included."""
+    X = _checked_input(model, X)
     activations = [X]
     pre_acts = []
     a = X
@@ -125,12 +130,24 @@ def _forward_full(model: MlpModel, X):
 
 
 def forward(model: MlpModel, X) -> np.ndarray:
-    """Class probabilities: (rows, classes) for softmax, (rows,) for sigmoid."""
-    pre_acts, _ = _forward_full(model, X)
-    z_out = pre_acts[-1]
+    """Class probabilities: (rows, classes) for softmax, (rows,) for sigmoid.
+
+    Layers are computed one at a time, and each takes its bias and ReLU in
+    place, so at most two consecutive layers are held at once.  The
+    operations are ``_forward_full``'s, so the bits are too."""
+    a = _checked_input(model, X)
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w
+        z += b
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite pre-activation at layer {i}")
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
     if model.head == "binary":
-        return sigmoid(z_out[:, 0])
-    return softmax(z_out)
+        return sigmoid(a[:, 0])
+    return softmax(a)
 
 
 def predict(model: MlpModel, X) -> np.ndarray:

@@ -450,8 +450,17 @@ def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
     return subset, elapsed, files
 
 
-def _slice_features(data: dataset.Dataset, subset: subset_search.FeatureSubset) -> dataset.Dataset:
+def _slice_features(cfg: ExperimentConfig, data: dataset.Dataset,
+                    subset: subset_search.FeatureSubset) -> dataset.Dataset:
+    """The columns ``subset`` of ``data``, as ``cfg.model`` is given them.
+
+    A forest reads every column of the split itself: it gathers its own
+    blocks and routes its rows wherever the values lie.  Any other subset,
+    and any subset for an MLP, is a copy, since an MLP's products can
+    differ in their last bits with the layout of their operands."""
     idx = list(subset.indices)
+    if cfg.model == "rf" and idx == list(range(len(data.feature_names))):
+        return data
     return dataset.Dataset(
         data.features[:, idx],
         tuple(data.feature_names[i] for i in idx),
@@ -472,7 +481,7 @@ def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
         files["loss_trace"] = os.path.join(cfg.out_dir, f"loss_{key}.csv")
 
     def compute():
-        train_view = _slice_features(_train_view(cfg, pair), subset)
+        train_view = _slice_features(cfg, _train_view(cfg, pair), subset)
         seed = stage_seed(cfg.seed, "train")
         if cfg.model == "rf":
             model = random_forest.train_forest(
@@ -524,7 +533,7 @@ def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
                  lambda: metrics.load_confusion(path))
     if cm is None:
         test_view = _slice_features(
-            dataset.binary_view(pair.test, cfg.benign) if cfg.mode == "binary" else pair.test,
+            cfg, dataset.binary_view(pair.test, cfg.benign) if cfg.mode == "binary" else pair.test,
             subset,
         )
         preds = _predict(cfg, model, test_view.features)
@@ -593,6 +602,28 @@ def _write_if_changed(path: str, text: str) -> None:
 
 # The scores in a run record, each read from the evaluate stage's report.
 _METRICS = ("accuracy", "precision", "recall", "far", "f1", "undefined", "skipped")
+# A run record's digest as its text holds it while the digest is taken.
+_EMPTY_DIGEST = '"digest": ""'
+
+
+def _record_text(record: dict) -> str:
+    """The text of the run record file for ``record``, after setting its
+    ``digest``: a sha256 of that text with the digest's value left empty,
+    so it covers every other byte of the file."""
+    text = json.dumps({**record, "digest": ""}, indent=2, sort_keys=True) + "\n"
+    record["digest"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text.replace(_EMPTY_DIGEST, f'"digest": "{record["digest"]}"', 1)
+
+
+def _digest_fault(text: str, record: dict) -> str | None:
+    """Why the run record ``record``, parsed from ``text``, fails its digest
+    check, or None when it passes."""
+    if "digest" not in record:
+        return "no digest"
+    empty = text.replace(f'"digest": "{record["digest"]}"', _EMPTY_DIGEST, 1)
+    if hashlib.sha256(empty.encode("utf-8")).hexdigest() != record["digest"]:
+        return "digest mismatch"
+    return None
 
 
 def _unscored_record(cfg: ExperimentConfig, pair: dataset.SplitPair,
@@ -636,16 +667,19 @@ def _unscored_record(cfg: ExperimentConfig, pair: dataset.SplitPair,
 
 
 def _stored_record(path: str, unscored: dict) -> dict | None:
-    """The run record at ``path`` when it is ``unscored`` with metrics and
-    timestamps added, and the confusion counts it names pass their header
-    check; else None.  An unreadable record is named in one stderr line.
+    """The run record at ``path`` when it passes its digest check, is
+    ``unscored`` with metrics, timestamps and digest added, and the
+    confusion counts it names pass their header check; else None.  An
+    unreadable record, or one whose digest does not match, is named in one
+    stderr line; one from before records held a digest is not.
 
     The run key covers all that the metrics are scored from, and a stage
     that recomputes records its own seconds, so a record that matches was
     scored from the counts this run would score."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
+            text = fh.read()
+        stored = json.loads(text)
         if sorted(stored["metrics"]) != sorted(_METRICS) or "timestamps" not in stored:
             raise ValueError("not a run record")
     except FileNotFoundError:
@@ -653,8 +687,13 @@ def _stored_record(path: str, unscored: dict) -> dict | None:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _recomputing(DataError(f"{path}: unreadable run record ({exc})"))
         return None
+    fault = _digest_fault(text, stored)
+    if fault is not None:
+        if fault != "no digest":
+            _recomputing(DataError(f"{path}: unreadable run record ({fault})"))
+        return None
     rest = {name: value for name, value in stored.items()
-            if name not in ("metrics", "timestamps")}
+            if name not in ("metrics", "timestamps", "digest")}
     # compared as JSON text, in which a tuple reads as the list it is
     # stored as and NaN equals itself
     if json.dumps(rest, sort_keys=True) != json.dumps(unscored, sort_keys=True):
@@ -672,10 +711,11 @@ def _stored_record(path: str, unscored: dict) -> dict | None:
 def run_pipeline(cfg: ExperimentConfig) -> dict:
     """Execute every stage and write the run record JSON.
 
-    A stored record that matches what this run would write, but for its
-    metrics and timestamps, is returned as it is: nothing is scored and
-    nothing is written.  Any stage failure is re-raised as PipelineError
-    naming the stage and the artifacts completed before it.
+    A stored record that passes its digest check and matches what this
+    run would write, but for its metrics, timestamps and digest, is
+    returned as it is: nothing is scored and nothing is written.  Any
+    stage failure is re-raised as PipelineError naming the stage and the
+    artifacts completed before it.
     """
     cfg = cfg.validated()
     make_out_dir(cfg.out_dir)
@@ -723,7 +763,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     record["metrics"]["undefined"] = list(report.undefined)  # as it reads back
     record["timestamps"] = {"started": started,
                             "finished": datetime.now(timezone.utc).isoformat()}
-    artifacts.write_atomic(record_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    artifacts.write_atomic(record_path, _record_text(record))
     record["artifacts"]["record"] = record_path
     return record
 
@@ -732,7 +772,8 @@ def load_records(out_dir: str) -> list[dict]:
     """Every run record under ``out_dir`` of the current cache format,
     ordered by methodology, K and subset, then by file name.  Records of
     another format, left by a run before a re-key, are skipped and counted
-    in one stderr line; an unreadable record is a DataError."""
+    in one stderr line; a record that fails its digest check is left out
+    and named in one stderr line; an unreadable record is a DataError."""
     try:
         names = os.listdir(out_dir)
     except OSError as exc:
@@ -744,7 +785,8 @@ def load_records(out_dir: str) -> list[dict]:
             path = os.path.join(out_dir, name)
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    record = json.load(fh)
+                    text = fh.read()
+                record = json.loads(text)
                 order = (record["methodology"], record["subset"]["k"],
                          record["subset"]["indices"], name)
             except (ValueError, KeyError, TypeError) as exc:
@@ -752,6 +794,11 @@ def load_records(out_dir: str) -> list[dict]:
                                 "delete it or rerun its run") from None
             if record.get("format") != artifacts.VERSION:
                 skipped += 1
+                continue
+            fault = _digest_fault(text, record)
+            if fault is not None:
+                print(f"warning: {path}: unreadable run record ({fault}); "
+                      "rerun its run to report it", file=sys.stderr)
                 continue
             keyed.append((order, record))
     if skipped:

@@ -12,14 +12,16 @@ scikit-learn's tree module: growth records only each node's class counts
 and split, and one numpy pass over the finished arrays computes every
 node's gains and sample fraction.
 
-Growth works on feature-major data.  A tree keeps one (features, rows)
-copy of its bootstrap rows and hands row indices down its stack; a node
-gathers only its drawn candidate columns into one contiguous block, and
-``best_split`` sorts each candidate's row of the block with numpy's
-default (unstable) sort and counts classes class-major.  Splits are the
-bits a stable, row-major scan gives, because a scored cut never falls
-between equal values; NaN, the one value that would break this, is
-refused by ``train_forest``.
+Growth copies no table.  A tree is grown over the caller's array through
+its bootstrap indices, as scikit-learn grows trees through a sample-index
+array, and hands row indices down its stack; a node gathers only its drawn
+candidate columns of its rows, straight from that array, into one
+feature-major block.  ``best_split`` sorts each candidate's row of the
+block with numpy's default (unstable) sort and counts classes
+class-major.  Splits are the bits a stable, row-major scan gives, because
+a scored cut never falls between equal values; NaN, the one value that
+would break this, is refused by ``train_forest``.  Out-of-bag rows are
+routed down the trees where they lie, too.
 """
 
 from __future__ import annotations
@@ -297,19 +299,33 @@ def _resolve_m(setting, n_features: int) -> int:
     return min(int(setting), n_features)
 
 
-def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generator) -> Tree:
-    """Grow one tree on the given rows.
+def _buffer(X: np.ndarray):
+    """A flat view of ``X``'s buffer, with the steps one row and one column
+    take in it, so element (r, c) is ``flat[r * row_step + c * col_step]``.
+    C- and Fortran-ordered arrays are read where they lie; any other layout
+    is copied into C order first."""
+    if not (X.flags.c_contiguous or X.flags.f_contiguous):
+        X = np.ascontiguousarray(X)
+    row_step, col_step = (s // X.itemsize for s in X.strides)
+    return X.ravel(order="K"), row_step, col_step
 
-    Nodes are grown from an explicit stack in preorder, left subtree
-    first, so candidate draws come from ``rng`` in that order.  A node
-    stays a leaf at purity, at the configured depth, below
-    min_node_size, or when no split strictly reduces the size-weighted
-    gini.
 
-    The tree keeps one feature-major copy of its rows, and the stack
-    holds each node's row indices, labels and class counts.  Each node
-    gathers only its drawn candidates, in ascending order, into one
-    contiguous (candidates, rows) block and scores it through
+def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generator,
+              sample=None) -> Tree:
+    """Grow one tree on the rows ``sample`` of ``X`` (every row if None).
+
+    ``X`` is the caller's (rows, features) array and ``y`` its labels;
+    ``sample`` may repeat rows, as a bootstrap draw does, and the tree is
+    the one grown on ``X[sample]`` and ``y[sample]``.  Nodes are grown from
+    an explicit stack in preorder, left subtree first, so candidate draws
+    come from ``rng`` in that order.  A node stays a leaf at purity, at the
+    configured depth, below min_node_size, or when no split strictly
+    reduces the size-weighted gini.
+
+    No copy of the rows is made.  The stack holds each node's rows (as
+    offsets into ``X``'s buffer), labels and class counts, and a node
+    gathers only its drawn candidates, in ascending order, straight from
+    ``X`` into one contiguous (candidates, rows) block, scored through
     ``best_split`` on the block's (rows, candidates) view.  A split
     partitions the node's rows and labels and counts the left child's
     classes, so a child that is bound to be a leaf is settled without its
@@ -317,7 +333,8 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if y.size == 0:
+    sample = np.arange(y.size) if sample is None else np.asarray(sample)
+    if sample.size == 0:
         raise ValueError("cannot grow a tree on zero rows")
     p = X.shape[1]
     m = _resolve_m(config.features_per_split, p)
@@ -326,15 +343,15 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
     def splittable(c, size, depth):
         return depth < max_depth and size >= min_node_size and np.count_nonzero(c) > 1
 
-    columns = np.ascontiguousarray(X.T)  # (features, rows)
-    stride = columns.shape[1]
+    flat, row_step, col_step = _buffer(X)
     every = np.arange(p)
     block_features = range(m)
     counts, feature, threshold, weighted_gini, left, right = [], [], [], [], [], []
-    c = np.bincount(y, minlength=n_classes)
-    # rows, their labels, class counts, depth, parent of a right child; a
-    # node its parent already knows to be a leaf carries no rows
-    stack = [(np.arange(y.size), y, c, 0, -1) if splittable(c, y.size, 0)
+    ys = y[sample]
+    c = np.bincount(ys, minlength=n_classes)
+    # row offsets, their labels, class counts, depth, parent of a right
+    # child; a node its parent already knows to be a leaf carries no rows
+    stack = [(sample * row_step, ys, c, 0, -1) if splittable(c, ys.size, 0)
              else (None, None, c, 0, -1)]
     while stack:
         rows, yn, c, depth, parent = stack.pop()
@@ -354,7 +371,7 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
             candidates.sort()
         else:
             candidates = every
-        block = columns.take(candidates[:, None] * stride + rows)
+        block = flat.take(candidates[:, None] * col_step + rows)
         found = best_split(block.T, yn, n_classes, block_features)
         if found is None:
             continue
@@ -456,38 +473,43 @@ class TrainedForest:
         }
 
 
-def tree_predict(tree: Tree, X) -> np.ndarray:
-    """Route rows down one tree a depth level at a time; rows at or below
-    a threshold go left."""
+def tree_predict(tree: Tree, X, rows=None) -> np.ndarray:
+    """Predictions for the rows ``rows`` of ``X`` (every row if None),
+    routed down one tree a depth level at a time where they lie; rows at
+    or below a threshold go left."""
     X = np.asarray(X, dtype=np.float64)
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    while rows.size:
-        at = node[rows]
+    n = X.shape[0] if rows is None else rows.size
+    node = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    while active.size:
+        at = node[active]
         f = tree.feature[at]
         inner = f >= 0
-        rows, at, f = rows[inner], at[inner], f[inner]
-        go_left = X[rows, f] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        active, at, f = active[inner], at[inner], f[inner]
+        go_left = X[active if rows is None else rows[active], f] <= tree.threshold[at]
+        node[active] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.majority[node]
 
 
 def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
     """Fit the forest; trees may build in parallel threads, results do not
-    change with the worker count because every tree owns stream (seed, index)."""
+    change with the worker count because every tree owns stream (seed, index).
+
+    Every tree grows over ``train.features`` itself, in C or Fortran order,
+    through its bootstrap indices, and the out-of-bag score routes each
+    tree's unsampled rows in place: nothing copies the table."""
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels_cat, dtype=np.int64)
     n_classes = len(train.class_names)
     if np.unique(y).size < 2:
         raise DataError("training data contains a single class")
-    nan = np.flatnonzero(np.isnan(X).any(axis=0))
+    nan = np.flatnonzero(np.isnan(X.min(axis=0)))  # min propagates NaN
     if nan.size:
         # NaN has no place in the value order, so splits on it would depend
         # on row order.
         names = ", ".join(train.feature_names[i] for i in nan)
         raise DataError(f"NaN in feature column(s) {names}; forests need ordered values")
     n, p = X.shape
-    columns = np.ascontiguousarray(X.T)  # feature-major, gathered per tree
 
     def build(tree_idx: int):
         rng = np.random.default_rng([config.seed, tree_idx])
@@ -497,8 +519,7 @@ def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
             idx = np.arange(n)
         bag = np.zeros(n, dtype=bool)
         bag[idx] = True
-        tree = grow_tree(columns[:, idx].T, y[idx], n_classes, config, rng)
-        return tree, bag
+        return grow_tree(X, y, n_classes, config, rng, idx), bag
 
     start = time.perf_counter()
     if config.n_workers > 1:
@@ -560,8 +581,7 @@ def oob_score(forest: TrainedForest, X, y) -> tuple[float, int]:
         rows = np.flatnonzero(~bag)
         if rows.size == 0:
             continue
-        preds = tree_predict(tree, X[rows])
-        votes[rows, preds] += 1
+        votes[rows, tree_predict(tree, X, rows)] += 1
     covered = votes.sum(axis=1) > 0
     skipped = int(n - covered.sum())
     if not covered.any():

@@ -5,6 +5,8 @@ session-scoped because several suites lean on the same 20 seeded
 optimizer runs, and those runs are the expensive part.
 """
 
+import tracemalloc
+
 import pytest
 
 from flowsel.correlation import spearman_matrix
@@ -28,6 +30,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance gates")
         for line in GATE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def traced_peak():
+    """A function of ``call`` giving the bytes ``call()`` allocates at its
+    peak, beyond what it started with, and its result.  Memory bounds taken
+    with it are multiples of array sizes, so they hold on any machine."""
+
+    def traced(call):
+        call()  # warm: first calls import modules and fill caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base, result
+
+    return traced
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -877,20 +876,6 @@ class TestSelectionsMatchReference:
         assert step.values.tobytes() == cleaned.values.tobytes()
 
 
-def traced_peak(call):
-    """The bytes ``call()`` allocates at its peak, beyond what it started
-    with, and its result."""
-    call()  # warm: first calls import modules and fill caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak - base, result
-
-
 class TestMemoryBounds:
     """Allocation bounds from array sizes, so the same on any machine."""
 
@@ -905,7 +890,8 @@ class TestMemoryBounds:
         return RawTable.from_labels(names, values, labels, "Label")
 
     @pytest.mark.parametrize("stratified", [False, True])
-    def test_prepare_splits_allocates_little_beyond_the_kept_table(self, stratified):
+    def test_prepare_splits_allocates_little_beyond_the_kept_table(self, traced_peak,
+                                                                   stratified):
         table = self.table()
         peak, (pair, _) = traced_peak(
             lambda: prepare_splits(table, "Benign", stratified=stratified, seed=1))

@@ -9,12 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsel.dataset import Dataset
 from flowsel.errors import DataError, NumericError
 from flowsel.neural_net import (
+    PRESET_FUNNEL,
     MlpConfig,
     MlpModel,
+    _forward_full,
     forward,
     gradient_check,
     init_model,
@@ -157,6 +161,43 @@ class TestForwardPredict:
         model = init_model(2, (3,), 2, "categorical", seed=0)
         with pytest.raises(NumericError, match="layer 0"):
             forward(model, np.array([[np.inf, 1.0]]))
+
+
+def reference_forward(model, X):
+    """Class probabilities from every layer at once, as ``forward`` computed
+    them before it kept two layers: the reference for its bits."""
+    pre_acts, _ = _forward_full(model, X)
+    z_out = pre_acts[-1]
+    if model.head == "binary":
+        return sigmoid(z_out[:, 0])
+    return softmax(z_out)
+
+
+class TestForwardOneLayerAtATime:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_every_layer_at_once(self, data):
+        n_features = data.draw(st.integers(1, 9), label="features")
+        hidden = tuple(data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3),
+                                 label="hidden"))
+        head = data.draw(st.sampled_from(["categorical", "binary"]), label="head")
+        n_classes = data.draw(st.integers(2, 9), label="classes")
+        rows = data.draw(st.integers(1, 70), label="rows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        model = init_model(n_features, hidden, n_classes, head, seed=seed % 1000)
+        X = np.random.default_rng(seed).normal(size=(rows, n_features)) * 4
+        if data.draw(st.booleans(), label="fortran"):
+            X = np.asfortranarray(X)
+        assert forward(model, X).tobytes() == reference_forward(model, X).tobytes()
+
+    def test_predict_allocates_under_four_tables(self, traced_peak):
+        """Scoring 20,000 rows through (50, 25) holds the two widest
+        consecutive layers, not every layer's activations."""
+        X = np.random.default_rng(1).random((20000, 30))
+        model = init_model(30, PRESET_FUNNEL, 5, "categorical", seed=2)
+        peak, labels = traced_peak(lambda: predict(model, X))
+        assert peak <= 4 * X.nbytes, peak / X.nbytes
+        np.testing.assert_array_equal(labels, reference_forward(model, X).argmax(axis=1))
 
 
 class TestGradientCheck:

@@ -405,8 +405,73 @@ class TestRecordHit:
         assert os.path.exists(csv)
         assert flowsel.metrics.load_confusion(csv).total > 0
         assert record["timestamps"] != cold["timestamps"]
-        assert {k: v for k, v in record.items() if k != "timestamps"} == \
-            {k: v for k, v in cold.items() if k != "timestamps"}
+        assert {k: v for k, v in record.items() if k not in ("timestamps", "digest")} == \
+            {k: v for k, v in cold.items() if k not in ("timestamps", "digest")}
+        assert _quietly(cfg) == (record, [])
+
+    @staticmethod
+    def edited_scores(tmp_path, capsys):
+        """A synth run's record with ``"accuracy": 1.0`` edited to 0.5, still
+        valid JSON, and the run's arguments."""
+        assert main(["synth", "--out", str(tmp_path), "--stem", "flows"]) == 0
+        args = ["run", "--data", str(tmp_path / "flows.csv"), "--out", str(tmp_path),
+                "--trees", "5"]
+        assert main(args) == 0
+        (path,) = tmp_path.glob("run_*.json")
+        text = path.read_text()
+        assert '"accuracy": 1.0,' in text
+        path.write_text(text.replace('"accuracy": 1.0,', '"accuracy": 0.5,'))
+        capsys.readouterr()
+        return path, args
+
+    def test_an_edited_record_is_named_and_scored_again(self, tmp_path, capsys):
+        """A record whose scores no longer match its digest is not served:
+        it is named in one stderr line, scored again and rewritten, and the
+        next run is served the rewritten record."""
+        path, args = self.edited_scores(tmp_path, capsys)
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: {path}: unreadable run record (digest mismatch); recomputing it"]
+        assert "accuracy=1.0000" in captured.out
+        assert json.loads(path.read_text())["metrics"]["accuracy"] == 1.0
+        before = _files(tmp_path)
+        assert main(args) == 0
+        assert capsys.readouterr().err == "" and _files(tmp_path) == before
+
+    def test_report_leaves_an_edited_record_out(self, tmp_path, capsys):
+        path, args = self.edited_scores(tmp_path, capsys)
+        assert main([*args, "--method", "rf-ig", "--k", "2"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: {path}: unreadable run record (digest mismatch); "
+            "rerun its run to report it"]
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["cat.rf-ig.rf"]
+
+    def test_a_record_without_a_digest_is_rewritten_once_silently(self, fixture_csv,
+                                                                  tmp_path, capsys):
+        """A record written before records held a digest is scored again and
+        rewritten without a word; until then report names it and leaves it
+        out."""
+        csv_path, _ = fixture_csv
+        cfg = quick_config(csv_path, tmp_path)
+        cold = run_pipeline(cfg)
+        path = cold["artifacts"]["record"]
+        stored = json.load(open(path))
+        del stored["digest"]
+        artifacts.write_atomic(path, json.dumps(stored, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {path}: unreadable run record (no digest); rerun its run to report it",
+            f"error: no run records under {tmp_path}"]
+        record, err = _quietly(cfg)
+        assert err == [] and record["digest"] != cold["digest"]
+        assert comparable(record) == comparable(cold)
+        assert json.load(open(path))["digest"] == record["digest"]
         assert _quietly(cfg) == (record, [])
 
     def test_a_copied_out_rewrites_the_record_once(self, fixture_csv, cached_runs, tmp_path):
@@ -480,8 +545,10 @@ class TestSelectKey:
 
 
 def comparable(record):
-    """A run record without its timings, its artifacts by file name."""
-    out = {k: v for k, v in record.items() if k not in ("timing", "timestamps", "artifacts")}
+    """A run record without its timings and the digest that covers them,
+    its artifacts by file name."""
+    out = {k: v for k, v in record.items()
+           if k not in ("timing", "timestamps", "digest", "artifacts")}
     out["artifacts"] = {k: os.path.basename(v) for k, v in record["artifacts"].items()}
     return out
 

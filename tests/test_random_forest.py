@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -568,6 +568,181 @@ class TestFlatTreesMatchReference:
             [gini(c) for c in counts])
         assert hex_list(random_forest._entropy_rows(counts)) == hex_list(
             [entropy(c) for c in counts])
+
+
+# ---------------------------------------------------------------------------
+# Growth and out-of-bag routing on copies of the rows, as they were before
+# trees grew through their bootstrap indices and rows were routed in place,
+# kept as the reference the in-place code must reproduce bit for bit.
+
+
+def copying_grow_tree(X, y, n_classes, config, rng):
+    """``grow_tree`` on a feature-major copy of the rows it is given."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if y.size == 0:
+        raise ValueError("cannot grow a tree on zero rows")
+    p = X.shape[1]
+    m = random_forest._resolve_m(config.features_per_split, p)
+    max_depth, min_node_size = config.max_depth, config.min_node_size
+
+    def splittable(c, size, depth):
+        return depth < max_depth and size >= min_node_size and np.count_nonzero(c) > 1
+
+    columns = np.ascontiguousarray(X.T)  # (features, rows)
+    stride = columns.shape[1]
+    every = np.arange(p)
+    block_features = range(m)
+    counts, feature, threshold, weighted_gini, left, right = [], [], [], [], [], []
+    c = np.bincount(y, minlength=n_classes)
+    stack = [(np.arange(y.size), y, c, 0, -1) if splittable(c, y.size, 0)
+             else (None, None, c, 0, -1)]
+    while stack:
+        rows, yn, c, depth, parent = stack.pop()
+        node = len(counts)
+        if parent >= 0:
+            right[parent] = node
+        counts.append(c)
+        feature.append(-1)
+        threshold.append(0.0)
+        weighted_gini.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if rows is None:
+            continue
+        if m < p:
+            candidates = rng.choice(p, size=m, replace=False)
+            candidates.sort()
+        else:
+            candidates = every
+        block = columns.take(candidates[:, None] * stride + rows)
+        found = random_forest.best_split(block.T, yn, n_classes, block_features)
+        if found is None:
+            continue
+        f, threshold[node], weighted_gini[node] = found
+        feature[node] = int(candidates[f])
+        left[node] = node + 1
+        mask = block[f] <= threshold[node]
+        y_left = yn[mask]
+        c_left = np.bincount(y_left, minlength=n_classes)
+        c_right = c - c_left
+        depth += 1
+        if splittable(c_right, rows.size - y_left.size, depth):
+            mask_right = ~mask
+            stack.append((rows[mask_right], yn[mask_right], c_right, depth, node))
+        else:
+            stack.append((None, None, c_right, depth, node))
+        if splittable(c_left, y_left.size, depth):
+            stack.append((rows[mask], y_left, c_left, depth, -1))
+        else:
+            stack.append((None, None, c_left, depth, -1))
+    return random_forest._finish_tree(
+        np.array(counts, dtype=np.int64), np.array(feature, dtype=np.int64),
+        np.array(threshold), np.array(weighted_gini),
+        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
+
+
+def gathering_tree_predict(tree, X):
+    """``tree_predict`` on rows gathered by the caller."""
+    X = np.asarray(X, dtype=np.float64)
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        f = tree.feature[at]
+        inner = f >= 0
+        rows, at, f = rows[inner], at[inner], f[inner]
+        go_left = X[rows, f] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.majority[node]
+
+
+def laid_out(X, layout):
+    """``X`` in C order, in Fortran order (as a column subset ``a[:, idx]``
+    is), or as a strided view that is neither."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    if layout == "F":
+        return np.asfortranarray(X)
+    wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+    wide[:, ::2] = X
+    return wide[:, ::2]
+
+
+class TestGrowthInPlaceMatchesCopies:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), layout=st.sampled_from(["C", "F", "strided"]))
+    def test_a_bootstrap_sample_grows_the_tree_of_its_gathered_rows(self, data, layout):
+        train, config = forest_problem(data)
+        X, y = laid_out(train.features, layout), train.labels_cat
+        n_classes = len(train.class_names)
+        draw = np.random.default_rng(config.seed)
+        sample = draw.integers(0, y.size, y.size) if config.bootstrap else np.arange(y.size)
+        seed = data.draw(st.integers(0, 1000), label="tree seed")
+        tree = grow_tree(X, y, n_classes, config, np.random.default_rng(seed), sample)
+        want = copying_grow_tree(X[sample], y[sample], n_classes, config,
+                                 np.random.default_rng(seed))
+        assert tree_lists(tree) == tree_lists(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), layout=st.sampled_from(["C", "F", "strided"]))
+    def test_a_row_subset_is_routed_as_its_gathered_rows(self, data, layout):
+        train, config = forest_problem(data)
+        tree = grow_tree(train.features, train.labels_cat, len(train.class_names), config,
+                         np.random.default_rng(config.seed))
+        draw = np.random.default_rng(config.seed)
+        X = laid_out(np.concatenate([train.features, draw.normal(size=train.features.shape)]),
+                     layout)
+        rows = np.flatnonzero(draw.random(X.shape[0]) < 0.4)
+        got = tree_predict(tree, X, rows)
+        np.testing.assert_array_equal(got, gathering_tree_predict(tree, X[rows]))
+        np.testing.assert_array_equal(got, tree_predict(tree, X[rows]))
+
+    def test_a_fortran_split_grows_the_forest_of_a_c_split(self):
+        data = toy_dataset(rows=400, n_features=7, n_classes=5, seed=6, sep=0.7)
+        config = ForestConfig(n_trees=3, seed=2, max_depth=6)
+        c = train_forest(data, config)
+        f = train_forest(replace(data, features=np.asfortranarray(data.features)), config)
+        assert [tree_lists(t) for t in f.trees] == [tree_lists(t) for t in c.trees]
+        assert float(f.oob_accuracy).hex() == float(c.oob_accuracy).hex()
+
+
+class TestMemoryBounds:
+    """Training and out-of-bag scoring copy no table: peaks are bounded by
+    multiples of the table's size, which the copies they made exceeded."""
+
+    @staticmethod
+    def table(layout="C"):
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 5, 20000)
+        feats = rng.normal(size=(20000, 30)) + 0.3 * labels[:, None]
+        return Dataset(
+            features=laid_out(feats, layout),
+            feature_names=tuple(f"f{i}" for i in range(30)),
+            labels_cat=labels.astype(np.int64),
+            labels_bin=labels != 0,
+            class_names=tuple(f"c{i}" for i in range(5)),
+        )
+
+    CONFIG = ForestConfig(n_trees=2, max_depth=8, seed=1)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_train_forest_allocates_under_three_tables(self, traced_peak, monkeypatch,
+                                                       layout):
+        """With one candidate per best_split block, what a node scores is
+        small beside the table, so the bound sees the table's copies."""
+        monkeypatch.setattr(random_forest, "BLOCK_CELLS", 1)
+        data = self.table(layout)
+        peak, _ = traced_peak(lambda: train_forest(data, self.CONFIG))
+        assert peak <= 3 * data.features.nbytes, peak / data.features.nbytes
+
+    def test_oob_score_allocates_under_half_a_table(self, traced_peak):
+        """About 37% of the rows are out of bag in each tree; they are
+        routed where they lie, not gathered."""
+        data = self.table()
+        forest = train_forest(data, self.CONFIG)
+        peak, _ = traced_peak(lambda: oob_score(forest, data.features, data.labels_cat))
+        assert peak <= 0.5 * data.features.nbytes, peak / data.features.nbytes
 
 
 class TestTrainForest:
