@@ -10,6 +10,7 @@ is deterministic given the seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import warnings
@@ -126,6 +127,13 @@ def _parse_cell(text: str, path: str, line_no: int, column: str) -> float:
         ) from None
 
 
+def _scan_row(row, path: str, line_no: int, header, keep) -> list[float]:
+    """The kept cells of one csv row, checked one by one with ``float()``."""
+    if len(row) != len(header):
+        raise DataError(f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
+    return [_parse_cell(row[j], path, line_no, header[j]) for j in keep]
+
+
 def _open_csv(path: str):
     try:
         return open(path, "r", newline="", encoding="utf-8")
@@ -148,8 +156,25 @@ def _read_header(reader, path: str, label_column: str, drop_columns):
     return header, label_idx, keep
 
 
-def _table(path, header, keep, values, codes, index, label_column, drop_columns) -> RawTable:
-    """The RawTable of one file; ``index`` maps each label text to its code."""
+def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
+    """The reference parser: one ``float()`` per kept cell, row by row.
+
+    Every cell and row error of ``load_csv`` comes from here or from a
+    block of lines it scans the same way.  A row's line number counts the
+    records after the header from 2.
+    """
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
+        rows: list[list[float]] = []
+        index: dict[str, int] = {}
+        codes = array("i")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue  # ignore blank lines
+            rows.append(_scan_row(row, path, line_no, header, keep))
+            codes.append(index.setdefault(row[label_idx].strip(), len(index)))
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(keep))
     return RawTable(
         tuple(header[j] for j in keep),
         values,
@@ -161,88 +186,110 @@ def _table(path, header, keep, values, codes, index, label_column, drop_columns)
     )
 
 
-def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
-    """The reference parser: one ``float()`` per kept cell, row by row.
-
-    Every cell and row error of ``load_csv`` comes from here.
-    """
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
-        rows: list[list[float]] = []
-        index: dict[str, int] = {}
-        codes = array("i")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # ignore blank lines
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            codes.append(index.setdefault(row[label_idx].strip(), len(index)))
-            rows.append([_parse_cell(row[j], path, line_no, header[j]) for j in keep])
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(keep))
-    return _table(path, header, keep, values, codes, index, label_column, drop_columns)
+# load_csv hands np.loadtxt the lines of a file in blocks of about this
+# many cells.  A block's lines are held as Python strings, far larger than
+# their floats, so a block is kept small beside the table it fills.
+_PARSE_CELLS = 1 << 13
 
 
-def _load_csv_fast(path: str, label_column: str, drop_columns) -> RawTable | None:
-    """``load_csv`` without ``float()``; None when the file needs the scanner."""
-    if not os.path.isfile(path):
-        return None  # a pipe cannot be read twice; a missing file is the scanner's error
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
-        header_lines = reader.line_num
-        # the label of each row as a code, so no label text is kept per row
-        index: dict[str, int] = {}
-        codes = array("i")
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    return None  # np.loadtxt(usecols=...) would take a long row
-                codes.append(index.setdefault(row[label_idx].strip(), len(index)))
-        except (ValueError, csv.Error):
-            return None
-    if keep and codes:
-        try:
-            # quotechar keeps a quoted comma inside its cell; comments=None
-            # stops '#' from truncating one.  skiprows counts lines, and a
-            # header with a quoted line break spans more than one.
-            values = np.loadtxt(
-                path, dtype=np.float64, delimiter=",", skiprows=header_lines,
-                usecols=keep, quotechar='"', comments=None, encoding="utf-8", ndmin=2,
-            )
-        except ValueError:
-            return None
-        if values.shape[0] != len(codes):
-            return None
-    else:
-        values = np.empty((len(codes), len(keep)), dtype=np.float64)
-    return _table(path, header, keep, values, codes, index, label_column, drop_columns)
+@dataclass
+class _Part:
+    """One input file after the csv pass: its kept columns, the columns it
+    dropped by name, and its labels as codes into ``names``.  Its cells are
+    still to be parsed from the lines after ``header_lines``, unless
+    ``values`` already holds the scanner's table of the whole file."""
+
+    path: str
+    columns: tuple[str, ...]
+    dropped: tuple[str, ...]
+    codes: np.ndarray
+    names: tuple[str, ...]
+    header: list | None = None
+    keep: list | None = None
+    header_lines: int = 0
+    values: np.ndarray | None = None
 
 
-def load_csv(path: str, label_column: str = "Label", drop_columns=()) -> RawTable:
-    """Parse a headered CSV into a RawTable.
+def _survey(path: str, label_column: str, drop_columns) -> _Part:
+    """The csv pass over one file: the header, every row's cell count and
+    label.  A path that is not a regular file (a pipe cannot be read
+    twice), a file this pass cannot take (ragged rows, csv errors) and a
+    file with a record on more than one line are read whole by the
+    scanner, which gives their table or their first error."""
+    if os.path.isfile(path):
+        with _open_csv(path) as handle:
+            reader = csv.reader(handle)
+            header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
+            header_lines = line = reader.line_num
+            index: dict[str, int] = {}
+            codes = array("i")
+            try:
+                for row in reader:
+                    line, last = reader.line_num, line
+                    if not row:
+                        continue
+                    if len(row) != len(header) or line != last + 1:
+                        break
+                    codes.append(index.setdefault(row[label_idx].strip(), len(index)))
+                else:
+                    return _Part(path, tuple(header[j] for j in keep),
+                                 tuple(h for h in header if h in drop_columns),
+                                 np.asarray(codes, dtype=np.int32), tuple(index),
+                                 header, keep, header_lines)
+            except (ValueError, csv.Error):
+                pass
+    table = _scan_csv(path, label_column, drop_columns)
+    return _Part(path, table.columns, table.dropped, table.label_codes, table.label_names,
+                 values=table.values)
 
-    Columns named in ``drop_columns`` are skipped without being parsed, so
-    identifier columns may hold text.  Every other non-label column must
-    parse as a float (missing/inf tokens included); anything else raises
-    DataError with the offending line number.  The label column is kept
-    as codes into its distinct texts, each stripped of surrounding space.
 
-    One ``csv.reader`` pass checks the header and every row's cell count
-    and collects the labels; ``np.loadtxt`` then streams the kept columns
-    from the file.  A file that either pass cannot take exactly (empty
-    cells, underscores, non-ASCII digits, ragged rows, ...) is rescanned by
-    ``_scan_csv``, which gives the same table or the same error.  A path
-    that is not a regular file, such as a pipe, goes to the scanner alone.
-    A file that is not UTF-8 raises DataError naming the first bad line.
-    """
+def _parse_block(part: _Part, lines: list[str], first: int, out: np.ndarray) -> None:
+    """Fill ``out`` from one block of a file's lines, the first numbered
+    ``first``, with ``np.loadtxt``, which skips the blank ones as the csv
+    pass did; a block it refuses, or reads as another number of rows, is
+    scanned."""
     try:
-        table = _load_csv_fast(path, label_column, drop_columns)
-        return table if table is not None else _scan_csv(path, label_column, drop_columns)
+        # quotechar keeps a quoted comma inside its cell; comments=None
+        # stops '#' from truncating one.
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", usecols=part.keep,
+                            quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is not None and values.shape == out.shape:
+        out[...] = values
+        return
+    rows = ((line_no, row) for line_no, row in enumerate(csv.reader(lines), start=first) if row)
+    for i, (line_no, row) in enumerate(rows):
+        out[i] = _scan_row(row, part.path, line_no, part.header, part.keep)
+
+
+def _parse(part: _Part, out: np.ndarray) -> None:
+    """Fill ``out`` (the part's rows by its kept columns) with its cells."""
+    if part.values is not None:
+        out[...] = part.values
+        return
+    if not out.size:
+        return
+    step = max(1, _PARSE_CELLS // len(part.header))
+    row = 0
+    with _open_csv(part.path) as handle:
+        # no record spans two lines, so the lines after the header are
+        # numbered as the scanner numbers its records, from 2
+        body = itertools.islice(handle, part.header_lines, None)
+        first = 2
+        while lines := list(itertools.islice(body, step)):
+            n = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))  # blank lines
+            if n:
+                _parse_block(part, lines, first, out[row:row + n])
+            row += n
+            first += len(lines)
+
+
+def _utf8_checked(path: str, read, *args):
+    """``read(*args)``; a file that is not UTF-8 raises DataError naming
+    its first bad line."""
+    try:
+        return read(*args)
     except UnicodeDecodeError as exc:
         line = _first_non_utf8_line(path)
         where = path if line is None else f"{path}:{line}"
@@ -267,42 +314,73 @@ def _first_non_utf8_line(path: str) -> int | None:
     return None
 
 
-def merge_tables(tables: list[RawTable]) -> RawTable:
-    """Stack row-compatible tables (same columns, same label column).
+def load_csv(path, label_column: str = "Label", drop_columns=()) -> RawTable:
+    """Parse one headered CSV, or the rows of several in order, into a RawTable.
 
-    One table is returned as it is.  Several are copied into one array, and
-    their label codes are mapped onto one name table in first-seen order.
+    ``path`` is a file path or a list of them.  Columns named in
+    ``drop_columns`` are skipped without being parsed, so identifier
+    columns may hold text.  Every other non-label column must parse as a
+    float (missing/inf tokens included); anything else raises DataError
+    with the offending line number.  The label column is kept as codes
+    into its distinct texts, each stripped of surrounding space, first
+    seen first over the files in order.  Files must agree on their kept
+    columns.
+
+    A ``csv.reader`` pass over every file checks its header and every
+    row's cell count and collects the labels.  It sizes one (rows, kept
+    columns) float64 array, which ``np.loadtxt`` then fills a block of
+    lines at a time, each block bounded in cells (``_PARSE_CELLS``).  A
+    block it cannot take exactly (empty cells, underscores, non-ASCII
+    digits, ...) is scanned cell by cell with ``float()``, which gives the
+    same values or the first error, with its own line numbers.  A file the
+    csv pass cannot take row by row (ragged rows, a record on more than one
+    line) and a path that is not a regular file, such as a pipe, are read
+    whole by ``_scan_csv``.  Errors come in the order a file-by-file scan
+    meets them.  A file that is not UTF-8 raises DataError naming the
+    first bad line.  The caller owns the returned table's array.
     """
-    if not tables:
+    paths = [path] if isinstance(path, (str, os.PathLike)) else list(path)
+    if not paths:
         raise DataError("no tables to merge")
-    first = tables[0]
-    for t in tables[1:]:
-        if t.columns != first.columns:
-            raise DataError(
-                "tables disagree on columns; drop the extras before merging "
-                f"({sorted(set(t.columns) ^ set(first.columns))})"
-            )
-        if t.label_column != first.label_column:
-            raise DataError("tables disagree on the label column name")
-    if len(tables) == 1:
-        return first
+    parts: list = []
+    for p in paths:
+        try:
+            parts.append(_utf8_checked(p, _survey, p, label_column, drop_columns))
+        except (DataError, csv.Error) as exc:
+            parts.append(exc)  # raised after the cell errors of the files before it
+    surveyed = [part for part in parts if isinstance(part, _Part)]
+    columns = surveyed[0].columns if surveyed else ()
+    odd = next((part for part in surveyed if part.columns != columns), None)
+    total = sum(len(part.codes) for part in surveyed) if odd is None else 0
+    values = np.empty((total, len(columns)), dtype=np.float64)
+    row = 0
+    for part in parts:
+        if not isinstance(part, _Part):
+            raise part
+        n = len(part.codes)
+        # files that disagree on columns are still parsed, one at a time,
+        # for the cell errors that come first
+        out = values[row:row + n] if odd is None else np.empty((n, len(part.columns)))
+        _utf8_checked(part.path, _parse, part, out)
+        part.values = None
+        row += n
+    if odd is not None:
+        raise DataError(
+            "tables disagree on columns; drop the extras before merging "
+            f"({sorted(set(odd.columns) ^ set(columns))})"
+        )
     index: dict[str, int] = {}
-    for t in tables:
-        for name in t.label_names:
-            index.setdefault(name, len(index))
-    codes = np.concatenate([
-        np.array([index[name] for name in t.label_names], dtype=np.int32)[t.label_codes]
-        for t in tables
-    ])
-    return RawTable(
-        first.columns,
-        np.concatenate([t.values for t in tables]),
-        codes,
-        tuple(index),
-        first.label_column,
-        tuple(dict.fromkeys(c for t in tables for c in t.dropped)),
-        tuple(s for t in tables for s in t.sources),
-    )
+    codes = np.empty(total, dtype=np.int32)
+    row = 0
+    for part in parts:
+        lookup = np.array([index.setdefault(name, len(index)) for name in part.names],
+                          dtype=np.int32)
+        codes[row:row + len(part.codes)] = lookup[part.codes]
+        row += len(part.codes)
+    # one file keeps its dropped names as its header lists them
+    dropped = (parts[0].dropped if len(parts) == 1
+               else tuple(dict.fromkeys(c for part in parts for c in part.dropped)))
+    return RawTable(columns, values, codes, tuple(index), label_column, dropped, tuple(paths))
 
 
 def _where(table: RawTable) -> str:
@@ -382,35 +460,6 @@ def _varying_columns(table: RawTable, cols, rows=None) -> np.ndarray:
     return varies
 
 
-def _select(table: RawTable, rows, cols) -> RawTable:
-    """The table cut to the kept row indices and column indices."""
-    return replace(
-        table,
-        columns=tuple(table.columns[j] for j in cols),
-        values=table.values[np.ix_(rows, cols)],
-        label_codes=table.label_codes[rows],
-    )
-
-
-def drop_nonfinite_rows(table: RawTable) -> tuple[RawTable, int]:
-    """Remove rows containing NaN or infinite cells; returns the removed count."""
-    cols = range(table.n_columns)
-    finite = _finite_rows(table, cols)
-    removed = table.n_rows - int(np.count_nonzero(finite))
-    if removed == 0:
-        return table, 0
-    return _select(table, np.flatnonzero(finite), cols), removed
-
-
-def drop_constant_columns(table: RawTable) -> tuple[RawTable, list[str]]:
-    """Remove columns with a single distinct value; returns their names."""
-    varies = _varying_columns(table, range(table.n_columns))
-    if varies.all():
-        return table, []
-    dropped = [c for c, v in zip(table.columns, varies) if not v]
-    return _select(table, np.arange(table.n_rows), np.flatnonzero(varies)), dropped
-
-
 def _cleaning(table: RawTable, drop_columns):
     """What cleaning keeps, found by scanning the table without copying it:
     the indices of the kept rows and columns, and the report.
@@ -431,8 +480,11 @@ def _cleaning(table: RawTable, drop_columns):
 
 
 def _minmax_in_place(train: np.ndarray, apply_to: np.ndarray | None = None) -> list:
-    """minmax_normalize on float64 arrays the caller owns, scaled in place
-    by the same operations; returns the bounds."""
+    """Scale the columns of ``train`` to [0, 1] in place with bounds fitted
+    on it alone, and ``apply_to`` (the test partition) with the same bounds,
+    clamped into [0, 1]; returns the per-column (min, max) list.  Both are
+    float64 arrays the caller owns.  A constant train column is an error:
+    cleaning prunes those first."""
     lo = train.min(axis=0)
     hi = train.max(axis=0)
     span = hi - lo
@@ -449,21 +501,6 @@ def _minmax_in_place(train: np.ndarray, apply_to: np.ndarray | None = None) -> l
         apply_to /= span
         np.clip(apply_to, 0.0, 1.0, out=apply_to)
     return [(float(a), float(b)) for a, b in zip(lo, hi)]
-
-
-def minmax_normalize(train, apply_to=None):
-    """Scale columns to [0, 1] using bounds fitted on ``train`` alone.
-
-    ``apply_to`` (typically the test partition) is transformed with the
-    train bounds and clamped into [0, 1].  Returns (train_scaled,
-    apply_scaled_or_None, per-column (min, max) list).  A constant train
-    column is an error: it should have been pruned earlier.
-    """
-    train = np.array(train, dtype=np.float64)
-    if apply_to is not None:
-        apply_to = np.array(apply_to, dtype=np.float64)
-    bounds = _minmax_in_place(train, apply_to)
-    return train, apply_to, bounds
 
 
 def encode_labels(table: RawTable, benign: str, grouping: dict | None = None):
@@ -535,24 +572,6 @@ def split_indices(n_rows: int, ratio: float, seed: int, stratified: bool = False
     return train_idx, test_idx
 
 
-def _take(data: Dataset, idx) -> Dataset:
-    return Dataset(
-        data.features[idx],
-        data.feature_names,
-        data.labels_cat[idx],
-        data.labels_bin[idx],
-        data.class_names,
-    )
-
-
-def split(data: Dataset, ratio: float, seed: int, stratified: bool = False) -> SplitPair:
-    """Partition an already-normalized Dataset into train and test."""
-    train_idx, test_idx = split_indices(
-        data.n_rows, ratio, seed, stratified, data.labels_cat if stratified else None
-    )
-    return SplitPair(_take(data, train_idx), _take(data, test_idx), seed, ratio)
-
-
 def one_hot(labels_cat, class_names) -> np.ndarray:
     """Indicator matrix, one column per class, each row summing to 1."""
     labels = np.asarray(labels_cat, dtype=np.int64)
@@ -588,11 +607,26 @@ def binary_view(data: Dataset, benign_name: str = "benign") -> Dataset:
     )
 
 
-def clean_table(table: RawTable, drop_columns=DEFAULT_DROP_COLUMNS):
-    """Run the column/row hygiene passes and report what was removed."""
-    rows, cols, report = _cleaning(table, drop_columns)
-    cleaned = replace(_select(table, rows, cols), dropped=tuple(report["columns_dropped_named"]))
-    return cleaned, report
+def _compact(values: np.ndarray, rows, cols) -> np.ndarray:
+    """Shrink the C-ordered array ``values``, which owns its buffer, to the
+    cells of ``rows`` (ascending) and ``cols``, in place; returns it.
+
+    Row i of the result lies at or before row ``rows[i]`` of the array, so
+    moving blocks of rows to the front in order reads each block (into a
+    bounded copy) before anything is written over it.  The shrink may
+    move the buffer, so the caller must hold no view of the array.
+    """
+    n, k = len(rows), len(cols)
+    every = k == values.shape[1]
+    flat = values.reshape(-1)
+    step = max(1, _BLOCK_CELLS // max(1, values.shape[1]))
+    for start in range(0, n, step):
+        idx = rows[start:start + step]
+        block = values[idx] if every else values[np.ix_(idx, cols)]
+        flat[start * k:(start + len(idx)) * k] = block.reshape(-1)
+    del flat
+    values.resize((n, k), refcheck=False)
+    return values
 
 
 def prepare_splits(
@@ -613,8 +647,17 @@ def prepare_splits(
     splitting, reproducing the simpler (leaky) ordering some studies use.
     Returns (SplitPair, report dict).
 
-    Cleaning only chooses rows and columns; each partition is then one
-    gather from ``table`` and is normalized in place.
+    Cleaning only chooses rows and columns.  The test partition is then
+    gathered from ``table.values``, and the training partition is
+    ``table.values`` itself: its rows and kept columns are moved to the
+    front of the array in place and the array is shrunk to them, so the
+    table is held once.  prepare_splits thus takes the array over: on
+    return ``table.values`` is the training features, and the caller must
+    hold no view of it (the shrink may move its buffer).  An array that is
+    not float64, C-ordered and the owner of its buffer is copied once
+    instead, and the table is left as it was.  Both partitions are
+    normalized in place; ``normalize_before_split`` normalizes the kept
+    rows, compacted the same way, before partitioning them.
     """
     rows, cols, report = _cleaning(table, drop_columns)
     if not cols:
@@ -625,15 +668,20 @@ def prepare_splits(
     train_idx, test_idx = split_indices(
         rows.size, ratio, seed, stratified, labels_cat if stratified else None
     )
+    values = table.values
+    if not (values.dtype == np.float64 and values.flags.c_contiguous
+            and values.flags.owndata):
+        values = np.array(values, dtype=np.float64, order="C")
     if normalize_before_split:
         # the bounds fold over the kept rows in file order, which decides
         # the sign of a zero bound, so they are taken before the split
-        features = table.values[np.ix_(rows, cols)]
+        features = _compact(values, rows, cols)
         bounds = _minmax_in_place(features)
-        train, test = features[train_idx], features[test_idx]
+        test = features[test_idx]
+        train = _compact(features, train_idx, range(len(cols)))
     else:
-        train = table.values[np.ix_(rows[train_idx], cols)]
-        test = table.values[np.ix_(rows[test_idx], cols)]
+        test = values[np.ix_(rows[test_idx], cols)]
+        train = _compact(values, rows[train_idx], cols)
         bounds = _minmax_in_place(train, test)
     pair = SplitPair(
         Dataset(train, names, labels_cat[train_idx], labels_bin[train_idx], class_names),

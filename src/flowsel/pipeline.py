@@ -274,7 +274,9 @@ class _OnFirstUse:
 def preprocess_stage(cfg: ExperimentConfig,
                      keys: dict | None = None) -> tuple[dataset.SplitPair, dict]:
     """Load, clean, and split the input; cached as two dataset files.  A
-    hit reads only their headers; each split loads on first use.
+    hit reads only their headers; each split loads on first use.  A miss
+    returns the training split it computed and, once both are saved, the
+    test split as a hit does, so it is not held until it is used.
     ``keys``, here and in every stage, is the run's memo of stage keys, as
     ``stage_key`` takes it."""
     make_out_dir(cfg.out_dir)
@@ -287,12 +289,11 @@ def preprocess_stage(cfg: ExperimentConfig,
     seed = stage_seed(cfg.seed, "split")
 
     def compute() -> dataset.SplitPair:
-        # Day files may disagree only on columns we drop anyway.  Nothing
-        # here keeps the parsed tables, so the merged one is freed as soon
-        # as prepare_splits returns the splits it gathered from it.
+        # Day files may disagree only on columns we drop anyway.  The parsed
+        # table becomes the training split (prepare_splits takes its array
+        # over), so nothing here keeps another reference to it.
         pair, report = dataset.prepare_splits(
-            dataset.merge_tables([dataset.load_csv(p, cfg.label_column, cfg.drop_columns)
-                                  for p in cfg.data_paths]),
+            dataset.load_csv(cfg.data_paths, cfg.label_column, cfg.drop_columns),
             benign=cfg.benign,
             grouping=load_grouping(cfg.grouping),
             ratio=cfg.ratio,
@@ -314,9 +315,10 @@ def preprocess_stage(cfg: ExperimentConfig,
                            dataset.load_dataset_header(path))
 
     splits = _cached(cfg, files.values(), lambda: (stored("train"), stored("test")))
-    if splits is not None:
-        return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
-    return compute(), files
+    if splits is None:
+        # once saved, the test split is read back on first use, as on a hit
+        splits = (compute().train, stored("test"))
+    return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
 
 
 def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict | None = None):

@@ -392,12 +392,8 @@ def test_criterion_10_full_data_mode():
 
     paths = sorted(glob.glob(os.path.join(data_dir, "*.csv")))
     assert paths, f"no CSV files under {data_dir}"
-    tables = [
-        dataset.drop_named_columns(dataset.load_csv(p), dataset.DEFAULT_DROP_COLUMNS)
-        for p in paths
-    ]
     pair, _ = dataset.prepare_splits(
-        dataset.merge_tables(tables),
+        dataset.load_csv(paths, drop_columns=dataset.DEFAULT_DROP_COLUMNS),
         benign="Benign",
         grouping=load_grouping("default"),
         ratio=0.5,

@@ -131,6 +131,22 @@ class TestPreprocessMemory:
         table = pair.train.features.nbytes + pair.test.features.nbytes
         assert peak <= 2.5 * table, peak / table
 
+    def test_a_miss_reads_the_test_split_back_on_first_use(self, tmp_path, monkeypatch):
+        """A miss returns the training split it computed; the test split,
+        once saved, loads on first use as on a hit, so it is not held."""
+        csv_path, _ = write_fixture(str(tmp_path), "lazy", 2, 3, 200, seed=2)
+        cfg = ExperimentConfig(data_paths=(csv_path,), out_dir=str(tmp_path / "runs"))
+        loads = []
+        monkeypatch.setattr(flowsel.dataset, "load_dataset",
+                            lambda path: (loads.append(path), load_dataset(path))[1])
+        pair, files = preprocess_stage(cfg)
+        assert isinstance(pair.train, flowsel.Dataset)
+        assert (pair.test.n_rows, pair.test.feature_names) == (100, pair.train.feature_names)
+        assert loads == []
+        features = pair.test.features
+        assert loads == [files["test"]]
+        assert features.tobytes() == load_dataset(files["test"]).features.tobytes()
+
 
 class TestStageSeeds:
     def test_stable_and_distinct(self):
