@@ -13,17 +13,24 @@ The two checksums let ``load_header`` check a header, and the file's size
 against the arrays it declares, without reading the arrays; ``load``
 checks both.
 
+``save`` also takes an array as ``Blocks``, a source of its rows a block
+at a time, and writes the bytes the whole array would give while holding
+one block.
+
 Every file under ``--out`` is written through ``write_atomic``, so a
 killed writer leaves the old file or none, never half of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
 import zlib
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,9 +48,10 @@ _ALIGN = 8
 
 
 def write_atomic(path: str, data) -> None:
-    """Write ``data`` (text as UTF-8, bytes, or a list of bytes-like chunks)
-    to a temporary file beside ``path``, then rename it over ``path``.  No
-    fsync: this guards against a killed writer, not a power loss."""
+    """Write ``data`` (text as UTF-8, bytes, or an iterable of bytes-like
+    chunks) to a temporary file beside ``path``, then rename it over
+    ``path``.  No fsync: this guards against a killed writer, not a power
+    loss."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if isinstance(data, bytes):
@@ -64,20 +72,50 @@ def container_for(path: str) -> str:
     return os.path.splitext(path)[0] + ".bin"
 
 
+@dataclass(frozen=True)
+class Blocks:
+    """An array that ``save`` writes without holding it: its ``np.dtype``,
+    its shape, and ``blocks()``, which yields its rows in order as consecutive
+    C-ordered arrays, afresh each time it is called."""
+
+    dtype: np.dtype
+    shape: tuple
+    blocks: Callable[[], Iterable[np.ndarray]]
+
+
 def save(path: str, kind: str, arrays: dict, **fields) -> None:
     """Write a container of ``kind`` holding the named arrays and header
-    fields."""
-    arrays = {name: np.asarray(a, dtype=np.dtype(a.dtype).newbyteorder("<"))
+    fields.
+
+    An array given as ``Blocks`` is read through twice, once for the body
+    checksum, which the header before it holds, and once to write it; the
+    file is byte for byte the one its whole array gives, and no more than
+    one of its blocks is held at a time."""
+    arrays = {name: a if isinstance(a, Blocks)
+              else np.asarray(a, dtype=np.dtype(a.dtype).newbyteorder("<"))
               for name, a in arrays.items()}
     for name, a in arrays.items():
         if a.dtype.str not in DTYPES:
             raise TypeError(f"array {name!r} is {a.dtype.str}, not one of {DTYPES}")
     header = {**fields, "kind": kind, "version": VERSION,
               "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]}
-    body = []
-    for a in arrays.values():
-        body.append(np.ascontiguousarray(a))
-        body.append(bytes(_padding(a.nbytes)))
+
+    def body():
+        for name, a in arrays.items():
+            size = math.prod(a.shape) * a.dtype.itemsize
+            if isinstance(a, Blocks):
+                written = 0
+                for block in a.blocks():
+                    block = np.ascontiguousarray(block, dtype=a.dtype)
+                    written += block.nbytes
+                    yield block
+                if written != size:
+                    raise ValueError(f"array {name!r} gave {written} bytes for "
+                                     f"{list(a.shape)}")
+            else:
+                yield np.ascontiguousarray(a)
+            yield bytes(_padding(size))
+
     write_atomic(path, _framed(header, body, pad=True))
 
 
@@ -89,19 +127,21 @@ def frame(header: dict, body: list) -> list:
     """Magic, header length and checksum, the header with the body's
     checksum added, then the array buffers, as chunks to write without
     joining them; nothing is padded."""
-    return _framed(header, body, pad=False)
+    return list(_framed(header, lambda: body, pad=False))
 
 
-def _framed(header: dict, body: list, pad: bool) -> list:
+def _framed(header: dict, body, pad: bool):
+    """The chunks of a container whose body ``body()`` yields: it is called
+    once for the checksum, and again for the chunks."""
     crc = 0
-    for chunk in body:
+    for chunk in body():
         crc = zlib.crc32(chunk, crc)
     blob = json.dumps({**header, "body_crc": crc}).encode("utf-8")
     if pad:
         # _START is a multiple of 8, so padding the header and every array
         # to one puts each array at an aligned offset
         blob += b" " * _padding(len(blob))
-    return [MAGIC + _LENGTHS.pack(len(blob), zlib.crc32(blob)), blob, *body]
+    return itertools.chain((MAGIC + _LENGTHS.pack(len(blob), zlib.crc32(blob)), blob), body())
 
 
 def _read_header(fh, size: int, kind: str) -> tuple[dict, int, list]:

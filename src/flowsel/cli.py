@@ -204,8 +204,13 @@ def _check_distinct_inputs(paths) -> None:
         seen[(st.st_dev, st.st_ino)] = path
 
 
+# Commands that read the input files; each needs at least one.
+_READS_DATA = ("preprocess", "correlate", "select", "run", "sweep-depth")
+
+
 def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
-    """Defaults, then config file, then flags."""
+    """Defaults, then config file, then flags.  A command that reads the
+    input files and is given none is a data error."""
     cfg = pipeline.ExperimentConfig()
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
@@ -305,13 +310,13 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
         optimizer=pick(getattr(args, "optimizer", None),
                        file_get("mlp.optimizer"), cfg.mlp.optimizer),
     )
+    if getattr(args, "command", None) in _READS_DATA and not cfg.data_paths:
+        raise DataError("no input data files given (use --data)")
     return cfg
 
 
 def _cmd_preprocess(args) -> int:
     cfg = build_config(args)
-    if not cfg.data_paths:
-        raise DataError("no input data files given (use --data)")
     pair, artifacts = pipeline.preprocess_stage(cfg)
     print(f"train rows: {pair.train.n_rows}, test rows: {pair.test.n_rows}, "
           f"features: {pair.train.n_features}, classes: {len(pair.train.class_names)}")

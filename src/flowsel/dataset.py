@@ -59,14 +59,6 @@ class RawTable:
     dropped: tuple[str, ...] = ()
     sources: tuple[str, ...] = ()
 
-    @classmethod
-    def from_labels(cls, columns, values, labels, label_column, dropped=(), sources=()):
-        """A table from one label text per row."""
-        index: dict[str, int] = {}
-        codes = [index.setdefault(label, len(index)) for label in labels]
-        return cls(tuple(columns), values, np.array(codes, dtype=np.int32),
-                   tuple(index), label_column, tuple(dropped), tuple(sources))
-
     @property
     def labels(self) -> tuple[str, ...]:
         """The label text of every row, decoded from the codes."""
@@ -398,19 +390,6 @@ def _named_drop(table: RawTable, names) -> tuple[list[int], tuple[str, ...]]:
     return keep, table.dropped + tuple(c for c in table.columns if c in names)
 
 
-def drop_named_columns(table: RawTable, names) -> RawTable:
-    """Remove the listed columns; names absent from the table are skipped."""
-    keep, dropped = _named_drop(table, names)
-    if len(keep) == len(table.columns):
-        return table
-    return replace(
-        table,
-        columns=tuple(table.columns[i] for i in keep),
-        values=table.values[:, keep],
-        dropped=dropped,
-    )
-
-
 # Cleaning scans the table in blocks of about this many cells, so that no
 # scan holds more than a block's copy of it.
 _BLOCK_CELLS = 1 << 16
@@ -479,14 +458,9 @@ def _cleaning(table: RawTable, drop_columns):
     return np.flatnonzero(finite), [j for j, v in zip(cols, varies) if v], report
 
 
-def _minmax_in_place(train: np.ndarray, apply_to: np.ndarray | None = None) -> list:
-    """Scale the columns of ``train`` to [0, 1] in place with bounds fitted
-    on it alone, and ``apply_to`` (the test partition) with the same bounds,
-    clamped into [0, 1]; returns the per-column (min, max) list.  Both are
-    float64 arrays the caller owns.  A constant train column is an error:
-    cleaning prunes those first."""
-    lo = train.min(axis=0)
-    hi = train.max(axis=0)
+def _span(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``hi - lo``, the scale of each column; a column whose training rows
+    are constant is an error, since cleaning prunes constants first."""
     span = hi - lo
     flat = np.flatnonzero(span == 0)
     if flat.size:
@@ -494,13 +468,16 @@ def _minmax_in_place(train: np.ndarray, apply_to: np.ndarray | None = None) -> l
             f"column index(es) {flat.tolist()} are constant in the training rows; "
             "prune constants before normalizing"
         )
-    train -= lo
-    train /= span
-    if apply_to is not None:
-        apply_to -= lo
-        apply_to /= span
-        np.clip(apply_to, 0.0, 1.0, out=apply_to)
-    return [(float(a), float(b)) for a, b in zip(lo, hi)]
+    return span
+
+
+def _normalize(values: np.ndarray, lo, span, clamp: bool = False) -> None:
+    """Scale ``values`` in place with the bounds ``lo`` and ``lo + span``,
+    clamped into [0, 1] when ``clamp`` is set, as the test rows are."""
+    values -= lo
+    values /= span
+    if clamp:
+        np.clip(values, 0.0, 1.0, out=values)
 
 
 def encode_labels(table: RawTable, benign: str, grouping: dict | None = None):
@@ -607,6 +584,16 @@ def binary_view(data: Dataset, benign_name: str = "benign") -> Dataset:
     )
 
 
+def _row_blocks(values: np.ndarray, rows, cols):
+    """The cells of ``cols`` in the ``rows`` of ``values``, gathered into
+    new arrays of about ``_BLOCK_CELLS`` cells, in order."""
+    every = len(cols) == values.shape[1]
+    step = max(1, _BLOCK_CELLS // max(1, values.shape[1]))
+    for start in range(0, len(rows), step):
+        idx = rows[start:start + step]
+        yield values[idx] if every else values[np.ix_(idx, cols)]
+
+
 def _compact(values: np.ndarray, rows, cols) -> np.ndarray:
     """Shrink the C-ordered array ``values``, which owns its buffer, to the
     cells of ``rows`` (ascending) and ``cols``, in place; returns it.
@@ -616,17 +603,34 @@ def _compact(values: np.ndarray, rows, cols) -> np.ndarray:
     bounded copy) before anything is written over it.  The shrink may
     move the buffer, so the caller must hold no view of the array.
     """
-    n, k = len(rows), len(cols)
-    every = k == values.shape[1]
     flat = values.reshape(-1)
-    step = max(1, _BLOCK_CELLS // max(1, values.shape[1]))
-    for start in range(0, n, step):
-        idx = rows[start:start + step]
-        block = values[idx] if every else values[np.ix_(idx, cols)]
-        flat[start * k:(start + len(idx)) * k] = block.reshape(-1)
+    start = 0
+    for block in _row_blocks(values, rows, cols):
+        flat[start:start + block.size] = block.reshape(-1)
+        start += block.size
     del flat
-    values.resize((n, k), refcheck=False)
+    values.resize((len(rows), len(cols)), refcheck=False)
     return values
+
+
+def _fold_bounds(values: np.ndarray, rows, cols):
+    """The minimum and maximum of each column of ``cols`` over ``rows``,
+    read a block at a time, bit for bit those of ``min(axis=0)`` and
+    ``max(axis=0)`` over the cells gathered into one C-ordered array.
+
+    That includes the sign of a zero bound, which depends on the order the
+    reduction meets the zeros in.  Over two or more columns it folds row
+    after row, so each block is folded onto the bounds so far as one more
+    array.  A single column is reduced as one contiguous run, in several
+    interleaved folds, so it is gathered whole: one value per row."""
+    if len(cols) == 1:
+        column = values[rows, cols[0]].reshape(-1, 1)
+        return column.min(axis=0), column.max(axis=0)
+    lo = hi = np.empty((0, len(cols)))
+    for block in _row_blocks(values, rows, cols):
+        lo = np.vstack((lo, block)).min(axis=0, keepdims=True)
+        hi = np.vstack((hi, block)).max(axis=0, keepdims=True)
+    return lo[0], hi[0]
 
 
 def prepare_splits(
@@ -638,26 +642,30 @@ def prepare_splits(
     stratified: bool = False,
     normalize_before_split: bool = False,
     drop_columns=DEFAULT_DROP_COLUMNS,
+    *,
+    test_path: str,
 ):
-    """Full preprocessing: clean, encode, normalize, split.
+    """Full preprocessing: clean, encode, normalize, split.  The test
+    partition is written to ``test_path`` as ``save_dataset`` writes it;
+    returns (training Dataset, report dict).
 
     By default normalization bounds come from the training partition only
     and the test partition is clamped into [0, 1] with them.
     ``normalize_before_split`` instead fits the bounds on all rows before
     splitting, reproducing the simpler (leaky) ordering some studies use.
-    Returns (SplitPair, report dict).
 
-    Cleaning only chooses rows and columns.  The test partition is then
-    gathered from ``table.values``, and the training partition is
-    ``table.values`` itself: its rows and kept columns are moved to the
-    front of the array in place and the array is shrunk to them, so the
-    table is held once.  prepare_splits thus takes the array over: on
+    Cleaning only chooses rows and columns, and the table is held once.
+    The bounds are folded over the training rows a block at a time.  The
+    test rows are then gathered, normalized and written a block at a time,
+    and never held whole.  Last, the training rows and kept columns are
+    moved to the front of ``table.values`` in place, the array is shrunk
+    to them and normalized.  prepare_splits thus takes the array over: on
     return ``table.values`` is the training features, and the caller must
     hold no view of it (the shrink may move its buffer).  An array that is
     not float64, C-ordered and the owner of its buffer is copied once
-    instead, and the table is left as it was.  Both partitions are
-    normalized in place; ``normalize_before_split`` normalizes the kept
-    rows, compacted the same way, before partitioning them.
+    instead, and the table is left as it was.  ``normalize_before_split``
+    compacts and normalizes the kept rows first, then streams the test
+    rows out of them and compacts the training rows the same way.
     """
     rows, cols, report = _cleaning(table, drop_columns)
     if not cols:
@@ -675,37 +683,52 @@ def prepare_splits(
     if normalize_before_split:
         # the bounds fold over the kept rows in file order, which decides
         # the sign of a zero bound, so they are taken before the split
-        features = _compact(values, rows, cols)
-        bounds = _minmax_in_place(features)
-        test = features[test_idx]
-        train = _compact(features, train_idx, range(len(cols)))
+        values = _compact(values, rows, cols)
+        lo, hi = values.min(axis=0), values.max(axis=0)
+        span = _span(lo, hi)
+        _normalize(values, lo, span)
+        test_rows, train_rows, kept = test_idx, train_idx, range(len(cols))
     else:
-        test = values[np.ix_(rows[test_idx], cols)]
-        train = _compact(values, rows[train_idx], cols)
-        bounds = _minmax_in_place(train, test)
-    pair = SplitPair(
-        Dataset(train, names, labels_cat[train_idx], labels_bin[train_idx], class_names),
-        Dataset(test, names, labels_cat[test_idx], labels_bin[test_idx], class_names),
-        seed,
-        ratio,
-    )
+        test_rows, train_rows, kept = rows[test_idx], rows[train_idx], cols
+        lo, hi = _fold_bounds(values, train_rows, kept)
+        span = _span(lo, hi)
 
-    report["normalization"] = {name: [lo, hi] for name, (lo, hi) in zip(names, bounds)}
+    def test_blocks():
+        for block in _row_blocks(values, test_rows, kept):
+            if not normalize_before_split:
+                _normalize(block, lo, span, clamp=True)
+            yield block
+
+    features = artifacts.Blocks(np.dtype("<f8"), (len(test_idx), len(cols)), test_blocks)
+    save_dataset(Dataset(features, names, labels_cat[test_idx], labels_bin[test_idx],
+                         class_names), test_path)
+    train = _compact(values, train_rows, kept)
+    if not normalize_before_split:
+        _normalize(train, lo, span)
+
+    report["normalization"] = {name: [float(a), float(b)]
+                               for name, a, b in zip(names, lo, hi)}
     report["rows_total"] = int(rows.size)
-    report["rows_train"] = pair.train.n_rows
-    report["rows_test"] = pair.test.n_rows
+    report["rows_train"] = len(train_idx)
+    report["rows_test"] = len(test_idx)
     report["class_names"] = list(class_names)
     report["normalize_before_split"] = normalize_before_split
     report["stratified"] = stratified
     report["split_seed"] = seed
     report["split_ratio"] = ratio
-    return pair, report
+    return Dataset(train, names, labels_cat[train_idx], labels_bin[train_idx],
+                   class_names), report
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    """Write a dataset container: features, both label vectors, the names."""
+    """Write a dataset container: features, both label vectors, the names.
+    The features may be ``artifacts.Blocks`` of float64 rows, which are
+    written a block at a time."""
+    features = data.features
+    if not isinstance(features, artifacts.Blocks):
+        features = np.asarray(features, dtype=np.float64)
     artifacts.save(path, "dataset", {
-        "features": np.asarray(data.features, dtype=np.float64),
+        "features": features,
         "labels_cat": np.asarray(data.labels_cat, dtype=np.int64),
         "labels_bin": np.asarray(data.labels_bin, dtype=np.uint8),
     }, feature_names=list(data.feature_names), class_names=list(data.class_names))

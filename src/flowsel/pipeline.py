@@ -140,6 +140,13 @@ _READS = {
                       *(("averaging",) if c.mode == "categorical" and not c.collapse else ())),
 }
 
+# A stage whose output changes for the same reads is given a revision, which
+# its key, and so every key chained on it, hashes: no entry cached before
+# the change is served.  preprocess 1: prepare_splits folds each column's
+# bounds over its rows in file order, so a zero bound may have another sign
+# than in a split cached before it did.
+_REVISIONS = {"preprocess": 1}
+
 
 def _read(cfg: ExperimentConfig, name: str, subset) -> object:
     """The value of one of a stage's reads, as its key hashes it."""
@@ -170,6 +177,8 @@ def stage_key(cfg: ExperimentConfig, stage: str, subset=None, keys: dict | None 
             reads = {r: key(r) if r in _READS else _read(cfg, r, subset)
                      for r in _READS[name](cfg)}
             reads["format"] = artifacts.VERSION  # a new layout re-keys every stage
+            if name in _REVISIONS:
+                reads["revision"] = _REVISIONS[name]
             text = json.dumps(reads, sort_keys=True)
             keys[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
         return keys[name]
@@ -275,8 +284,9 @@ def preprocess_stage(cfg: ExperimentConfig,
                      keys: dict | None = None) -> tuple[dataset.SplitPair, dict]:
     """Load, clean, and split the input; cached as two dataset files.  A
     hit reads only their headers; each split loads on first use.  A miss
-    returns the training split it computed and, once both are saved, the
-    test split as a hit does, so it is not held until it is used.
+    writes the test split as it makes it and returns the training split
+    it computed, with the test split read back on first use, as on a hit.
+    A test container that fails then is computed and written again.
     ``keys``, here and in every stage, is the run's memo of stage keys, as
     ``stage_key`` takes it."""
     make_out_dir(cfg.out_dir)
@@ -288,11 +298,11 @@ def preprocess_stage(cfg: ExperimentConfig,
     }
     seed = stage_seed(cfg.seed, "split")
 
-    def compute() -> dataset.SplitPair:
+    def compute() -> dataset.Dataset:
         # Day files may disagree only on columns we drop anyway.  The parsed
         # table becomes the training split (prepare_splits takes its array
         # over), so nothing here keeps another reference to it.
-        pair, report = dataset.prepare_splits(
+        train, report = dataset.prepare_splits(
             dataset.load_csv(cfg.data_paths, cfg.label_column, cfg.drop_columns),
             benign=cfg.benign,
             grouping=load_grouping(cfg.grouping),
@@ -301,23 +311,26 @@ def preprocess_stage(cfg: ExperimentConfig,
             stratified=cfg.stratified,
             normalize_before_split=cfg.normalize_before_split,
             drop_columns=cfg.drop_columns,
+            test_path=files["test"],
         )
-        dataset.save_dataset(pair.train, files["train"])
-        dataset.save_dataset(pair.test, files["test"])
+        dataset.save_dataset(train, files["train"])
         artifacts.write_atomic(files["report"],
                                json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return pair
+        return train
 
-    def stored(split: str) -> _OnFirstUse:
+    def compute_test() -> dataset.Dataset:
+        compute()
+        return dataset.load_dataset(files["test"])
+
+    def stored(split: str, recompute) -> _OnFirstUse:
         path = files[split]
-        return _OnFirstUse(lambda: dataset.load_dataset(path),
-                           lambda: getattr(compute(), split),
+        return _OnFirstUse(lambda: dataset.load_dataset(path), recompute,
                            dataset.load_dataset_header(path))
 
-    splits = _cached(cfg, files.values(), lambda: (stored("train"), stored("test")))
+    splits = _cached(cfg, files.values(),
+                     lambda: (stored("train", compute), stored("test", compute_test)))
     if splits is None:
-        # once saved, the test split is read back on first use, as on a hit
-        splits = (compute().train, stored("test"))
+        splits = (compute(), stored("test", compute_test))
     return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
 
 

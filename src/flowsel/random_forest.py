@@ -166,7 +166,8 @@ TREE_ARRAYS = tuple(f.name for f in fields(Tree))
 # Cells (candidates x rows x classes) that best_split scores in one block.
 # A block is at least one candidate wide, so a temporary array holds at most
 # 2 x max(BLOCK_CELLS, rows x classes) float64 cells: 16 MB at 1 << 20, more
-# on a node with over 2^20 rows x classes.
+# on a node with over 2^20 rows x classes.  grow_tree gathers a node's
+# block through int64 offsets of at most this many cells (or one candidate).
 BLOCK_CELLS = 1 << 20
 
 
@@ -325,7 +326,8 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
     No copy of the rows is made.  The stack holds each node's rows (as
     offsets into ``X``'s buffer), labels and class counts, and a node
     gathers only its drawn candidates, in ascending order, straight from
-    ``X`` into one contiguous (candidates, rows) block, scored through
+    ``X`` into one contiguous (candidates, rows) block, through the offsets
+    of at most ``BLOCK_CELLS`` cells at a time, scored through
     ``best_split`` on the block's (rows, candidates) view.  A split
     partitions the node's rows and labels and counts the left child's
     classes, so a child that is bound to be a leaf is settled without its
@@ -371,7 +373,15 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
             candidates.sort()
         else:
             candidates = every
-        block = flat.take(candidates[:, None] * col_step + rows)
+        # a group of candidates at a time, so the offsets of one group, not
+        # of the whole block, are held beside it; "clip" (every offset is in
+        # range) lets take write into out without a buffer
+        width = max(1, BLOCK_CELLS // rows.size)
+        block = np.empty((candidates.size, rows.size))
+        for start in range(0, candidates.size, width):
+            group = candidates[start:start + width]
+            flat.take(group[:, None] * col_step + rows, out=block[start:start + width],
+                      mode="clip")
         found = best_split(block.T, yn, n_classes, block_features)
         if found is None:
             continue

@@ -382,7 +382,7 @@ def test_criterion_09_determinism(tmp_path):
     assert first == threaded
 
 
-def test_criterion_10_full_data_mode():
+def test_criterion_10_full_data_mode(tmp_path):
     data_dir = os.environ.get("FLOWSEL_DATA_DIR", "")
     if not data_dir:
         GATE_LINES.append(
@@ -392,13 +392,16 @@ def test_criterion_10_full_data_mode():
 
     paths = sorted(glob.glob(os.path.join(data_dir, "*.csv")))
     assert paths, f"no CSV files under {data_dir}"
-    pair, _ = dataset.prepare_splits(
+    test_path = str(tmp_path / "test.ds")
+    train, _ = dataset.prepare_splits(
         dataset.load_csv(paths, drop_columns=dataset.DEFAULT_DROP_COLUMNS),
         benign="Benign",
         grouping=load_grouping("default"),
         ratio=0.5,
         seed=0,
+        test_path=test_path,
     )
+    pair = dataset.SplitPair(train, dataset.load_dataset(test_path), seed=0, ratio=0.5)
     all_features = tuple(range(len(pair.train.feature_names)))
 
     def full_set_merit(binary):

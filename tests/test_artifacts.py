@@ -83,6 +83,40 @@ class TestContainer:
             assert back[name].tobytes() == a.tobytes()
             assert back[name].flags.writeable and back[name].flags.aligned
 
+    @settings(max_examples=100, deadline=None)
+    @given(arrays=named_arrays(), step=st.integers(1, 5), data=st.data())
+    def test_blocks_write_the_bytes_of_the_whole_array(self, tmp_path_factory, arrays, step,
+                                                       data):
+        """Arrays given as blocks of ``step`` rows, in any mix with whole
+        ones, give the file the whole arrays give; each source is read
+        through twice, once for the checksum and once to write."""
+        out = tmp_path_factory.mktemp("blocks")
+        whole, blocked = str(out / "whole.bin"), str(out / "blocked.bin")
+        artifacts.save(whole, "probe", arrays)
+        reads = []
+
+        def source(name, a):
+            rows = a.reshape(1) if a.ndim == 0 else a
+
+            def blocks():
+                reads.append(name)
+                return (rows[i:i + step] for i in range(0, len(rows), step))
+            return artifacts.Blocks(a.dtype, a.shape, blocks)
+
+        given_as = {name: source(name, a) if data.draw(st.booleans()) else a
+                    for name, a in arrays.items()}
+        artifacts.save(blocked, "probe", given_as)
+        assert open(blocked, "rb").read() == open(whole, "rb").read()
+        names = [n for n, a in given_as.items() if isinstance(a, artifacts.Blocks)]
+        assert reads == names + names
+
+    def test_blocks_short_of_their_shape_write_nothing(self, tmp_path):
+        path = tmp_path / "short.bin"
+        short = artifacts.Blocks(np.dtype("<f8"), (3, 2), lambda: iter([np.zeros((2, 2))]))
+        with pytest.raises(ValueError, match=r"array 'a' gave 32 bytes for \[3, 2\]"):
+            artifacts.save(str(path), "probe", {"a": short})
+        assert not os.listdir(tmp_path)
+
     def test_big_endian_and_strided_input(self, tmp_path):
         path = str(tmp_path / "probe.bin")
         values = np.arange(12, dtype=">f8").reshape(3, 4).T

@@ -1,9 +1,11 @@
 """CSV ingestion, cleaning, normalization, label encoding, splitting."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -19,8 +21,8 @@ from flowsel.dataset import (
     Dataset,
     RawTable,
     binary_view,
+    SplitPair,
     class_indicator_columns,
-    drop_named_columns,
     encode_labels,
     load_csv,
     load_dataset,
@@ -96,8 +98,36 @@ def same_as_scanner(path, label_column="Label", drop_columns=()):
     return got
 
 
+def table_from_labels(columns, values, labels, label_column, dropped=(), sources=()):
+    """A table from one label text per row."""
+    index = {}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return RawTable(tuple(columns), values, np.array(codes, dtype=np.int32),
+                    tuple(index), label_column, tuple(dropped), tuple(sources))
+
+
+def drop_named_columns(table, names):
+    """The table without the listed columns; names absent from it are
+    skipped."""
+    keep, dropped = dataset._named_drop(table, names)
+    if len(keep) == len(table.columns):
+        return table
+    return dataclasses.replace(table, columns=tuple(table.columns[i] for i in keep),
+                               values=table.values[:, keep], dropped=dropped)
+
+
+def splits(table, benign, *args, **kwargs):
+    """``prepare_splits`` with its test split written to a temporary file
+    and read back: (SplitPair, report)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "test.ds")
+        train, report = prepare_splits(table, benign, *args, test_path=path, **kwargs)
+        test = load_dataset(path)
+    return SplitPair(train, test, report["split_seed"], report["split_ratio"]), report
+
+
 def small_table():
-    return RawTable.from_labels(
+    return table_from_labels(
         columns=("a", "b"),
         values=np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]]),
         labels=("x", "y", "x", "y"),
@@ -495,7 +525,7 @@ class TestColumnAndRowHygiene:
             drop_named_columns(small_table(), ["Label"])
 
     def test_nonfinite_rows_are_dropped(self):
-        table = RawTable.from_labels(
+        table = table_from_labels(
             ("a", "b"),
             np.array([[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0], [np.inf, 4.0]]),
             ("w", "x", "y", "z"),
@@ -508,13 +538,13 @@ class TestColumnAndRowHygiene:
         np.testing.assert_array_equal(table.values[np.ix_(rows, cols)], [[1.0, 1.0], [3.0, 3.0]])
 
     def test_all_rows_bad(self):
-        table = RawTable.from_labels(("a",), np.array([[np.nan], [np.inf]]), ("x", "y"), "Label")
+        table = table_from_labels(("a",), np.array([[np.nan], [np.inf]]), ("x", "y"), "Label")
         with pytest.raises(DataError, match="every row"):
             dataset._cleaning(table, ())
 
     def test_all_rows_bad_names_the_files_and_columns(self):
         values = np.array([[np.nan, 1.0, 2.0], [3.0, 1.0, np.inf], [5.0, 1.0, np.inf]])
-        table = RawTable.from_labels(("a", "b", "c"), values, ("x", "y", "x"), "Label",
+        table = table_from_labels(("a", "b", "c"), values, ("x", "y", "x"), "Label",
                                      sources=("mon.csv", "tue.csv"))
         with pytest.raises(DataError) as err:
             dataset._cleaning(table, ())
@@ -527,14 +557,14 @@ class TestColumnAndRowHygiene:
         table = load_csv(paths)
         for clean in (lambda t: dataset._cleaning(t, DEFAULT_DROP_COLUMNS),
                       lambda t: dataset._cleaning(t, ()),
-                      lambda t: prepare_splits(t, "Benign")):
+                      lambda t: splits(t, "Benign")):
             with pytest.raises(DataError) as err:
                 clean(table)
             assert str(err.value) == (f"{paths[0]}, {paths[1]}: no data rows below the "
                                       "header; give input files that hold flows")
 
     def test_constant_columns_are_dropped(self):
-        table = RawTable.from_labels(
+        table = table_from_labels(
             ("live", "dead"),
             np.array([[1.0, 7.0], [2.0, 7.0]]),
             ("x", "y"),
@@ -545,7 +575,7 @@ class TestColumnAndRowHygiene:
         assert [table.columns[j] for j in cols] == ["live"]
 
     def test_cleaning_report(self):
-        table = RawTable.from_labels(
+        table = table_from_labels(
             ("Flow ID", "a", "dead"),
             np.array([[1.0, 1.0, 5.0], [2.0, np.nan, 5.0], [3.0, 2.0, 5.0]]),
             ("x", "y", "x"),
@@ -564,29 +594,27 @@ class TestColumnAndRowHygiene:
 
 
 class TestMinmaxNormalize:
-    """``_minmax_in_place``, which prepare_splits runs on both partitions."""
+    """``_span`` and ``_normalize``, which prepare_splits runs on both
+    partitions."""
 
     def test_train_hits_the_unit_interval(self):
         rng = np.random.default_rng(2)
         train = rng.normal(size=(50, 3)) * 10
         scaled = train.copy()
-        bounds = dataset._minmax_in_place(scaled)
+        lo, hi = train.min(axis=0), train.max(axis=0)
+        dataset._normalize(scaled, lo, dataset._span(lo, hi))
         np.testing.assert_allclose(scaled.min(axis=0), 0.0, atol=1e-15)
         np.testing.assert_allclose(scaled.max(axis=0), 1.0, atol=1e-15)
-        for j, (lo, hi) in enumerate(bounds):
-            assert lo == train[:, j].min()
-            assert hi == train[:, j].max()
 
     def test_test_partition_uses_train_bounds_and_clamps(self):
-        train = np.array([[0.0], [10.0]])
         test = np.array([[-5.0], [5.0], [25.0]])
-        dataset._minmax_in_place(train, test)
+        dataset._normalize(test, np.array([0.0]), np.array([10.0]), clamp=True)
         np.testing.assert_array_equal(test, [[0.0], [0.5], [1.0]])
 
     def test_constant_train_column_rejected(self):
         train = np.column_stack([np.ones(4), np.arange(4.0)])
         with pytest.raises(DataError, match=r"\[0\] are constant"):
-            dataset._minmax_in_place(train)
+            dataset._span(train.min(axis=0), train.max(axis=0))
 
 
 class TestEncodeLabels:
@@ -597,7 +625,7 @@ class TestEncodeLabels:
         np.testing.assert_array_equal(labels_bin, [False, True, False, True])
 
     def test_grouping_folds_labels(self):
-        table = RawTable.from_labels(
+        table = table_from_labels(
             ("a",),
             np.arange(4.0).reshape(-1, 1),
             ("Benign", "DoS-Hulk", "DoS-Slowloris", "Benign"),
@@ -707,10 +735,10 @@ class TestPrepareSplits:
             [rng.normal(size=rows) * 5, rng.normal(size=rows) + 2, np.full(rows, 9.0)]
         )
         labels = tuple("Benign" if i % 2 == 0 else "DoS" for i in range(rows))
-        return RawTable.from_labels(("a", "b", "dead"), values, labels, "Label")
+        return table_from_labels(("a", "b", "dead"), values, labels, "Label")
 
     def test_end_to_end(self):
-        pair, report = prepare_splits(self.raw(), benign="Benign", ratio=0.5, seed=4)
+        pair, report = splits(self.raw(), benign="Benign", ratio=0.5, seed=4)
         assert report["columns_dropped_constant"] == ["dead"]
         assert pair.train.feature_names == ("a", "b")
         assert pair.train.n_rows + pair.test.n_rows == 40
@@ -723,8 +751,8 @@ class TestPrepareSplits:
     def test_leaky_ordering_differs_from_train_fit(self):
         """Fitting bounds before the split uses test rows; the partitions
         it produces cannot match the train-only fit in general."""
-        pair_a, _ = prepare_splits(self.raw(seed=1), "Benign", seed=2)
-        pair_b, _ = prepare_splits(
+        pair_a, _ = splits(self.raw(seed=1), "Benign", seed=2)
+        pair_b, _ = splits(
             self.raw(seed=1), "Benign", seed=2, normalize_before_split=True
         )
         np.testing.assert_array_equal(  # same rows land in train either way
@@ -735,7 +763,7 @@ class TestPrepareSplits:
     def test_leaky_ordering_splits_the_normalized_rows(self):
         """normalize_before_split partitions the rows normalized together,
         as splitting the normalized dataset does."""
-        pair, _ = prepare_splits(self.raw(seed=3), "Benign", seed=7, normalize_before_split=True)
+        pair, _ = splits(self.raw(seed=3), "Benign", seed=7, normalize_before_split=True)
         features = self.raw(seed=3).values[:, :2]
         features = (features - features.min(axis=0)) / (features.max(axis=0)
                                                          - features.min(axis=0))
@@ -747,7 +775,7 @@ class TestPrepareSplits:
 
     def test_takes_over_the_array_it_owns(self):
         table = self.raw()
-        pair, _ = prepare_splits(table, "Benign", seed=4)
+        pair, _ = splits(table, "Benign", seed=4)
         assert table.values is pair.train.features
         assert pair.train.features.shape == (20, 2)
         assert pair.train.features.flags.c_contiguous and pair.train.features.flags.owndata
@@ -758,10 +786,10 @@ class TestPrepareSplits:
         for shared in (table.values[:, :], values):
             before = shared.copy()
             view = dataclasses.replace(table, values=shared)
-            pair, _ = prepare_splits(view, "Benign", seed=4)
+            pair, _ = splits(view, "Benign", seed=4)
             assert view.values is shared
             assert shared.tobytes() == before.tobytes()
-            want, _ = prepare_splits(self.raw(), "Benign", seed=4)
+            want, _ = splits(self.raw(), "Benign", seed=4)
             assert pair.train.features.tobytes() == want.train.features.tobytes()
             assert pair.test.features.tobytes() == want.test.features.tobytes()
 
@@ -950,18 +978,22 @@ FINITE_CELLS = st.one_of(
 )
 
 
-def table_column(data, n):
-    """A column of ties, signed zeros, one value, or any finite floats."""
-    kind = data.draw(st.sampled_from(["ties", "zeros", "constant", "floats"]))
+def table_column(data, n, zero_bounds=False):
+    """A column of ties, signed zeros, one value, or any finite floats;
+    with ``zero_bounds`` also signed zeros at one end of its range (a bound
+    of +/-0.0)."""
+    kinds = ["ties", "zeros", "constant", "floats"] + ["zero bound"] * zero_bounds
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "constant":
         return np.full(n, data.draw(FINITE_CELLS))
     cells = {"ties": st.integers(0, 3).map(float),
              "zeros": st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+             "zero bound": st.sampled_from([0.0, -0.0, data.draw(st.sampled_from([1.0, -1.0]))]),
              "floats": FINITE_CELLS}[kind]
     return np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
 
 
-def drawn_tables(data):
+def drawn_tables(data, zero_bounds=False):
     """One to three day tables that share their columns: drawn columns, a
     named identifier column, NaN and infinite cells in some rows, and
     repeated labels, as the new and the reference tables."""
@@ -973,12 +1005,12 @@ def drawn_tables(data):
         n = data.draw(st.integers(0, 25))
         values = np.empty((n, len(names)))
         for j in range(len(names)):
-            values[:, j] = table_column(data, n)
+            values[:, j] = table_column(data, n, zero_bounds)
         for _ in range(data.draw(st.integers(0, 4)) if n else 0):
             row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(names) - 1))
             values[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         labels = tuple(data.draw(st.lists(st.sampled_from(RAW_LABELS), min_size=n, max_size=n)))
-        new.append(RawTable.from_labels(names, values, labels, "Label", sources=(f"day{day}.csv",)))
+        new.append(table_from_labels(names, values, labels, "Label", sources=(f"day{day}.csv",)))
         ref.append(ReferenceTable(tuple(names), values, labels, "Label"))
     return new, ref
 
@@ -1027,7 +1059,7 @@ class TestSelectionsMatchReference:
         with pytest.MonkeyPatch.context() as patch:
             # blocks of a few cells, so that compaction moves many blocks
             patch.setattr(dataset, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 8, 1 << 16])))
-            got = outcome(prepare_splits, merged(tables), "Benign", *args)
+            got = outcome(splits, merged(tables), "Benign", *args)
         if isinstance(want, DataError):
             assert isinstance(got, DataError), got
             old = str(want)
@@ -1075,6 +1107,166 @@ class TestSelectionsMatchReference:
         assert step.values[np.ix_(step_rows, step_cols)].tobytes() == ref_cleaned.values.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# prepare_splits as it was before the test split was streamed to its file:
+# both partitions gathered whole, the training one normalized with bounds
+# taken on it, kept as the reference for the streamed test container.
+
+
+def minmax_in_place(train, apply_to=None):
+    lo = train.min(axis=0)
+    hi = train.max(axis=0)
+    span = dataset._span(lo, hi)
+    train -= lo
+    train /= span
+    if apply_to is not None:
+        apply_to -= lo
+        apply_to /= span
+        np.clip(apply_to, 0.0, 1.0, out=apply_to)
+    return [(float(a), float(b)) for a, b in zip(lo, hi)]
+
+
+def gathered_prepare_splits(table, benign, grouping=None, ratio=0.5, seed=0,
+                            stratified=False, normalize_before_split=False,
+                            drop_columns=DEFAULT_DROP_COLUMNS):
+    rows, cols, report = dataset._cleaning(table, drop_columns)
+    if not cols:
+        raise DataError("no feature columns survived cleaning")
+    names = tuple(table.columns[j] for j in cols)
+    labels_cat, labels_bin, class_names = encode_labels(
+        dataclasses.replace(table, label_codes=table.label_codes[rows]), benign, grouping)
+    train_idx, test_idx = split_indices(
+        rows.size, ratio, seed, stratified, labels_cat if stratified else None)
+    if normalize_before_split:
+        features = table.values[np.ix_(rows, cols)]
+        bounds = minmax_in_place(features)
+        test, train = features[test_idx], features[train_idx]
+    else:
+        test = table.values[np.ix_(rows[test_idx], cols)]
+        train = table.values[np.ix_(rows[train_idx], cols)]
+        bounds = minmax_in_place(train, test)
+    pair = SplitPair(
+        Dataset(train, names, labels_cat[train_idx], labels_bin[train_idx], class_names),
+        Dataset(test, names, labels_cat[test_idx], labels_bin[test_idx], class_names),
+        seed, ratio)
+    report["normalization"] = {name: [lo, hi] for name, (lo, hi) in zip(names, bounds)}
+    report.update(rows_total=int(rows.size), rows_train=pair.train.n_rows,
+                  rows_test=pair.test.n_rows, class_names=list(class_names),
+                  normalize_before_split=normalize_before_split, stratified=stratified,
+                  split_seed=seed, split_ratio=ratio)
+    return pair, report
+
+
+class TestStreamedTestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_container_is_the_gathered_splits(self, data):
+        """The test container written a block at a time holds the bytes
+        ``save_dataset`` writes for the gathered test split, and the
+        training split and report are the gathered ones, over both
+        normalization orders, stratified splits, blocks of a few cells and
+        columns whose bounds are +/-0.0 (the order the bounds fold in
+        decides the sign of a zero)."""
+        tables, _ = drawn_tables(data, zero_bounds=True)
+        args = (data.draw(st.sampled_from([None, GROUPING])),
+                data.draw(st.sampled_from([0.3, 0.5, 0.8])),
+                data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans()),
+                data.draw(st.booleans()), DEFAULT_DROP_COLUMNS)
+        want = outcome(gathered_prepare_splits, merged(tables), "Benign", *args)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            cells = data.draw(st.sampled_from([1, 2, 3, 8, 1 << 16]))
+            patch.setattr(dataset, "_BLOCK_CELLS", cells)
+            path = os.path.join(tmp, "test.ds")
+            got = outcome(lambda *a: prepare_splits(*a, test_path=path),
+                          merged(tables), "Benign", *args)
+            if isinstance(want, DataError):
+                assert isinstance(got, DataError) and str(got) == str(want)
+                return
+            (train, report), (ref_pair, ref_report) = got, want
+            streamed = open(path, "rb").read()
+            save_dataset(ref_pair.test, path)
+            assert streamed == open(path, "rb").read()
+        assert json.dumps(report, sort_keys=True) == json.dumps(ref_report, sort_keys=True)
+        assert train.features.tobytes() == ref_pair.train.features.tobytes()
+        assert train.labels_cat.tobytes() == ref_pair.train.labels_cat.tobytes()
+
+    @pytest.mark.parametrize("end", [1.0, -1.0])
+    def test_a_single_column_keeps_the_sign_of_its_zero_bound(self, tmp_path, monkeypatch,
+                                                              end):
+        """numpy reduces one column as a contiguous run, in interleaved
+        folds, so the sign of a zero bound is not that of a row-by-row fold
+        of its blocks; it is still the gathered split's."""
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", 2)
+        path = str(tmp_path / "test.ds")
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            column = np.full(60, end)
+            column[rng.choice(60, 4, replace=False)] = rng.permutation([0.0, -0.0, 0.0, -0.0])
+            values = np.column_stack([np.arange(60.0), column])
+            labels = ["Benign" if i % 3 else "Bot" for i in range(60)]
+            table = table_from_labels(("Flow ID", "f"), values, labels, "Label")
+            want, want_report = gathered_prepare_splits(
+                table_from_labels(("Flow ID", "f"), values.copy(), labels, "Label"), "Benign",
+                ratio=0.8, seed=seed)
+            train, report = prepare_splits(table, "Benign", ratio=0.8, seed=seed,
+                                           test_path=path)
+            assert json.dumps(report) == json.dumps(want_report)
+            assert train.features.tobytes() == want.train.features.tobytes()
+            assert load_dataset(path).features.tobytes() == want.test.features.tobytes()
+
+    @pytest.mark.parametrize("before", [False, True])
+    def test_a_zero_bound_has_the_sign_of_a_fold_in_file_order(self, tmp_path, before):
+        """Over two or more kept columns, the bounds are np.minimum and
+        np.maximum folded over the bounded rows in file order, and so is the
+        sign of a zero bound.  The copying pipeline (reference_prepare_splits)
+        reduced an F-ordered copy under normalize_before_split and wrote 0.0
+        for the bound that is -0.0 here; the preprocess stage key was revised
+        so that no split it cached is served."""
+        values = np.zeros((20, 5))
+        values[17, 2] = -0.0
+        values[18:, 2] = 0.5
+        values[19, 4] = 1.0
+        values[0, 0] = np.nan
+
+        def table():
+            return table_from_labels(("f0", "Flow ID", "f1", "f2", "f3"), values.copy(),
+                                     ["Benign"] * 20, "Label")
+
+        args = dict(ratio=0.8, seed=0, normalize_before_split=before)
+        _, report = prepare_splits(table(), "Benign", test_path=str(tmp_path / "t.ds"), **args)
+        assert list(report["normalization"]) == ["f1", "f3"]
+        rows = np.arange(1, 20)  # row 0 holds a NaN
+        if not before:
+            rows = rows[split_indices(rows.size, 0.8, 0, False, None)[0]]
+        lo = functools.reduce(np.minimum, values[rows][:, [2, 4]])
+        hi = functools.reduce(np.maximum, values[rows][:, [2, 4]])
+        got = np.array(list(report["normalization"].values()))
+        assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
+        if before:
+            assert np.signbit(got[0, 0])
+            old_table = ReferenceTable(("f0", "Flow ID", "f1", "f2", "f3"), values.copy(),
+                                       ("Benign",) * 20, "Label")
+            _, old = reference_prepare_splits(old_table, "Benign", None, 0.8, 0, False, True,
+                                              DEFAULT_DROP_COLUMNS)
+            assert not np.signbit(old["normalization"]["f1"][0])
+
+    @pytest.mark.parametrize("before", [False, True])
+    def test_returns_the_training_split_and_writes_the_test_split(self, tmp_path, before):
+        table = TestPrepareSplits().raw(rows=41)
+        want, want_report = gathered_prepare_splits(TestPrepareSplits().raw(rows=41), "Benign",
+                                                    seed=3, normalize_before_split=before)
+        path = str(tmp_path / "test.ds")
+        train, report = prepare_splits(table, "Benign", seed=3, normalize_before_split=before,
+                                       test_path=path)
+        assert isinstance(train, Dataset) and train.features is table.values
+        assert train.features.tobytes() == want.train.features.tobytes()
+        test = load_dataset(path)
+        assert (report["rows_train"], report["rows_test"]) == (train.n_rows, test.n_rows)
+        assert test.features.tobytes() == want.test.features.tobytes()
+        assert test.labels_cat.tobytes() == want.test.labels_cat.tobytes()
+        assert report == want_report
+
+
 class TestMemoryBounds:
     """Allocation bounds from array sizes, so the same on any machine."""
 
@@ -1086,40 +1278,44 @@ class TestMemoryBounds:
         values[:, 6] = 7.0
         labels = [RAW_LABELS[i % 3] for i in range(rows)]
         names = ["Flow ID", *(f"f{j}" for j in range(1, columns))]
-        return RawTable.from_labels(names, values, labels, "Label")
+        return table_from_labels(names, values, labels, "Label")
 
     @pytest.mark.parametrize("stratified", [False, True])
-    def test_prepare_splits_allocates_little_beyond_the_test_split(self, monkeypatch,
-                                                                    stratified):
-        """The training split is the table's own array, shrunk in place, so
-        beyond the table prepare_splits allocates the test split, per-row
-        index arrays and bounded blocks (cut here to be small beside the
-        table).  The table is made while tracing, so that its shrink counts
-        as memory given back."""
+    def test_prepare_splits_allocates_little_beyond_the_table(self, monkeypatch, tmp_path,
+                                                              stratified):
+        """The training split is the table's own array, shrunk in place, and
+        the test split goes to its file a block at a time, so beyond the
+        table prepare_splits allocates per-row index arrays and bounded
+        blocks (cut here to be small beside the table).  The table is made
+        while tracing, so that its shrink counts as memory given back."""
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", 1 << 12)
-        prepare_splits(self.table(), "Benign", stratified=stratified, seed=1)  # warm
+        path = str(tmp_path / "test.ds")
+        prepare_splits(self.table(), "Benign", stratified=stratified, seed=1,
+                       test_path=path)  # warm
         tracemalloc.start()
         try:
             table = self.table()
             parsed = table.values.nbytes
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            pair, _ = prepare_splits(table, "Benign", stratified=stratified, seed=1)
+            train, _ = prepare_splits(table, "Benign", stratified=stratified, seed=1,
+                                      test_path=path)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kept = pair.train.features.nbytes + pair.test.features.nbytes
+        kept = train.features.nbytes + load_dataset(path).features.nbytes
         assert kept > 0.9 * parsed
-        assert peak <= pair.test.features.nbytes + 0.3 * kept, peak / kept
+        assert peak <= 0.3 * kept, peak / kept
 
     @pytest.mark.parametrize("blank", [False, True])
     def test_parse_to_split_holds_the_table_once(self, traced_peak, tmp_path, monkeypatch,
                                                   blank):
-        """From a day file to splits, the peak is the parsed table, the test
-        split and bounded blocks, with or without an empty cell: an empty
-        cell sends one block to the scanner, not the file.  The block
-        constants are cut so that blocks are small beside the table; row by
-        row parsing or gathering both splits reads above 2x."""
+        """From a day file to splits, the peak is the parsed table and
+        bounded blocks, with or without an empty cell: an empty cell sends
+        one block to the scanner, not the file, and the test split goes to
+        its file a block at a time.  The block constants are cut so that
+        blocks are small beside the table; row by row parsing reads above
+        2x, and gathering the test split whole about 1.6x."""
         rng = np.random.default_rng(8)
         rows, columns = 6000, 60
         values = np.round(rng.normal(size=(rows, columns)), 6)
@@ -1132,9 +1328,12 @@ class TestMemoryBounds:
             cells[5] = ""
             lines[3000] = ",".join(cells)
         path = write_csv(tmp_path / "day.csv", "\n".join(lines) + "\n")
+        test_path = str(tmp_path / "test.ds")
         monkeypatch.setattr(dataset, "_PARSE_CELLS", 1 << 10, raising=False)
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", 1 << 10)
-        peak, (pair, _) = traced_peak(lambda: prepare_splits(load_csv(path), "Benign", seed=2))
-        kept = pair.train.features.nbytes + pair.test.features.nbytes
-        assert pair.train.n_rows + pair.test.n_rows == rows - blank
-        assert peak <= 1.8 * kept, peak / kept
+        peak, (train, _) = traced_peak(
+            lambda: prepare_splits(load_csv(path), "Benign", seed=2, test_path=test_path))
+        test = load_dataset(test_path)
+        kept = train.features.nbytes + test.features.nbytes
+        assert train.n_rows + test.n_rows == rows - blank
+        assert peak <= 1.3 * kept, peak / kept

@@ -147,6 +147,31 @@ class TestPreprocessMemory:
         assert loads == [files["test"]]
         assert features.tobytes() == load_dataset(files["test"]).features.tobytes()
 
+    def test_a_garbled_test_split_after_a_miss_is_computed_again(self, tmp_path, capsys):
+        """A test container that fails on its first use after a miss is
+        named in one stderr line, computed and written again, and reads
+        back as the one first written."""
+        csv_path, _ = write_fixture(str(tmp_path), "garble", 2, 3, 200, seed=3)
+        cfg = ExperimentConfig(data_paths=(csv_path,), out_dir=str(tmp_path / "runs"))
+        pair, files = preprocess_stage(cfg)
+        with open(files["test"], "rb") as fh:
+            written = fh.read()
+        garbled = bytearray(written)
+        garbled[-9] ^= 0xFF  # a byte of the last array
+        with open(files["test"], "wb") as fh:
+            fh.write(garbled)
+        capsys.readouterr()
+        features = pair.test.features
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"warning: {files['test']}: unreadable dataset file (body checksum "
+                        "mismatch); delete it or rerun with --force; recomputing it")
+        with open(files["test"], "rb") as fh:
+            assert fh.read() == written
+        want = load_dataset(files["test"])
+        assert features.tobytes() == want.features.tobytes()
+        assert pair.test.labels_cat.tobytes() == want.labels_cat.tobytes()
+        assert capsys.readouterr().err == ""
+
 
 class TestStageSeeds:
     def test_stable_and_distinct(self):
@@ -587,6 +612,18 @@ class TestStageKeys:
                                                           artifacts.VERSION)
             unnamed = {**comparable(want), "artifacts": None, "format": None}
             assert {**comparable(record), "artifacts": None, "format": None} == unnamed
+
+    def test_a_stage_revision_rekeys_it_and_the_stages_after_it(self, fixture_csv, tmp_path,
+                                                                monkeypatch):
+        """preprocess is at revision 1, so its key and every key chained on
+        it differ from the ones the same reads had before."""
+        cfg = quick_config(fixture_csv[0], tmp_path, method="ba").validated()
+        assert pipeline._REVISIONS["preprocess"] == 1
+        stages = ("preprocess", "correlate", "importance", "select")
+        now = {stage: stage_key(cfg, stage) for stage in stages}
+        monkeypatch.setattr(pipeline, "_REVISIONS", {})
+        before = {stage: stage_key(cfg, stage) for stage in stages}
+        assert all(now[stage] != before[stage] for stage in stages)
 
     def test_a_run_keys_each_stage_once(self, fixture_csv, tmp_path, monkeypatch):
         """One run hashes each stage key once, chained keys included: every
@@ -1456,6 +1493,18 @@ class TestCli:
         assert main(["run", "--data", str(tmp_path / "ghost.csv"), "--out", out]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["preprocess", "correlate", "select", "run",
+                                         "sweep-depth"])
+    def test_no_input_files_exits_2(self, tmp_path, capsys, command):
+        """Every command that reads the input files, given none, exits 2
+        with one line pointing at --data, and writes nothing."""
+        out = tmp_path / "runs"
+        assert main([command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: no input data files given (use --data)"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["correlate", "run"])
     def test_a_missing_input_exits_2_naming_it(self, fixture_csv, tmp_path, capsys, command):

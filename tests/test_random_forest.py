@@ -1,5 +1,6 @@
 """Forest training: impurity, splits, importance, bagging, persistence."""
 
+import dataclasses
 import json
 import math
 import re
@@ -219,22 +220,42 @@ class TestBlockSplitMatchesReference:
         save_forest(forest, str(path))
         return path.read_bytes()
 
-    @pytest.mark.parametrize("n_classes", [5, 9])
-    @pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
-    def test_forest_bytes_equal_the_reference_forest(
-        self, tmp_path, monkeypatch, n_classes, features_per_split
-    ):
+    @staticmethod
+    def forest_data(n_classes):
         rng = np.random.default_rng(n_classes)
         labels = rng.integers(0, n_classes, 300)
         feats = rng.normal(size=(300, 9)) + 0.5 * (labels[:, None] % 3)
         feats[:, 1::3] = np.round(feats[:, 1::3])  # tied columns
-        data = Dataset(
+        return Dataset(
             features=feats,
             feature_names=tuple(f"f{i}" for i in range(9)),
             labels_cat=labels.astype(np.int64),
             labels_bin=labels != 0,
             class_names=tuple(f"c{i}" for i in range(n_classes)),
         )
+
+    @pytest.mark.parametrize("n_classes", [5, 9])
+    @pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
+    def test_a_block_gathered_in_groups_grows_the_same_forest(
+        self, tmp_path, monkeypatch, n_classes, features_per_split
+    ):
+        """At 700 cells a 300-row root gathers its candidates two at a
+        time, the last group alone; the forest is the one grown from
+        blocks gathered in one group each."""
+        data = self.forest_data(n_classes)
+        config = ForestConfig(n_trees=3, seed=4, features_per_split=features_per_split)
+        whole = self.forest_bytes(data, config, tmp_path, "whole.rf")
+        monkeypatch.setattr(random_forest, "BLOCK_CELLS", 700)
+        assert self.forest_bytes(data, config, tmp_path, "groups.rf") == whole
+
+    @pytest.mark.parametrize("n_classes", [5, 9])
+    @pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
+    @pytest.mark.parametrize("block_cells", [1 << 20, 700])
+    def test_forest_bytes_equal_the_reference_forest(
+        self, tmp_path, monkeypatch, n_classes, features_per_split, block_cells
+    ):
+        monkeypatch.setattr(random_forest, "BLOCK_CELLS", block_cells)
+        data = self.forest_data(n_classes)
         config = ForestConfig(n_trees=3, seed=4, features_per_split=features_per_split)
         block = self.forest_bytes(data, config, tmp_path, "block.rf")
         calls, per_tree = [], []
@@ -712,13 +733,13 @@ class TestMemoryBounds:
     multiples of the table's size, which the copies they made exceeded."""
 
     @staticmethod
-    def table(layout="C"):
+    def table(layout="C", columns=30):
         rng = np.random.default_rng(7)
         labels = rng.integers(0, 5, 20000)
-        feats = rng.normal(size=(20000, 30)) + 0.3 * labels[:, None]
+        feats = rng.normal(size=(20000, columns)) + 0.3 * labels[:, None]
         return Dataset(
             features=laid_out(feats, layout),
-            feature_names=tuple(f"f{i}" for i in range(30)),
+            feature_names=tuple(f"f{i}" for i in range(columns)),
             labels_cat=labels.astype(np.int64),
             labels_bin=labels != 0,
             class_names=tuple(f"c{i}" for i in range(5)),
@@ -735,6 +756,17 @@ class TestMemoryBounds:
         data = self.table(layout)
         peak, _ = traced_peak(lambda: train_forest(data, self.CONFIG))
         assert peak <= 3 * data.features.nbytes, peak / data.features.nbytes
+
+    def test_every_feature_per_split_gathers_the_root_a_group_at_a_time(
+            self, traced_peak, monkeypatch):
+        """Under ``features_per_split="all"`` the root block is the whole
+        table; its gather offsets are held a group of candidates at a time,
+        not as one more table of int64 (about 2.2x here)."""
+        monkeypatch.setattr(random_forest, "BLOCK_CELLS", 1)
+        data = self.table(columns=60)
+        config = dataclasses.replace(self.CONFIG, features_per_split="all")
+        peak, _ = traced_peak(lambda: train_forest(data, config))
+        assert peak <= 1.8 * data.features.nbytes, peak / data.features.nbytes
 
     def test_oob_score_allocates_under_half_a_table(self, traced_peak):
         """About 37% of the rows are out of bag in each tree; they are
