@@ -116,32 +116,19 @@ def save(path: str, kind: str, arrays: dict, **fields) -> None:
                 yield np.ascontiguousarray(a)
             yield bytes(_padding(size))
 
-    write_atomic(path, _framed(header, body, pad=True))
-
-
-def _padding(size: int) -> int:
-    return -size % _ALIGN
-
-
-def frame(header: dict, body: list) -> list:
-    """Magic, header length and checksum, the header with the body's
-    checksum added, then the array buffers, as chunks to write without
-    joining them; nothing is padded."""
-    return list(_framed(header, lambda: body, pad=False))
-
-
-def _framed(header: dict, body, pad: bool):
-    """The chunks of a container whose body ``body()`` yields: it is called
-    once for the checksum, and again for the chunks."""
     crc = 0
     for chunk in body():
         crc = zlib.crc32(chunk, crc)
     blob = json.dumps({**header, "body_crc": crc}).encode("utf-8")
-    if pad:
-        # _START is a multiple of 8, so padding the header and every array
-        # to one puts each array at an aligned offset
-        blob += b" " * _padding(len(blob))
-    return itertools.chain((MAGIC + _LENGTHS.pack(len(blob), zlib.crc32(blob)), blob), body())
+    # _START is a multiple of 8, so padding the header and every array to
+    # one puts each array at an aligned offset
+    blob += b" " * _padding(len(blob))
+    write_atomic(path, itertools.chain(
+        (MAGIC + _LENGTHS.pack(len(blob), zlib.crc32(blob)), blob), body()))
+
+
+def _padding(size: int) -> int:
+    return -size % _ALIGN
 
 
 def _read_header(fh, size: int, kind: str) -> tuple[dict, int, list]:

@@ -3,10 +3,14 @@
 Subcommands map onto pipeline stages (preprocess, correlate, select),
 plus report/sweep-depth/synth utilities and `run` for the whole chain,
 which trains and scores the model.  Exit codes: 0 success, 1 usage error
-(including a setting out of its range), 2 data error, 3 numeric failure.
+(including a setting out of its range and an unknown config-file key),
+2 data error, 3 numeric failure.
 
-Settings resolve in three layers: built-in defaults, then an INI config
-file (--config), then explicit command-line flags.
+Every option is one row of OPTIONS, and a setting's row also names its
+INI ``section.key`` and the ExperimentConfig field it sets; the parser's
+flags and build_config both come from that table.  Settings resolve in
+three layers: built-in defaults, then an INI config file (--config),
+then explicit command-line flags.
 """
 
 from __future__ import annotations
@@ -15,15 +19,13 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import itertools
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import pipeline, synth
-from .dataset import binary_view
 from .errors import DataError, NumericError, PipelineError
-from .neural_net import MlpConfig
-from .random_forest import ForestConfig
-from .subset_search import AquilaConfig, BatConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,126 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="runs", help="artifact directory")
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--force", action="store_true",
-                   help="recompute stages even when cached artifacts exist")
-
-
-def _add_data(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", nargs="+", default=None, help="input CSV file(s)")
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--benign", default=None, help="benign label value")
-    p.add_argument("--grouping", default=None,
-                   help="'default' for the bundled signature map, or a JSON file")
-    p.add_argument("--ratio", type=float, default=None, help="train fraction")
-    p.add_argument("--stratified", action="store_true", default=None)
-    p.add_argument("--normalize-before-split", action="store_true", default=None,
-                   help="fit normalization bounds on all rows before splitting")
-
-
-def _add_mode(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--binary", dest="mode", action="store_const", const="binary")
-    g.add_argument("--categorical", dest="mode", action="store_const",
-                   const="categorical")
-    p.set_defaults(mode=None)
-
-
-def _add_selection(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=pipeline.METHODS, default=None)
-    p.add_argument("--k", type=int, default=None,
-                   help="subset size (required for rf-ig)")
-    p.add_argument("--bat-n", type=int, default=None)
-    p.add_argument("--bat-epochs", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None, help="loudness decay")
-    p.add_argument("--gamma", type=float, default=None, help="pulse decay")
-    p.add_argument("--canonical-pulse", action="store_true", default=None,
-                   help="use the gamma*epoch pulse schedule")
-    p.add_argument("--aquila-n", type=int, default=None)
-    p.add_argument("--aquila-epochs", type=int, default=None)
-
-
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=pipeline.MODELS, default=None)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-node-size", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--hidden", default=None,
-                   help="comma-separated hidden layer sizes, e.g. 50,25")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The parser of every subcommand, built once per process: it depends
-    on nothing but constants, and parse_args leaves it as it was."""
-    parser = _Parser(prog="flowsel",
-                     description="feature-selection benchmarking for flow classifiers")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="clean, normalize, and split the input")
-    _add_common(p); _add_data(p)
-
-    p = sub.add_parser("correlate", help="rank-correlation matrix over the training split")
-    _add_common(p); _add_data(p); _add_mode(p)
-
-    p = sub.add_parser("select", help="pick a feature subset")
-    _add_common(p); _add_data(p); _add_mode(p); _add_selection(p)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-
-    p = sub.add_parser("run", help="run the full pipeline end to end")
-    _add_common(p); _add_data(p); _add_mode(p); _add_selection(p); _add_model(p)
-    p.add_argument("--averaging", choices=pipeline.AVERAGINGS, default=None)
-    p.add_argument("--collapse", action="store_true", default=None,
-                   help="score a categorical model as a binary detector")
-
-    p = sub.add_parser("report", help="tabulate run records and subset overlap")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-depth", help="out-of-bag accuracy across depth caps")
-    _add_common(p); _add_data(p); _add_mode(p)
-    p.add_argument("--depths", default="2,5,10,20,40,100,200",
-                   help="comma-separated depth caps")
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-
-    p = sub.add_parser("synth", help="write a synthetic fixture with known truth")
-    _add_common(p)
-    p.add_argument("--stem", default="fixture")
-    p.add_argument("--informative", type=int, default=3)
-    p.add_argument("--noise", type=int, default=9)
-    p.add_argument("--rows", type=int, default=400)
-    p.add_argument("--classes", type=int, default=3)
-
-    return parser
-
-
-def _read_config_file(path: str) -> dict:
-    """Flatten an INI file into {section.key: string} pairs."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataError(f"bad config file {path}: {exc}") from exc
-    flat = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[f"{section}.{key}"] = value
-    return flat
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -177,6 +59,154 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError:
         raise DataError(f"bad hidden layer spec {text!r}") from None
+
+
+def _hidden_flag(text: str) -> tuple[int, ...] | None:
+    # an empty --hidden counts as not given
+    return _parse_hidden(text) if text else None
+
+
+def _parse_paths(text: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in text.replace(";", ",").split(",") if p.strip())
+
+
+class _Option(NamedTuple):
+    flag: str | tuple[str, ...]  # a tuple: one store_const flag per value, at most one given
+    dest: str
+    key: str | None  # INI section.key of a setting; None for a flag alone
+    field: str | None  # the ExperimentConfig field it sets, nested as forest.n_trees
+    convert: Callable  # the value's type: of the flag to argparse, and of a file value
+    from_flag: Callable | None  # converts a flag value that argparse leaves raw
+    options: dict  # the other add_argument keywords
+
+
+def _opt(flag, key=None, convert=str, *, field=None, from_flag=None, dest=None, **options):
+    return _Option(flag, dest or flag[2:].replace("-", "_"), key, field or key, convert,
+                   from_flag, options)
+
+
+# Every option of every subcommand, in groups.  A subcommand takes the
+# groups and single flags _COMMANDS names for it, in this order.
+OPTIONS = {
+    "common": (
+        _opt("--out", "run.out_dir", field="out_dir", help="artifact directory (default: runs)"),
+        _opt("--config", help="INI config file; flags override it"),
+        _opt("--seed", "run.seed", int, field="seed", help="master seed"),
+        _opt("--force", action="store_true",
+             help="recompute stages even when cached artifacts exist"),
+    ),
+    "data": (
+        _opt("--data", "data.paths", _parse_paths, field="data_paths", from_flag=tuple,
+             nargs="+", help="input CSV file(s)"),
+        _opt("--label-column", "data.label_column", field="label_column"),
+        _opt("--benign", "data.benign", field="benign", help="benign label value"),
+        _opt("--grouping", "data.grouping", field="grouping",
+             help="'default' for the bundled signature map, or a JSON file"),
+        _opt("--ratio", "split.ratio", float, field="ratio", help="train fraction"),
+        _opt("--stratified", "split.stratified", _parse_bool, field="stratified"),
+        _opt("--normalize-before-split", "split.normalize_before_split", _parse_bool,
+             field="normalize_before_split",
+             help="fit normalization bounds on all rows before splitting"),
+    ),
+    "mode": (_opt(("--binary", "--categorical"), "run.mode", field="mode", dest="mode"),),
+    "selection": (
+        _opt("--method", "run.method", field="method", choices=pipeline.METHODS),
+        _opt("--k", "run.k", int, field="k", help="subset size (required for rf-ig)"),
+        _opt("--bat-n", "bat.n", int),
+        _opt("--bat-epochs", "bat.t_max", int),
+        _opt("--alpha", "bat.alpha", float, help="loudness decay"),
+        _opt("--gamma", "bat.gamma", float, help="pulse decay"),
+        _opt("--canonical-pulse", "bat.canonical_pulse", _parse_bool,
+             help="use the gamma*epoch pulse schedule"),
+        _opt("--aquila-n", "aquila.n", int),
+        _opt("--aquila-epochs", "aquila.t_max", int),
+    ),
+    "sweep": (_opt("--depths", default="2,5,10,20,40,100,200",
+                   help="comma-separated depth caps"),),
+    "model": (
+        _opt("--model", "run.model", field="model", choices=pipeline.MODELS),
+        _opt("--trees", "forest.n_trees", int),
+        _opt("--max-depth", "forest.max_depth", int),
+        _opt("--min-node-size", "forest.min_node_size", int),
+        _opt("--workers", "forest.n_workers", int),
+        _opt("--hidden", "mlp.hidden_sizes", _parse_hidden, from_flag=_hidden_flag,
+             help="comma-separated hidden layer sizes, e.g. 50,25"),
+        _opt("--batch-size", "mlp.batch_size", int),
+        _opt("--epochs", "mlp.epochs", int),
+        _opt("--learning-rate", "mlp.learning_rate", float),
+        _opt("--optimizer", "mlp.optimizer", choices=("sgd", "adam")),
+    ),
+    "scoring": (
+        _opt("--averaging", "run.averaging", field="averaging", choices=pipeline.AVERAGINGS),
+        _opt("--collapse", "run.collapse", _parse_bool, field="collapse",
+             help="score a categorical model as a binary detector"),
+    ),
+    "synth": (
+        _opt("--stem", default="fixture"),
+        _opt("--informative", convert=int, default=3),
+        _opt("--noise", convert=int, default=9),
+        _opt("--rows", convert=int, default=400),
+        _opt("--classes", convert=int, default=3),
+    ),
+}
+
+
+def _add_option(p: argparse.ArgumentParser, o: _Option) -> None:
+    if isinstance(o.flag, tuple):
+        group = p.add_mutually_exclusive_group()
+        for flag in o.flag:
+            group.add_argument(flag, dest=o.dest, action="store_const", const=flag[2:])
+        return
+    kind = {int: {"type": int}, float: {"type": float},
+            _parse_bool: {"action": "store_true", "default": None}}.get(o.convert, {})
+    p.add_argument(o.flag, dest=o.dest, **kind, **o.options)
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: it depends
+    on nothing but constants, and parse_args leaves it as it was."""
+    parser = _Parser(prog="flowsel",
+                     description="feature-selection benchmarking for flow classifiers")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, takes) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for group, options in OPTIONS.items():
+            for o in options:
+                if group in takes or o.flag in takes:
+                    _add_option(p, o)
+    return parser
+
+
+# build_config settles the settings an INI section at a time in
+# ExperimentConfig's field order, so of several bad values it reports the
+# first field's (a nested config's rows already are in its field order)
+_FIELDS = [f.name for f in dataclasses.fields(pipeline.ExperimentConfig)]
+_SETTINGS = sorted((o for group in OPTIONS.values() for o in group if o.key),
+                   key=lambda o: _FIELDS.index(o.field.partition(".")[0]))
+_BY_SECTION = [(section, tuple(rows)) for section, rows
+               in itertools.groupby(_SETTINGS, lambda o: o.key.partition(".")[0])]
+_SECTIONS = frozenset(section for section, _ in _BY_SECTION)
+_KEYS = frozenset(o.key for o in _SETTINGS)
+
+
+def _read_config_file(path: str) -> dict:
+    """Flatten an INI file into {section.key: string} pairs.  A section or
+    key that no setting reads is a usage error, as an unknown flag is."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open config file {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise DataError(f"bad config file {path}: {exc}") from exc
+    flat = {f"{s}.{k}": v for s in parser.sections() for k, v in parser.items(s)}
+    unknown = [*(f"DEFAULT.{k}" for k in parser.defaults()), *(k for k in flat if k not in _KEYS),
+               *(f"[{s}]" for s in parser.sections() if s not in _SECTIONS)]
+    if unknown:
+        raise UsageError(f"{path}: unknown config key {unknown[0]}")
+    return flat
 
 
 def _settings(section: str, cls, **values):
@@ -204,112 +234,46 @@ def _check_distinct_inputs(paths) -> None:
         seen[(st.st_dev, st.st_ino)] = path
 
 
-# Commands that read the input files; each needs at least one.
-_READS_DATA = ("preprocess", "correlate", "select", "run", "sweep-depth")
-
-
 def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
-    """Defaults, then config file, then flags.  A command that reads the
-    input files and is given none is a data error."""
-    cfg = pipeline.ExperimentConfig()
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """Defaults, then config file, then flags, for every setting.
 
-    def file_get(key, convert=str):
-        if key not in file_values:
-            return None
-        try:
-            return convert(file_values[key])
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{args.config}: bad value for {key}: {exc}") from None
-
-    def pick(flag_value, file_value, default):
-        if flag_value is not None:
-            return flag_value
-        if file_value is not None:
-            return file_value
-        return default
-
-    data_file = file_get("data.paths")
-    if data_file is not None:
-        data_file = tuple(p.strip() for p in data_file.replace(";", ",").split(",") if p.strip())
-    data_flag = getattr(args, "data", None)
-    cfg.data_paths = tuple(pick(tuple(data_flag) if data_flag else None, data_file, ()))
-    _check_distinct_inputs(cfg.data_paths)
-
-    cfg.label_column = pick(getattr(args, "label_column", None),
-                            file_get("data.label_column"), cfg.label_column)
-    cfg.benign = pick(getattr(args, "benign", None), file_get("data.benign"), cfg.benign)
-    cfg.grouping = pick(getattr(args, "grouping", None), file_get("data.grouping"), cfg.grouping)
-    cfg.ratio = pick(getattr(args, "ratio", None), file_get("split.ratio", float), cfg.ratio)
-    cfg.stratified = pick(getattr(args, "stratified", None),
-                          file_get("split.stratified", _parse_bool), cfg.stratified)
-    cfg.normalize_before_split = pick(
-        getattr(args, "normalize_before_split", None),
-        file_get("split.normalize_before_split", _parse_bool),
-        cfg.normalize_before_split,
-    )
-
-    cfg.mode = pick(getattr(args, "mode", None), file_get("run.mode"), cfg.mode)
-    cfg.method = pick(getattr(args, "method", None), file_get("run.method"), cfg.method)
-    cfg.model = pick(getattr(args, "model", None), file_get("run.model"), cfg.model)
-    cfg.averaging = pick(getattr(args, "averaging", None),
-                         file_get("run.averaging"), cfg.averaging)
-    cfg.collapse = pick(getattr(args, "collapse", None),
-                        file_get("run.collapse", _parse_bool), cfg.collapse)
-    cfg.k = pick(getattr(args, "k", None), file_get("run.k", int), cfg.k)
-    cfg.seed = pick(getattr(args, "seed", None), file_get("run.seed", int), cfg.seed)
-    cfg.out_dir = pick(getattr(args, "out", None), file_get("run.out_dir"), cfg.out_dir)
-    cfg.force = bool(getattr(args, "force", False))
-    if not 0.0 < cfg.ratio < 1.0:
-        raise UsageError(f"bad split setting: ratio must be in (0, 1), got {cfg.ratio}")
-    if cfg.k is not None and cfg.k < 1:
-        raise UsageError(f"bad run setting: k must be at least 1, got {cfg.k}")
-
-    cfg.bat = _settings(
-        "bat", BatConfig,
-        n=pick(getattr(args, "bat_n", None), file_get("bat.n", int), cfg.bat.n),
-        t_max=pick(getattr(args, "bat_epochs", None), file_get("bat.t_max", int), cfg.bat.t_max),
-        alpha=pick(getattr(args, "alpha", None), file_get("bat.alpha", float), cfg.bat.alpha),
-        gamma=pick(getattr(args, "gamma", None), file_get("bat.gamma", float), cfg.bat.gamma),
-        canonical_pulse=pick(getattr(args, "canonical_pulse", None),
-                             file_get("bat.canonical_pulse", _parse_bool),
-                             cfg.bat.canonical_pulse),
-    )
-    cfg.aquila = _settings(
-        "aquila", AquilaConfig,
-        n=pick(getattr(args, "aquila_n", None), file_get("aquila.n", int), cfg.aquila.n),
-        t_max=pick(getattr(args, "aquila_epochs", None),
-                   file_get("aquila.t_max", int), cfg.aquila.t_max),
-    )
-    cfg.forest = _settings(
-        "forest", ForestConfig,
-        n_trees=pick(getattr(args, "trees", None), file_get("forest.n_trees", int),
-                     cfg.forest.n_trees),
-        max_depth=pick(getattr(args, "max_depth", None),
-                       file_get("forest.max_depth", int), cfg.forest.max_depth),
-        min_node_size=pick(getattr(args, "min_node_size", None),
-                           file_get("forest.min_node_size", int),
-                           cfg.forest.min_node_size),
-        n_workers=pick(getattr(args, "workers", None),
-                       file_get("forest.n_workers", int), cfg.forest.n_workers),
-    )
-    cfg.mlp = _settings(
-        "mlp", MlpConfig,
-        hidden_sizes=pick(
-            _parse_hidden(args.hidden) if getattr(args, "hidden", None) else None,
-            file_get("mlp.hidden_sizes", _parse_hidden),
-            cfg.mlp.hidden_sizes,
-        ),
-        batch_size=pick(getattr(args, "batch_size", None),
-                        file_get("mlp.batch_size", int), cfg.mlp.batch_size),
-        epochs=pick(getattr(args, "epochs", None), file_get("mlp.epochs", int),
-                    cfg.mlp.epochs),
-        learning_rate=pick(getattr(args, "learning_rate", None),
-                           file_get("mlp.learning_rate", float),
-                           cfg.mlp.learning_rate),
-        optimizer=pick(getattr(args, "optimizer", None),
-                       file_get("mlp.optimizer"), cfg.mlp.optimizer),
-    )
+    A file value is converted even when a flag overrides it.  Settings are
+    settled an INI section at a time: the data section's inputs must be
+    distinct files, the run section's ratio and k in range, and a nested
+    config (bat, aquila, forest, mlp) passes its own checks.  A command
+    that reads the input files and is given none is a data error."""
+    path = getattr(args, "config", None)
+    file_values = _read_config_file(path) if path else {}
+    cfg = pipeline.ExperimentConfig(force=bool(getattr(args, "force", False)))
+    for section, settings in _BY_SECTION:
+        owner = getattr(cfg, section, cfg)  # data, split and run set cfg's own fields
+        values = {}
+        for o in settings:
+            value = getattr(args, o.dest, None)
+            if value is not None and o.from_flag is not None:
+                value = o.from_flag(value)
+            in_file = None
+            if o.key in file_values:
+                try:
+                    in_file = o.convert(file_values[o.key])
+                except (ValueError, DataError) as exc:
+                    raise DataError(f"{path}: bad value for {o.key}: {exc}") from None
+            name = o.field.rpartition(".")[2]
+            if value is None:
+                value = getattr(owner, name) if in_file is None else in_file
+            values[name] = value
+        if owner is not cfg:
+            setattr(cfg, section, _settings(section, type(owner), **values))
+            continue
+        for name, value in values.items():
+            setattr(cfg, name, value)
+        if section == "data":
+            _check_distinct_inputs(cfg.data_paths)
+        elif section == "run":
+            if not 0.0 < cfg.ratio < 1.0:
+                raise UsageError(f"bad split setting: ratio must be in (0, 1), got {cfg.ratio}")
+            if cfg.k is not None and cfg.k < 1:
+                raise UsageError(f"bad run setting: k must be at least 1, got {cfg.k}")
     if getattr(args, "command", None) in _READS_DATA and not cfg.data_paths:
         raise DataError("no input data files given (use --data)")
     return cfg
@@ -389,11 +353,7 @@ def _cmd_sweep_depth(args) -> int:
     forest_cfg = dataclasses.replace(
         cfg.forest, seed=pipeline.stage_seed(cfg.seed, "importance")
     )
-    if cfg.mode == "binary":
-        train = binary_view(pair.train, cfg.benign)
-    else:
-        train = pair.train
-    rows = pipeline.depth_sweep(train, depths, forest_cfg)
+    rows = pipeline.depth_sweep(pipeline._train_view(cfg, pair), depths, forest_cfg)
     path = os.path.join(cfg.out_dir, "depth_sweep.csv")
     pipeline.write_depth_sweep_csv(rows, path)
     for row in rows:
@@ -416,22 +376,31 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand: its handler, its help, and the groups and single flags
+# of OPTIONS it takes.
 _COMMANDS = {
-    "preprocess": _cmd_preprocess,
-    "correlate": _cmd_correlate,
-    "select": _cmd_select,
-    "run": _cmd_run,
-    "report": _cmd_report,
-    "sweep-depth": _cmd_sweep_depth,
-    "synth": _cmd_synth,
+    "preprocess": (_cmd_preprocess, "clean, normalize, and split the input", {"common", "data"}),
+    "correlate": (_cmd_correlate, "rank-correlation matrix over the training split",
+                  {"common", "data", "mode"}),
+    "select": (_cmd_select, "pick a feature subset",
+               {"common", "data", "mode", "selection", "--trees", "--max-depth", "--workers"}),
+    "run": (_cmd_run, "run the full pipeline end to end",
+            {"common", "data", "mode", "selection", "model", "scoring"}),
+    "report": (_cmd_report, "tabulate run records and subset overlap", {"common"}),
+    "sweep-depth": (_cmd_sweep_depth, "out-of-bag accuracy across depth caps",
+                    {"common", "data", "mode", "sweep", "--trees", "--workers"}),
+    "synth": (_cmd_synth, "write a synthetic fixture with known truth", {"common", "synth"}),
 }
+
+# Commands that read the input files; each needs at least one.
+_READS_DATA = frozenset(name for name, (_, _, takes) in _COMMANDS.items() if "data" in takes)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -119,6 +119,23 @@ def _to_float(value: Fraction | None) -> float | None:
     return None if value is None else float(value)
 
 
+def _scores(tp: int, fn: int, fp: int, tn: int) -> dict[str, Fraction | None]:
+    """Precision, recall, false alarm rate and F1 of one (tp, fn, fp, tn)
+    tally; each is None where its denominator is zero."""
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    return {"precision": precision, "recall": recall, "far": _ratio(fp, fp + tn),
+            "f1": _f1_from(precision, recall)}
+
+
+def _report(accuracy: Fraction, scores: dict, averaging: str, **extra) -> MetricReport:
+    return MetricReport(accuracy=float(accuracy),
+                        **{name: _to_float(value) for name, value in scores.items()},
+                        averaging=averaging,
+                        undefined=tuple(name for name, value in scores.items() if value is None),
+                        **extra)
+
+
 def binary_metrics(cm: ConfusionMatrix, positive=1) -> MetricReport:
     """Attack-as-positive scores for a 2x2 matrix.
 
@@ -144,32 +161,7 @@ def binary_metrics(cm: ConfusionMatrix, positive=1) -> MetricReport:
     total = tp + fn + fp + tn
     if total == 0:
         raise DataError("empty confusion matrix")
-
-    accuracy = Fraction(tp + tn, total)
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    far = _ratio(fp, fp + tn)
-    f1 = _f1_from(precision, recall)
-
-    undefined = tuple(
-        name
-        for name, value in (
-            ("precision", precision),
-            ("recall", recall),
-            ("far", far),
-            ("f1", f1),
-        )
-        if value is None
-    )
-    return MetricReport(
-        accuracy=float(accuracy),
-        precision=_to_float(precision),
-        recall=_to_float(recall),
-        far=_to_float(far),
-        f1=_to_float(f1),
-        averaging="binary",
-        undefined=undefined,
-    )
+    return _report(Fraction(tp + tn, total), _scores(tp, fn, fp, tn), "binary")
 
 
 def _per_class_stats(counts: np.ndarray):
@@ -204,42 +196,14 @@ def multiclass_metrics(cm: ConfusionMatrix, averaging: str = "macro") -> MetricR
     accuracy = Fraction(trace, total)
 
     if averaging == "micro":
-        tp = sum(s[0] for s in stats)
-        fn = sum(s[1] for s in stats)
-        fp = sum(s[2] for s in stats)
-        tn = sum(s[3] for s in stats)
-        precision = _ratio(tp, tp + fp)
-        recall = _ratio(tp, tp + fn)
-        far = _ratio(fp, fp + tn)
-        f1 = _f1_from(precision, recall)
-        undefined = tuple(
-            n for n, v in (("precision", precision), ("recall", recall),
-                           ("far", far), ("f1", f1)) if v is None
-        )
-        return MetricReport(
-            accuracy=float(accuracy),
-            precision=_to_float(precision),
-            recall=_to_float(recall),
-            far=_to_float(far),
-            f1=_to_float(f1),
-            averaging="micro",
-            undefined=undefined,
-        )
+        return _report(accuracy, _scores(*(sum(column) for column in zip(*stats))), "micro")
 
-    per_class = {"precision": [], "recall": [], "far": [], "f1": []}
-    supports = []
-    for tp, fn, fp, tn in stats:
-        p = _ratio(tp, tp + fp)
-        r = _ratio(tp, tp + fn)
-        per_class["precision"].append(p)
-        per_class["recall"].append(r)
-        per_class["far"].append(_ratio(fp, fp + tn))
-        per_class["f1"].append(_f1_from(p, r))
-        supports.append(tp + fn)
-
+    per_class = [_scores(*s) for s in stats]
+    supports = [tp + fn for tp, fn, _, _ in stats]
     out: dict[str, Fraction | None] = {}
     skipped: dict[str, int] = {}
-    for name, values in per_class.items():
+    for name in ("precision", "recall", "far", "f1"):
+        values = [scores[name] for scores in per_class]
         if averaging == "macro":
             defined = [v for v in values if v is not None]
             n_skipped = len(values) - len(defined)
@@ -263,17 +227,7 @@ def multiclass_metrics(cm: ConfusionMatrix, averaging: str = "macro") -> MetricR
         if n_skipped:
             skipped[name] = n_skipped
 
-    undefined = tuple(n for n in ("precision", "recall", "far", "f1") if out[n] is None)
-    return MetricReport(
-        accuracy=float(accuracy),
-        precision=_to_float(out["precision"]),
-        recall=_to_float(out["recall"]),
-        far=_to_float(out["far"]),
-        f1=_to_float(out["f1"]),
-        averaging=averaging,
-        undefined=undefined,
-        skipped=skipped,
-    )
+    return _report(accuracy, out, averaging, skipped=skipped)
 
 
 def collapse_to_binary(cm: ConfusionMatrix, benign: str) -> ConfusionMatrix:

@@ -5,10 +5,14 @@ session-scoped because several suites lean on the same 20 seeded
 optimizer runs, and those runs are the expensive part.
 """
 
+import json
+import struct
 import tracemalloc
+import zlib
 
 import pytest
 
+from flowsel import artifacts
 from flowsel.correlation import spearman_matrix
 from flowsel.dataset import one_hot
 from flowsel.subset_search import (
@@ -30,6 +34,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance gates")
         for line in GATE_LINES:
             terminalreporter.write_line(line)
+
+
+def frame(header: dict, body: list) -> list:
+    """The chunks of a container whose header is ``header``, with the
+    body's checksum added, and whose body is the ``body`` chunks, nothing
+    padded.  Tests write containers of other layouts or versions, or with
+    edited headers, with it."""
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    blob = json.dumps({**header, "body_crc": crc}).encode("utf-8")
+    return [artifacts.MAGIC + struct.pack("<II", len(blob), zlib.crc32(blob)), blob, *body]
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import frame
 from flowsel import artifacts
 from flowsel.correlation import export_heatmap, load_heatmap, spearman_matrix
 from flowsel.dataset import load_dataset, one_hot, save_dataset
@@ -127,7 +129,9 @@ class TestContainer:
 
     def test_odd_length_bytes_then_wider_arrays(self, tmp_path):
         """Zero padding after an odd-length uint8 array keeps the float64
-        and int64 arrays after it aligned, and they read back as written."""
+        and int64 arrays after it aligned, and they read back as written.
+        The file is the documented layout byte for byte: the header padded
+        with spaces and each array with zero bytes to a multiple of 8."""
         path = str(tmp_path / "probe.bin")
         arrays = {"u": np.arange(5, dtype="|u1"), "f": np.linspace(-1.0, 1.0, 3),
                   "i": np.array([-(2 ** 62), 0, 7], dtype="<i8")}
@@ -137,11 +141,18 @@ class TestContainer:
             assert back[name].dtype == a.dtype and back[name].tobytes() == a.tobytes()
             assert back[name].flags.aligned and back[name].flags.writeable
         assert os.path.getsize(path) % 8 == 0
+        body = b"".join(a.tobytes() + bytes(-a.nbytes % 8) for a in arrays.values())
+        blob = json.dumps({"kind": "probe", "version": artifacts.VERSION,
+                           "arrays": [[n, a.dtype.str, list(a.shape)] for n, a in arrays.items()],
+                           "body_crc": zlib.crc32(body)}).encode("utf-8")
+        blob += b" " * (-len(blob) % 8)
+        assert open(path, "rb").read() == (
+            artifacts.MAGIC + struct.pack("<II", len(blob), zlib.crc32(blob)) + blob + body)
 
     def test_version_1_is_refused(self, tmp_path):
         """The unpadded layout of version 1 is not read as version 2."""
         path = tmp_path / "v1.bin"
-        artifacts.write_atomic(str(path), artifacts.frame(
+        artifacts.write_atomic(str(path), frame(
             {"kind": "probe", "version": 1, "arrays": [["a", "|u1", [3]]]}, [b"abc"]))
         with pytest.raises(DataError, match=re.escape(
                 f"{path}: unreadable probe file (unsupported version 1)")):
@@ -155,7 +166,7 @@ class TestContainer:
 
     def test_other_version_is_refused(self, tmp_path):
         path = tmp_path / "old.bin"
-        artifacts.write_atomic(str(path), artifacts.frame(
+        artifacts.write_atomic(str(path), frame(
             {"kind": "probe", "version": artifacts.VERSION - 1, "arrays": []}, []))
         with pytest.raises(DataError, match=re.escape(
                 f"{path}: unreadable probe file (unsupported version {artifacts.VERSION - 1}); "
@@ -166,7 +177,7 @@ class TestContainer:
         """Framed with a valid checksum, so only the length check sees it."""
         path = tmp_path / "long.bin"
         header = {"kind": "probe", "version": artifacts.VERSION, "arrays": [["a", "<i8", [2]]]}
-        artifacts.write_atomic(str(path), artifacts.frame(header, [np.arange(2), b"\0"]))
+        artifacts.write_atomic(str(path), frame(header, [np.arange(2), b"\0"]))
         with pytest.raises(DataError, match=r"\(1 bytes after the last array\)"):
             read_back(str(path))
 

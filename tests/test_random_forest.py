@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame
 from flowsel import artifacts, random_forest
 from flowsel.dataset import Dataset
 from flowsel.errors import DataError, NumericError
@@ -1099,7 +1100,7 @@ class TestForestFiles:
         header = json.loads(raw[start:start + hlen])
         edit(header)
         path = tmp_path / "bad.rf"
-        artifacts.write_atomic(str(path), artifacts.frame(header, [raw[start + hlen:]]))
+        artifacts.write_atomic(str(path), frame(header, [raw[start + hlen:]]))
         with pytest.raises(DataError, match=re.escape(f"{path}: unreadable forest file ({reason}")):
             load_forest(str(path))
 
