@@ -197,11 +197,12 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+        # items() interpolates, so a lone % fails here
+        flat = {f"{s}.{k}": v for s in parser.sections() for k, v in parser.items(s)}
     except OSError as exc:
         raise DataError(f"cannot open config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise DataError(f"bad config file {path}: {exc}") from exc
-    flat = {f"{s}.{k}": v for s in parser.sections() for k, v in parser.items(s)}
     unknown = [*(f"DEFAULT.{k}" for k in parser.defaults()), *(k for k in flat if k not in _KEYS),
                *(f"[{s}]" for s in parser.sections() if s not in _SECTIONS)]
     if unknown:
@@ -350,10 +351,8 @@ def _cmd_sweep_depth(args) -> int:
     if not depths:
         raise DataError("empty depth list")
     pair, _ = pipeline.preprocess_stage(cfg)
-    forest_cfg = dataclasses.replace(
-        cfg.forest, seed=pipeline.stage_seed(cfg.seed, "importance")
-    )
-    rows = pipeline.depth_sweep(pipeline._train_view(cfg, pair), depths, forest_cfg)
+    rows = pipeline.depth_sweep(pipeline.train_view(cfg, pair), depths,
+                                pipeline.seeded(cfg, "forest", "importance"))
     path = os.path.join(cfg.out_dir, "depth_sweep.csv")
     pipeline.write_depth_sweep_csv(rows, path)
     for row in rows:

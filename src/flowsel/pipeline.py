@@ -101,6 +101,12 @@ def stage_seed(master: int, stage: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def seeded(cfg: ExperimentConfig, part: str, stage: str):
+    """The nested config ``part`` of ``cfg`` (bat, aquila, forest or mlp)
+    with the seed ``stage`` derives from the master seed."""
+    return dataclasses.replace(getattr(cfg, part), seed=stage_seed(cfg.seed, stage))
+
+
 def load_grouping(spec: str | None) -> dict | None:
     """Resolve the grouping argument: None, the packaged default, or a file."""
     if spec is None:
@@ -146,6 +152,25 @@ _READS = {
 # bounds over its rows in file order, so a zero bound may have another sign
 # than in a split cached before it did.
 _REVISIONS = {"preprocess": 1}
+
+# The files of each stage's cache entry, by the role its ``artifacts`` and a
+# run record name them under; ``{}`` is the stage key.  A role only some
+# runs write is there only for them.  The exports in _CONTAINED have a
+# container beside them, from which a hit loads.
+_FILES = {
+    "preprocess": lambda c: {"train": "clean_{}.train.ds", "test": "clean_{}.test.ds",
+                             "report": "preprocess_{}.json"},
+    "correlate": lambda c: {"heatmap": "corr_{}.csv"},
+    "importance": lambda c: {"importance": "importance_{}.csv"},
+    "select": lambda c: {"subset": "subset_{}.txt",
+                         **({"trace": "trace_{}.csv"} if c.method in ("ba", "ao", "brute")
+                            else {})},
+    "train": lambda c: {"model": "model_{}.bin",
+                        **({"loss_trace": "loss_{}.csv"} if c.model == "mlp" else {})},
+    "evaluate": lambda c: {"confusion": "cm_{}.csv"},
+    "run": lambda c: {"record": "run_{}.json"},
+}
+_CONTAINED = frozenset({"heatmap", "importance", "subset", "confusion"})
 
 
 def _read(cfg: ExperimentConfig, name: str, subset) -> object:
@@ -239,17 +264,27 @@ def make_out_dir(path: str) -> None:
         raise _bad_out(path, exc, "pass a directory") from None
 
 
-def _cached(cfg: ExperimentConfig, paths, load):
-    """``load()`` when every file in ``paths`` exists and it reads them,
-    else None.  An unreadable entry is named in one stderr line and the
-    stage recomputes it."""
-    if cfg.force or not all(os.path.exists(p) for p in paths):
-        return None
-    try:
-        return load()
-    except DataError as exc:
-        _recomputing(exc)
-        return None
+def _stage_files(cfg: ExperimentConfig, stage: str, subset=None, keys: dict | None = None) -> dict:
+    """The paths of the files _FILES gives ``stage`` under its key, by role."""
+    key, out = stage_key(cfg, stage, subset, keys), os.path.join(cfg.out_dir, "")
+    return {role: out + name.format(key) for role, name in _FILES[stage](cfg).items()}
+
+
+def _run_stage(cfg: ExperimentConfig, stage: str, load, compute, subset=None,
+               keys: dict | None = None):
+    """Run ``stage`` through its cache entry, its files and the container
+    beside each export: ``(load(files), files)`` when all exist and ``load``
+    reads them, else ``(compute(files), files)``, and ``compute`` writes
+    them.  An unreadable entry is named in one stderr line and recomputed."""
+    files = _stage_files(cfg, stage, subset, keys)
+    entry = [*files.values(), *[artifacts.container_for(files[role])
+                                for role in files if role in _CONTAINED]]
+    if not cfg.force and all(os.path.exists(path) for path in entry):
+        try:
+            return load(files), files
+        except DataError as exc:
+            _recomputing(exc)
+    return compute(files), files
 
 
 class _OnFirstUse:
@@ -290,15 +325,9 @@ def preprocess_stage(cfg: ExperimentConfig,
     ``keys``, here and in every stage, is the run's memo of stage keys, as
     ``stage_key`` takes it."""
     make_out_dir(cfg.out_dir)
-    key = stage_key(cfg, "preprocess", keys=keys)
-    files = {
-        "train": os.path.join(cfg.out_dir, f"clean_{key}.train.ds"),
-        "test": os.path.join(cfg.out_dir, f"clean_{key}.test.ds"),
-        "report": os.path.join(cfg.out_dir, f"preprocess_{key}.json"),
-    }
     seed = stage_seed(cfg.seed, "split")
 
-    def compute() -> dataset.Dataset:
+    def compute(files) -> dataset.Dataset:
         # Day files may disagree only on columns we drop anyway.  The parsed
         # table becomes the training split (prepare_splits takes its array
         # over), so nothing here keeps another reference to it.
@@ -318,41 +347,40 @@ def preprocess_stage(cfg: ExperimentConfig,
                                json.dumps(report, indent=2, sort_keys=True) + "\n")
         return train
 
-    def compute_test() -> dataset.Dataset:
-        compute()
-        return dataset.load_dataset(files["test"])
+    def stored(files, split: str) -> _OnFirstUse:
+        def recompute() -> dataset.Dataset:
+            train = compute(files)
+            return train if split == "train" else dataset.load_dataset(path)
 
-    def stored(split: str, recompute) -> _OnFirstUse:
         path = files[split]
         return _OnFirstUse(lambda: dataset.load_dataset(path), recompute,
                            dataset.load_dataset_header(path))
 
-    splits = _cached(cfg, files.values(),
-                     lambda: (stored("train", compute), stored("test", compute_test)))
-    if splits is None:
-        splits = (compute(), stored("test", compute_test))
+    splits, files = _run_stage(cfg, "preprocess",
+                               lambda files: (stored(files, "train"), stored(files, "test")),
+                               lambda files: (compute(files), stored(files, "test")), keys=keys)
     return dataset.SplitPair(*splits, seed=seed, ratio=cfg.ratio), files
 
 
 def correlate_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict | None = None):
     """Spearman matrix over the training partition, cached as a container
     beside its heatmap CSV."""
-    key = stage_key(cfg, "correlate", keys=keys)
-    path = os.path.join(cfg.out_dir, f"corr_{key}.csv")
-    corr = _cached(cfg, [path, artifacts.container_for(path)],
-                   lambda: correlation.load_heatmap(path))
-    if corr is None:
+    def compute(files):
         class_cols, class_names = dataset.class_indicator_columns(
             pair.train, binary=cfg.mode == "binary"
         )
         corr = correlation.spearman_matrix(
             pair.train.features, class_cols, pair.train.feature_names, class_names
         )
-        correlation.export_heatmap(corr, path)
-    return corr, {"heatmap": path}
+        correlation.export_heatmap(corr, files["heatmap"])
+        return corr
+
+    return _run_stage(cfg, "correlate", lambda files: correlation.load_heatmap(files["heatmap"]),
+                      compute, keys=keys)
 
 
-def _train_view(cfg: ExperimentConfig, pair: dataset.SplitPair) -> dataset.Dataset:
+def train_view(cfg: ExperimentConfig, pair: dataset.SplitPair) -> dataset.Dataset:
+    """The training split as ``cfg.mode`` labels it."""
     if cfg.mode == "binary":
         return dataset.binary_view(pair.train, cfg.benign)
     return pair.train
@@ -365,20 +393,18 @@ def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict 
     Used both to drive rf-ig selection and to report the importance mass a
     subset captures.
     """
-    key = stage_key(cfg, "importance", keys=keys)
-    path = os.path.join(cfg.out_dir, f"importance_{key}.csv")
     names = pair.train.feature_names
-    hit = _cached(cfg, [path, artifacts.container_for(path)],
-                  lambda: load_importance(path, names))
-    if hit is not None:
-        return (*hit, {"importance": path})
 
-    forest_cfg = dataclasses.replace(
-        cfg.forest, seed=stage_seed(cfg.seed, "importance")
-    )
-    forest = random_forest.train_forest(_train_view(cfg, pair), forest_cfg)
-    save_importance(forest, names, path)
-    return forest.importances, forest.build_seconds, {"importance": path}
+    def compute(files):
+        forest = random_forest.train_forest(train_view(cfg, pair),
+                                            seeded(cfg, "forest", "importance"))
+        save_importance(forest, names, files["importance"])
+        return forest.importances, forest.build_seconds
+
+    (importances, seconds), files = _run_stage(
+        cfg, "importance", lambda files: load_importance(files["importance"], names), compute,
+        keys=keys)
+    return importances, seconds, files
 
 
 def save_importance(forest: random_forest.TrainedForest, feature_names, path: str) -> None:
@@ -415,13 +441,12 @@ def load_importance(path: str, feature_names) -> tuple[np.ndarray, float]:
 
 def _search(cfg: ExperimentConfig, corr, n_features: int, importances, importance_seconds):
     """The configured method's subset indices, seconds and search result."""
-    sel_seed = stage_seed(cfg.seed, "select")
     if cfg.method == "full":
         return tuple(range(n_features)), 0.0, None
     if cfg.method == "ba":
-        result = subset_search.bat_run(corr, dataclasses.replace(cfg.bat, seed=sel_seed))
+        result = subset_search.bat_run(corr, seeded(cfg, "bat", "select"))
     elif cfg.method == "ao":
-        result = subset_search.aquila_run(corr, dataclasses.replace(cfg.aquila, seed=sel_seed))
+        result = subset_search.aquila_run(corr, seeded(cfg, "aquila", "select"))
     elif cfg.method == "brute":
         result = subset_search.brute_force_best(corr)
     else:  # rf-ig
@@ -440,23 +465,21 @@ def select_stage(cfg: ExperimentConfig, corr, pair: dataset.SplitPair,
     selector.  Scores are computed afresh, also on a cache hit.
     """
     names = pair.train.feature_names
-    key = stage_key(cfg, "select", keys=keys)
-    subset_path = os.path.join(cfg.out_dir, f"subset_{key}.txt")
-    files = {"subset": subset_path}
-    if cfg.method in ("ba", "ao", "brute"):
-        files["trace"] = os.path.join(cfg.out_dir, f"trace_{key}.csv")
 
-    hit = _cached(cfg, [*files.values(), artifacts.container_for(subset_path)],
-                  lambda: subset_search.load_subset(subset_path, names))
-    if hit is not None:
-        indices, elapsed = hit[0].indices, float(hit[1]["elapsed"])
-    else:
+    def load(files):
+        subset, fields = subset_search.load_subset(files["subset"], names)
+        return subset.indices, float(fields["elapsed"])
+
+    def compute(files):
         indices, elapsed, trace = _search(cfg, corr, len(names), importances, importance_seconds)
-        subset_search.save_subset(subset_search.FeatureSubset(indices), names, subset_path,
+        subset_search.save_subset(subset_search.FeatureSubset(indices), names, files["subset"],
                                   method=cfg.method, seed=stage_seed(cfg.seed, "select"),
                                   elapsed=elapsed)
         if trace is not None:
             subset_search.save_trace(trace, files["trace"])
+        return indices, elapsed
+
+    (indices, elapsed), files = _run_stage(cfg, "select", load, compute, keys=keys)
     subset = subset_search.FeatureSubset(
         indices,
         cfs=correlation.cfs_merit(corr, indices),
@@ -489,26 +512,15 @@ def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
                 subset: subset_search.FeatureSubset, keys: dict | None = None):
     """Fit the configured model on the selected features; cached on disk.
     A hit reads only the model's header; the model loads on first use."""
-    key = stage_key(cfg, "train", subset, keys)
-    path = os.path.join(cfg.out_dir, f"model_{key}.bin")
-    files = {"model": path}
-    if cfg.model == "mlp":
-        files["loss_trace"] = os.path.join(cfg.out_dir, f"loss_{key}.csv")
-
-    def compute():
-        train_view = _slice_features(cfg, _train_view(cfg, pair), subset)
-        seed = stage_seed(cfg.seed, "train")
+    def compute(files):
+        features = _slice_features(cfg, train_view(cfg, pair), subset)
         if cfg.model == "rf":
-            model = random_forest.train_forest(
-                train_view, dataclasses.replace(cfg.forest, seed=seed)
-            )
-            random_forest.save_forest(model, path)
+            model = random_forest.train_forest(features, seeded(cfg, "forest", "train"))
+            random_forest.save_forest(model, files["model"])
         else:
             head = "binary" if cfg.mode == "binary" else "categorical"
-            model = neural_net.train(
-                train_view, dataclasses.replace(cfg.mlp, seed=seed), head=head
-            )
-            neural_net.save_model(model, path)
+            model = neural_net.train(features, seeded(cfg, "mlp", "train"), head=head)
+            neural_net.save_model(model, files["model"])
             neural_net.save_loss_trace(model, files["loss_trace"])
         return model
 
@@ -516,9 +528,12 @@ def train_stage(cfg: ExperimentConfig, pair: dataset.SplitPair,
         load, load_header = random_forest.load_forest, random_forest.load_forest_header
     else:
         load, load_header = neural_net.load_model, neural_net.load_model_header
-    model = _cached(cfg, files.values(),
-                    lambda: _OnFirstUse(lambda: load(path), compute, load_header(path)))
-    return (compute() if model is None else model), files
+
+    def stored(files) -> _OnFirstUse:
+        path = files["model"]
+        return _OnFirstUse(lambda: load(path), lambda: compute(files), load_header(path))
+
+    return _run_stage(cfg, "train", stored, compute, subset, keys)
 
 
 def _predict(cfg: ExperimentConfig, model, features) -> np.ndarray:
@@ -531,10 +546,6 @@ def _scored_binary(cfg: ExperimentConfig) -> bool:
     return cfg.mode == "binary" or cfg.collapse
 
 
-def _confusion_path(cfg: ExperimentConfig, subset, keys: dict | None) -> str:
-    return os.path.join(cfg.out_dir, f"cm_{stage_key(cfg, 'evaluate', subset, keys)}.csv")
-
-
 def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
                    subset: subset_search.FeatureSubset, keys: dict | None = None):
     """Metric report for the configured view, scored from the test-set
@@ -543,10 +554,7 @@ def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
     The counts, collapsed when ``collapse`` asks, are cached as a container
     beside their CSV; the report is scored from them whenever the run
     record is written, so the averaging does not key them."""
-    path = _confusion_path(cfg, subset, keys)
-    cm = _cached(cfg, [path, artifacts.container_for(path)],
-                 lambda: metrics.load_confusion(path))
-    if cm is None:
+    def compute(files):
         test_view = _slice_features(
             cfg, dataset.binary_view(pair.test, cfg.benign) if cfg.mode == "binary" else pair.test,
             subset,
@@ -555,12 +563,17 @@ def evaluate_stage(cfg: ExperimentConfig, model, pair: dataset.SplitPair,
         cm = metrics.confusion(test_view.labels_cat, preds, test_view.class_names)
         if cfg.collapse:
             cm = metrics.collapse_to_binary(cm, cfg.benign)
-        metrics.save_confusion(cm, path)
+        metrics.save_confusion(cm, files["confusion"])
+        return cm
+
+    cm, files = _run_stage(cfg, "evaluate",
+                           lambda files: metrics.load_confusion(files["confusion"]),
+                           compute, subset, keys)
     if _scored_binary(cfg):
         report = metrics.binary_metrics(cm, positive="attack")
     else:
         report = metrics.multiclass_metrics(cm, cfg.averaging)
-    return report, {"confusion": path}
+    return report, files
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +681,8 @@ def _unscored_record(cfg: ExperimentConfig, pair: dataset.SplitPair,
             "build_seconds": model.build_seconds,
         },
         "forest": model.summary if cfg.model == "rf" else None,
-        "seeds": {
-            "master": cfg.seed,
-            "split": stage_seed(cfg.seed, "split"),
-            "select": stage_seed(cfg.seed, "select"),
-            "train": stage_seed(cfg.seed, "train"),
-            "importance": stage_seed(cfg.seed, "importance"),
-        },
+        "seeds": {"master": cfg.seed,
+                  **{stage: stage_seed(cfg.seed, stage) for stage in _STAGE_IDS}},
         "artifacts": files,
         # the cache layout it was computed under; report skips other layouts
         "format": artifacts.VERSION,
@@ -756,8 +764,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         model, files = train_stage(cfg, pair, subset, keys)
         completed.update(files)
         stage = "evaluate"
-        record_path = os.path.join(cfg.out_dir, f"run_{stage_key(cfg, 'run', subset, keys)}.json")
-        files = {"confusion": _confusion_path(cfg, subset, keys)}
+        record_path = _stage_files(cfg, "run", subset, keys)["record"]
+        files = _stage_files(cfg, "evaluate", subset, keys)
         stored = None if cfg.force else _stored_record(record_path, _unscored_record(
             cfg, pair, subset, selection_seconds, model, {**completed, **files}))
         if stored is None:

@@ -262,7 +262,7 @@ def _subparsers(parser):
 def outcome(parser, build, argv):
     """("config", the ExperimentConfig, args), or ("exit", code, stderr)
     as ``main`` would report it, or ("raised", type, text) for the config
-    parser's own errors, which neither side catches."""
+    parser's own errors, which the reference does not catch."""
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
@@ -275,7 +275,7 @@ def outcome(parser, build, argv):
         return "exit", 1, f"error: {exc}"
     except DataError as exc:
         return "exit", 2, f"error: {exc}"
-    except configparser.Error as exc:  # a bad % interpolation, not handled by either
+    except configparser.Error as exc:  # a bad % interpolation in the reference
         return "raised", type(exc).__name__, str(exc)
 
 
@@ -363,9 +363,13 @@ def draw_ini(data, inputs):
 def assert_same_as_reference(argv, ini_values):
     """``argv`` gives the reference's ExperimentConfig, or its exit code
     and stderr; but [run] out_dir from ``ini_values`` is read when --out
-    is not given."""
+    is not given, and a lone % that the reference raises on exits 2 with
+    one line naming the file."""
     want = outcome(reference_parser(), reference_build_config, argv)
     got = outcome(build_parser(), build_config, argv)
+    if want[0] == "raised":
+        ini = argv[argv.index("--config") + 1]
+        want = ("exit", 2, f"error: bad config file {ini}: {want[2]}")
     if got[0] == "config" and got[2].out is None and "run.out_dir" in ini_values:
         want = (want[0], dataclasses.replace(want[1], out_dir=ini_values["run.out_dir"]),
                 want[2])
@@ -489,6 +493,25 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {ini}: unknown config key {key}"]
         assert not out.exists()
+
+    def test_a_lone_percent_exits_2_naming_the_file(self, tmp_path, capsys):
+        """Values are interpolated, so a lone % is a bad config file: one
+        stderr line, before any input is read or any file written."""
+        ini = self.write(tmp_path, "[data]\nbenign = 100%\n")
+        out = tmp_path / "runs"
+        assert main(["preprocess", "--data", str(tmp_path / "unread.csv"), "--out", str(out),
+                     "--config", ini]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: bad config file {ini}: ")
+        assert "'%' must be followed by '%' or '('" in line
+        assert not out.exists()
+
+    def test_a_doubled_percent_reads_as_one(self, tmp_path):
+        ini = self.write(tmp_path, "[data]\nbenign = 100%%\n")
+        args = build_parser().parse_args(["preprocess", "--data", "x.csv", "--config", ini])
+        assert build_config(args).benign == "100%"
 
     def test_every_key_and_empty_known_sections_are_accepted(self, tmp_path):
         text = "[bat]\n[mlp]\n" + "".join(

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -977,6 +978,106 @@ class TestCacheRecovery:
             record = run_pipeline(cfg)
         assert err.getvalue() == ""
         assert comparable(record) == comparable(cached_runs["rf"][1])
+
+
+# (method, model) of the runs whose files TestStageFiles checks
+FILE_RUNS = {"ba-rf": ("ba", "rf"), "ba-mlp": ("ba", "mlp"), "rf-ig-rf": ("rf-ig", "rf")}
+
+
+def _file_run_config(csv_path, out, run):
+    method, model = FILE_RUNS[run]
+    return quick_config(csv_path, out, method=method, model=model,
+                        k=2 if method == "rf-ig" else None)
+
+
+def _entry_names(cfg, record, stage) -> set:
+    """The names of the files of ``stage``'s cache entry in ``record``'s run:
+    each file _FILES gives it, and the container beside each export."""
+    paths = [record["artifacts"][role] for role in pipeline._FILES[stage](cfg)]
+    paths += [artifacts.container_for(record["artifacts"][role])
+              for role in pipeline._FILES[stage](cfg) if role in pipeline._CONTAINED]
+    return {os.path.basename(path) for path in paths}
+
+
+# every file of every stage's entry, for each run: (run, stage, role, container)
+ENTRY_FILES = [(run, stage, role, container) for run, (method, model) in FILE_RUNS.items()
+               for stage, files in pipeline._FILES.items()
+               for role in files(ExperimentConfig(method=method, model=model))
+               for container in ((False, True) if role in pipeline._CONTAINED else (False,))]
+
+
+@pytest.fixture(scope="module")
+def file_runs(fixture_csv, tmp_path_factory):
+    """For each of FILE_RUNS, a fresh directory holding its run and report,
+    and the run's config and record."""
+    csv_path, _ = fixture_csv
+    runs = {}
+    for run in FILE_RUNS:
+        out = tmp_path_factory.mktemp(f"files_{run}")
+        cfg = _file_run_config(csv_path, out, run)
+        record = run_pipeline(cfg)
+        assert main(["report", "--out", str(out)]) == 0
+        runs[run] = (out, cfg, record)
+    return runs
+
+
+def _untimed(path):
+    """The content of the file at ``path`` without its build or search
+    seconds, ``time_s``, timestamps and digest."""
+    name = os.path.basename(path)
+    raw = open(path, "rb").read()
+    if name == "report.csv":
+        header, *rows = raw.decode().splitlines()
+        drop = header.split(",").index("time_s")
+        return [[c for i, c in enumerate(r.split(",")) if i != drop] for r in [header, *rows]]
+    if name.startswith("run_"):
+        return comparable(json.loads(raw))
+    if raw.startswith(artifacts.MAGIC):  # a container: its header then its arrays
+        start = len(artifacts.MAGIC) + 8
+        end = start + int.from_bytes(raw[len(artifacts.MAGIC):][:4], "little")
+        header = json.loads(raw[start:end])
+        return ({k: v for k, v in header.items() if k not in ("build_seconds", "elapsed")},
+                raw[end:])
+    return [line for line in raw.splitlines() if not line.startswith(b"# build_seconds=")]
+
+
+class TestStageFiles:
+    @pytest.mark.parametrize("run", FILE_RUNS)
+    def test_a_fresh_out_holds_exactly_the_files_the_table_names(self, file_runs, run):
+        out, cfg, record = file_runs[run]
+        assert set(record["artifacts"]) == {role for files in pipeline._FILES.values()
+                                            for role in files(cfg)}
+        named = set().union(*(_entry_names(cfg, record, stage) for stage in pipeline._FILES))
+        assert sorted(os.listdir(out)) == sorted(named | {"report.csv", "overlap.csv"})
+
+    @pytest.mark.parametrize("run,stage,role,container", ENTRY_FILES, ids=[
+        f"{run}:{stage}:{role}{'-container' if container else ''}"
+        for run, stage, role, container in ENTRY_FILES])
+    def test_each_file_of_an_entry_is_read(self, file_runs, tmp_path, run, stage, role,
+                                           container):
+        """Without any one file of its entry a stage is computed again,
+        silently: every file of the entry is written anew, no other file but
+        the run record is, and each holds what it held but for its seconds,
+        timestamps and digest."""
+        source, cfg, record = file_runs[run]
+        out = tmp_path / "runs"
+        shutil.copytree(source, out)
+        cfg = dataclasses.replace(cfg, out_dir=str(out))
+        run_pipeline(cfg)  # a copied out rewrites the record once, naming its own paths
+        gone = out / os.path.basename(record["artifacts"][role])
+        if container:
+            gone = pathlib.Path(artifacts.container_for(str(gone)))
+        before = _files(out)
+        os.remove(gone)
+        _, err = _quietly(cfg)
+        assert err == []
+        after = _files(out)
+        assert sorted(after) == sorted(before)
+        rewritten = {name for name in after if after[name] != before[name]}
+        entry = _entry_names(cfg, record, stage)
+        assert entry <= rewritten <= entry | {os.path.basename(record["artifacts"]["record"])}
+        for name in after:
+            assert _untimed(out / name) == _untimed(source / name), name
 
 
 def _count_body_loads(monkeypatch) -> collections.Counter:
