@@ -61,11 +61,6 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise DataError(f"bad hidden layer spec {text!r}") from None
 
 
-def _hidden_flag(text: str) -> tuple[int, ...] | None:
-    # an empty --hidden counts as not given
-    return _parse_hidden(text) if text else None
-
-
 def _parse_paths(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.replace(";", ",").split(",") if p.strip())
 
@@ -129,7 +124,7 @@ OPTIONS = {
         _opt("--max-depth", "forest.max_depth", int),
         _opt("--min-node-size", "forest.min_node_size", int),
         _opt("--workers", "forest.n_workers", int),
-        _opt("--hidden", "mlp.hidden_sizes", _parse_hidden, from_flag=_hidden_flag,
+        _opt("--hidden", "mlp.hidden_sizes", _parse_hidden, from_flag=_parse_hidden,
              help="comma-separated hidden layer sizes, e.g. 50,25"),
         _opt("--batch-size", "mlp.batch_size", int),
         _opt("--epochs", "mlp.epochs", int),

@@ -9,6 +9,7 @@ is deterministic given the seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -126,15 +127,28 @@ def _scan_row(row, path: str, line_no: int, header, keep) -> list[float]:
     return [_parse_cell(row[j], path, line_no, header[j]) for j in keep]
 
 
-def _open_csv(path: str):
+def _open_csv(path: str, binary: bool = False):
     try:
-        return open(path, "r", newline="", encoding="utf-8")
+        return open(path, "rb") if binary else open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
 
 
-def _read_header(reader, path: str, label_column: str, drop_columns):
-    """Check the header row; returns (names, label index, kept indices)."""
+@dataclass(frozen=True)
+class _Part:
+    """One input file's header: its names, the index of the label column
+    and of each kept column, and the kept and dropped names."""
+
+    path: str
+    header: list
+    label: int
+    keep: list
+    columns: tuple[str, ...]
+    dropped: tuple[str, ...]
+
+
+def _read_header(reader, path: str, label_column: str, drop_columns) -> _Part:
+    """Read and check the header row."""
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file, no header row")
@@ -143,9 +157,10 @@ def _read_header(reader, path: str, label_column: str, drop_columns):
         raise DataError(f"{path}: header has no column named {label_column!r}")
     if label_column in drop_columns:
         raise DataError(f"cannot drop the label column {label_column!r}")
-    label_idx = header.index(label_column)
-    keep = [j for j, h in enumerate(header) if j != label_idx and h not in drop_columns]
-    return header, label_idx, keep
+    label = header.index(label_column)
+    keep = [j for j, h in enumerate(header) if j != label and h not in drop_columns]
+    return _Part(path, header, label, keep, tuple(header[j] for j in keep),
+                 tuple(h for h in header if h in drop_columns))
 
 
 def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
@@ -157,25 +172,18 @@ def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
     """
     with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
+        part = _read_header(reader, path, label_column, drop_columns)
         rows: list[list[float]] = []
         index: dict[str, int] = {}
         codes = array("i")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue  # ignore blank lines
-            rows.append(_scan_row(row, path, line_no, header, keep))
-            codes.append(index.setdefault(row[label_idx].strip(), len(index)))
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(keep))
-    return RawTable(
-        tuple(header[j] for j in keep),
-        values,
-        np.asarray(codes, dtype=np.int32),
-        tuple(index),
-        label_column,
-        tuple(h for h in header if h in drop_columns),
-        (path,),
-    )
+            rows.append(_scan_row(row, path, line_no, part.header, part.keep))
+            codes.append(index.setdefault(row[part.label].strip(), len(index)))
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(part.keep))
+    return RawTable(part.columns, values, np.asarray(codes, dtype=np.int32), tuple(index),
+                    label_column, part.dropped, (path,))
 
 
 # load_csv hands np.loadtxt the lines of a file in blocks of about this
@@ -184,126 +192,109 @@ def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
 _PARSE_CELLS = 1 << 13
 
 
-@dataclass
-class _Part:
-    """One input file after the csv pass: its kept columns, the columns it
-    dropped by name, and its labels as codes into ``names``.  Its cells are
-    still to be parsed from the lines after ``header_lines``, unless
-    ``values`` already holds the scanner's table of the whole file."""
-
-    path: str
-    columns: tuple[str, ...]
-    dropped: tuple[str, ...]
-    codes: np.ndarray
-    names: tuple[str, ...]
-    header: list | None = None
-    keep: list | None = None
-    header_lines: int = 0
-    values: np.ndarray | None = None
+def _line_bound(path: str) -> int:
+    """One more than the line breaks of a regular file, counted 64 KiB at
+    a time: a bound on its records."""
+    lines = 1
+    with _open_csv(path, binary=True) as fh:
+        while chunk := fh.read(1 << 16):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # a "\r\n" cut between chunks counts twice
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return lines
 
 
-def _survey(path: str, label_column: str, drop_columns) -> _Part:
-    """The csv pass over one file: the header, every row's cell count and
-    label.  A path that is not a regular file (a pipe cannot be read
-    twice), a file this pass cannot take (ragged rows, csv errors) and a
-    file with a record on more than one line are read whole by the
-    scanner, which gives their table or their first error."""
-    if os.path.isfile(path):
-        with _open_csv(path) as handle:
-            reader = csv.reader(handle)
-            header, label_idx, keep = _read_header(reader, path, label_column, drop_columns)
-            header_lines = line = reader.line_num
-            index: dict[str, int] = {}
-            codes = array("i")
-            try:
-                for row in reader:
-                    line, last = reader.line_num, line
-                    if not row:
-                        continue
-                    if len(row) != len(header) or line != last + 1:
-                        break
-                    codes.append(index.setdefault(row[label_idx].strip(), len(index)))
-                else:
-                    return _Part(path, tuple(header[j] for j in keep),
-                                 tuple(h for h in header if h in drop_columns),
-                                 np.asarray(codes, dtype=np.int32), tuple(index),
-                                 header, keep, header_lines)
-            except (ValueError, csv.Error):
-                pass
-    table = _scan_csv(path, label_column, drop_columns)
-    return _Part(path, table.columns, table.dropped, table.label_codes, table.label_names,
-                 values=table.values)
+def _load_block(part: _Part, lines: list[str], out, codes, index) -> int | None:
+    """Fill ``out`` and ``codes`` from a block of lines with one np.loadtxt
+    call, which skips blank lines as csv.reader does; returns the rows, or
+    None if the block holds a quote (or a NUL, which a numpy string drops
+    from the end of a label), a line not cut into the header's cells, or
+    cells np.loadtxt refuses."""
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    n = 0
+    for line in lines:
+        if line not in ("\n", "\r\n", "\r"):
+            if line.count(",") != len(part.header) - 1:
+                return None
+            n += 1
+    if not n:
+        return 0
+    # as wide as the longest line, since np.loadtxt cuts a longer text short
+    dtype = np.dtype([("v", np.float64, (len(part.keep),)), ("l", f"U{max(map(len, lines))}")])
+    got = None
+    with contextlib.suppress(ValueError):
+        got = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=[*part.keep, part.label],
+                         comments=None, quotechar=None, ndmin=1)
+    if got is None or got.shape != (n,):
+        return None
+    out[:n] = got["v"]
+    codes[:n] = [index.setdefault(label.strip(), len(index)) for label in got["l"].tolist()]
+    return n
 
 
-def _parse_block(part: _Part, lines: list[str], first: int, out: np.ndarray) -> None:
-    """Fill ``out`` from one block of a file's lines, the first numbered
-    ``first``, with ``np.loadtxt``, which skips the blank ones as the csv
-    pass did; a block it refuses, or reads as another number of rows, is
-    scanned."""
-    try:
-        # quotechar keeps a quoted comma inside its cell; comments=None
-        # stops '#' from truncating one.
-        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", usecols=part.keep,
-                            quotechar='"', comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is not None and values.shape == out.shape:
-        out[...] = values
-        return
-    rows = ((line_no, row) for line_no, row in enumerate(csv.reader(lines), start=first) if row)
-    for i, (line_no, row) in enumerate(rows):
-        out[i] = _scan_row(row, part.path, line_no, part.header, part.keep)
+def _scan_block(part: _Part, lines: list[str], more, first: int, out, codes, index):
+    """Fill ``out`` and ``codes`` from a block of lines read by csv.reader,
+    which reads on from ``more`` to the end of the block's last record;
+    returns the rows and the records, numbered from ``first``.  Only a
+    quoted block's kept cells go to np.loadtxt, as lines of their own; its
+    ragged or refused rows and all other rows go to ``_scan_row``."""
+    reader = csv.reader(itertools.chain(lines, more))
+    rows = []
+    for record, row in enumerate(reader, start=first):
+        if row:
+            rows.append((record, row))
+        if reader.line_num >= len(lines):
+            break
+    values = None
+    if (part.keep and any('"' in line for line in lines)
+            and all(len(row) == len(part.header) for _, row in rows)):
+        # np.loadtxt refuses a line break in a cell, or ends the line where float() strips it
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt([",".join([row[j] for j in part.keep]) for _, row in rows],
+                                dtype=np.float64, delimiter=",", comments=None,
+                                quotechar=None, ndmin=2)
+    n = len(rows)
+    if values is not None and values.shape == (n, len(part.keep)):
+        out[:n] = values
+    else:
+        for i, (line_no, row) in enumerate(rows):
+            out[i] = _scan_row(row, part.path, line_no, part.header, part.keep)
+    codes[:n] = [index.setdefault(row[part.label].strip(), len(index)) for _, row in rows]
+    return n, record - first + 1
 
 
-def _parse(part: _Part, out: np.ndarray) -> None:
-    """Fill ``out`` (the part's rows by its kept columns) with its cells."""
-    if part.values is not None:
-        out[...] = part.values
-        return
-    if not out.size:
-        return
+def _parse(part: _Part, lines, out: np.ndarray, codes: np.ndarray, index: dict) -> int:
+    """Fill ``out`` and ``codes`` from the records of ``lines`` after the
+    header, a block at a time; returns the number of rows."""
     step = max(1, _PARSE_CELLS // len(part.header))
-    row = 0
-    with _open_csv(part.path) as handle:
-        # no record spans two lines, so the lines after the header are
-        # numbered as the scanner numbers its records, from 2
-        body = itertools.islice(handle, part.header_lines, None)
-        first = 2
-        while lines := list(itertools.islice(body, step)):
-            n = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))  # blank lines
-            if n:
-                _parse_block(part, lines, first, out[row:row + n])
-            row += n
-            first += len(lines)
+    n, record = 0, 2
+    while block := list(itertools.islice(lines, step)):
+        rows, records = _load_block(part, block, out[n:], codes[n:], index), len(block)
+        if rows is None:
+            rows, records = _scan_block(part, block, lines, record, out[n:], codes[n:], index)
+        n += rows
+        record += records
+    return n
 
 
 def _utf8_checked(path: str, read, *args):
     """``read(*args)``; a file that is not UTF-8 raises DataError naming
-    its first bad line."""
+    its first bad line, if the file can be read again to find it.  A line
+    break byte never occurs inside a multi-byte character, so lines decode
+    on their own."""
     try:
         return read(*args)
     except UnicodeDecodeError as exc:
-        line = _first_non_utf8_line(path)
+        line = None
+        with contextlib.suppress(OSError), open(path, "rb") as fh:
+            line = next((n for n, text in enumerate(fh, start=1)
+                         if text.decode("utf-8", "ignore").encode() != text), None)
         where = path if line is None else f"{path}:{line}"
         raise DataError(
             f"{where}: not UTF-8 text ({exc.reason}); re-save the file as UTF-8"
         ) from None
-
-
-def _first_non_utf8_line(path: str) -> int | None:
-    """Number of the first line that does not decode as UTF-8, if the file
-    can be read again to find it.  A line break byte never occurs inside a
-    multi-byte character, so lines decode on their own."""
-    try:
-        with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    return line_no
-    except OSError:
-        pass
-    return None
 
 
 def load_csv(path, label_column: str = "Label", drop_columns=()) -> RawTable:
@@ -318,61 +309,70 @@ def load_csv(path, label_column: str = "Label", drop_columns=()) -> RawTable:
     seen first over the files in order.  Files must agree on their kept
     columns.
 
-    A ``csv.reader`` pass over every file checks its header and every
-    row's cell count and collects the labels.  It sizes one (rows, kept
-    columns) float64 array, which ``np.loadtxt`` then fills a block of
-    lines at a time, each block bounded in cells (``_PARSE_CELLS``).  A
-    block it cannot take exactly (empty cells, underscores, non-ASCII
-    digits, ...) is scanned cell by cell with ``float()``, which gives the
-    same values or the first error, with its own line numbers.  A file the
-    csv pass cannot take row by row (ragged rows, a record on more than one
-    line) and a path that is not a regular file, such as a pipe, are read
-    whole by ``_scan_csv``.  Errors come in the order a file-by-file scan
-    meets them.  A file that is not UTF-8 raises DataError naming the
-    first bad line.  The caller owns the returned table's array.
+    Each file is read once.  Its line breaks, counted in chunks of bytes,
+    bound its records and size one (rows, kept columns) float64 array for
+    all files, trimmed in place to the rows read.  Its lines go a block at
+    a time (about ``_PARSE_CELLS`` cells) to one ``np.loadtxt`` call for the
+    kept cells and the labels; a block with a quote character, a ragged or
+    whitespace-only line or cells np.loadtxt refuses (empty, underscores,
+    non-ASCII digits, ...) goes to ``csv.reader`` and ``float()`` instead,
+    with the scanner's values, errors and record numbers (``_scan_block``).
+    A path that is not a regular file, such as a pipe, is read whole by
+    ``_scan_csv``.  Errors come in the order a file-by-file scan meets
+    them; a file that is not UTF-8 raises DataError naming its first bad
+    line.  The caller owns the returned table's array.
     """
     paths = [path] if isinstance(path, (str, os.PathLike)) else list(path)
     if not paths:
         raise DataError("no tables to merge")
-    parts: list = []
+    # a path that cannot be read twice is scanned now; its error waits its turn
+    sources = []
     for p in paths:
         try:
-            parts.append(_utf8_checked(p, _survey, p, label_column, drop_columns))
+            sources.append(_line_bound(p) if os.path.isfile(p) else
+                           _utf8_checked(p, _scan_csv, p, label_column, drop_columns))
         except (DataError, csv.Error) as exc:
-            parts.append(exc)  # raised after the cell errors of the files before it
-    surveyed = [part for part in parts if isinstance(part, _Part)]
-    columns = surveyed[0].columns if surveyed else ()
-    odd = next((part for part in surveyed if part.columns != columns), None)
-    total = sum(len(part.codes) for part in surveyed) if odd is None else 0
-    values = np.empty((total, len(columns)), dtype=np.float64)
+            sources.append(exc)
+    codes = np.empty(sum(s if isinstance(s, int) else getattr(s, "n_rows", 0) for s in sources),
+                     dtype=np.int32)
+    index: dict[str, int] = {}
+    parts: list = []
     row = 0
-    for part in parts:
-        if not isinstance(part, _Part):
-            raise part
-        n = len(part.codes)
-        # files that disagree on columns are still parsed, one at a time,
-        # for the cell errors that come first
-        out = values[row:row + n] if odd is None else np.empty((n, len(part.columns)))
-        _utf8_checked(part.path, _parse, part, out)
-        part.values = None
+    for p, source in zip(paths, sources):
+        if isinstance(source, Exception):
+            raise source
+        table = source if isinstance(source, RawTable) else None
+        with contextlib.nullcontext() if table else _open_csv(p) as handle:
+            part = table or _utf8_checked(p, _read_header, csv.reader(handle), p,
+                                          label_column, drop_columns)
+            if not parts:
+                values = np.empty((len(codes), len(part.columns)))
+            parts.append(part)
+            # a file that disagrees on columns is still parsed, for its cell errors
+            out = (values[row:] if part.columns == parts[0].columns
+                   else np.empty((len(codes) - row, len(part.columns))))
+            if table:
+                n = table.n_rows
+                out[:n] = table.values
+                lookup = [index.setdefault(name, len(index)) for name in table.label_names]
+                codes[row:row + n] = np.array(lookup, dtype=np.int32)[table.label_codes]
+            else:
+                n = _utf8_checked(p, _parse, part, handle, out, codes[row:], index)
         row += n
+    del out  # the shrinks below may move the buffers
+    odd = next((part for part in parts if part.columns != parts[0].columns), None)
     if odd is not None:
         raise DataError(
             "tables disagree on columns; drop the extras before merging "
-            f"({sorted(set(odd.columns) ^ set(columns))})"
+            f"({sorted(set(odd.columns) ^ set(parts[0].columns))})"
         )
-    index: dict[str, int] = {}
-    codes = np.empty(total, dtype=np.int32)
-    row = 0
-    for part in parts:
-        lookup = np.array([index.setdefault(name, len(index)) for name in part.names],
-                          dtype=np.int32)
-        codes[row:row + len(part.codes)] = lookup[part.codes]
-        row += len(part.codes)
+    values.resize((row, values.shape[1]), refcheck=False)
+    codes.resize(row, refcheck=False)
     # one file keeps its dropped names as its header lists them
     dropped = (parts[0].dropped if len(parts) == 1
                else tuple(dict.fromkeys(c for part in parts for c in part.dropped)))
-    return RawTable(columns, values, codes, tuple(index), label_column, dropped, tuple(paths))
+    return RawTable(parts[0].columns, values, codes, tuple(index), label_column, dropped,
+                    tuple(paths))
 
 
 def _where(table: RawTable) -> str:

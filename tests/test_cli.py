@@ -231,7 +231,8 @@ def reference_build_config(args):
     cfg.mlp = _settings(
         "mlp", MlpConfig,
         hidden_sizes=pick(
-            _parse_hidden(args.hidden) if getattr(args, "hidden", None) else None,
+            # an empty --hidden is refused as --hidden , is, not taken as absent
+            _parse_hidden(args.hidden) if getattr(args, "hidden", None) is not None else None,
             file_get("mlp.hidden_sizes", _parse_hidden),
             cfg.mlp.hidden_sizes,
         ),
@@ -427,6 +428,7 @@ class TestOptionTable:
         (["--hidden", ""], ""),
         (["--hidden", "x"], "[mlp]\nhidden_sizes = y\n"),
         (["--hidden", ""], "[mlp]\nhidden_sizes = ,\n"),
+        (["--hidden", ""], "[mlp]\nhidden_sizes = 8\n"),
         (["--trees", "5"], "[forest]\nn_trees = many\n"),
         (["--data", "{a}", "{a2}"], "[split]\nratio = half\n"),
         (["--ratio", "2"], "[bat]\nn = many\n"),
@@ -440,8 +442,8 @@ class TestOptionTable:
     ])
     def test_precedence_and_order_of_errors_as_the_reference(self, inputs, argv, ini):
         """A bad file value fails even when a flag overrides it, an empty
-        --hidden counts as not given, and of several errors the one the
-        reference met first is reported."""
+        --hidden is refused even when the file's value is good, and of
+        several errors the one the reference met first is reported."""
         a, _, a2, _ = inputs["paths"]
         argv = ["run", *([] if "--data" in argv else ["--data", inputs["paths"][1]]),
                 *(arg.format(a=a, a2=a2) for arg in argv)]

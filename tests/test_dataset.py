@@ -1,5 +1,6 @@
 """CSV ingestion, cleaning, normalization, label encoding, splitting."""
 
+import csv
 import dataclasses
 import functools
 import json
@@ -207,7 +208,10 @@ CLEAN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(2**31), 2**31).map(str),
 )
-DAY_LABELS = ("Benign", "DoS", "Bot", "#x", " Infilteration ")
+# labels a quoted comma, a doubled quote or a quoted line break sends to
+# csv.reader, and one wider than 64 characters
+DAY_LABELS = ("Benign", "DoS", "Bot", "#x", " Infilteration ", "DoS, Hulk", 'Bot "Ares"',
+              "Web\nAttack", "Brute Force -" + " Web" * 16)
 
 
 def day_files_draw(data, directory):
@@ -217,9 +221,10 @@ def day_files_draw(data, directory):
     Rows are mostly clean numbers, so most blocks go through np.loadtxt;
     now and then a cell is empty, a NaN/Infinity spelling, an underscore
     or another token only the scanner reads, a row is short or long, or a
-    line is blank, at any line of any block.  Each file draws its own label
-    set.  A quoted line break may sit in the header or in an identifier
-    cell, and one file may carry an extra column."""
+    line is blank or holds only spaces, at any line of any block.  Each
+    file draws its own label set, and its own line ending: "\\n", "\\r\\n" or
+    "\\r".  A quoted line break may sit in the header, in an identifier cell
+    or in a label, and one file may carry an extra column."""
     n_numeric = data.draw(st.integers(0, 3))
     n_ids = data.draw(st.integers(0, 2))
     kinds = data.draw(st.permutations(["num"] * n_numeric + ["id"] * n_ids + ["label"]))
@@ -238,9 +243,10 @@ def day_files_draw(data, directory):
                                     unique=True))
         lines = [",".join(quoted(n) if "\n" in n else n for n in day_names)]
         for _ in range(data.draw(st.integers(0, 12))):
-            shape = data.draw(st.sampled_from(["row"] * 80 + ["short", "long", "blank", "blank"]))
-            if shape == "blank":
-                lines.append("")
+            shape = data.draw(st.sampled_from(["row"] * 80 + ["short", "long", "blank", "blank",
+                                                              "spaces"]))
+            if shape in ("blank", "spaces"):
+                lines.append(data.draw(PADDING) if shape == "spaces" else "")
                 continue
             cells = []
             for kind in day_kinds:
@@ -252,13 +258,14 @@ def day_files_draw(data, directory):
                             else text_cell(data))
                 else:
                     cell = data.draw(st.sampled_from(labels))
+                    cell = quoted(cell) if any(c in cell for c in ',"\n') else cell
                 cells.append(cell)
             if shape == "short":
                 cells.pop()
             elif shape == "long":
                 cells.append(data.draw(CLEAN_CELLS))
             lines.append(",".join(cells))
-        ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
         paths.append(write_csv(directory / f"day{day}.csv", text))
     return paths, ids, len(names)
@@ -440,14 +447,55 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"g\.csv:6: column 'a' has non-numeric cell 'oops'"):
             load_csv(bad)
 
-    def test_record_on_two_lines_sends_its_file_to_the_scanner(self, tmp_path, monkeypatch):
+    def test_record_on_two_lines_is_read_in_its_block(self, tmp_path, monkeypatch):
+        """A quoted line break carries a record past its block's last line;
+        csv.reader reads on to its end, and the file is not scanned whole
+        (the one scan of each file here is the reference's)."""
         monkeypatch.setattr(dataset, "_PARSE_CELLS", 6)  # blocks of two lines
+        scanned, scan_csv = [], dataset._scan_csv
+        monkeypatch.setattr(dataset, "_scan_csv",
+                            lambda path, *rest: scanned.append(path) or scan_csv(path, *rest))
         path = write_csv(tmp_path / "f.csv", 'id,a,Label\n1,2,x\n"3\n4",5,y\n6,oops,z\n')
         assert same_as_scanner(path, drop_columns=("id",)).endswith(
             ":4: column 'a' has non-numeric cell 'oops'")
         path = write_csv(tmp_path / "g.csv", 'id,a,Label\n"3\n4",5,y\n6,7,z\n')
         table = same_as_scanner(path, drop_columns=("id",))
         np.testing.assert_array_equal(table.values, [[5.0], [7.0]])
+        assert scanned == [str(tmp_path / "f.csv"), path]
+
+    def test_clean_files_are_read_in_one_pass(self, tmp_path, monkeypatch):
+        """Day files with no quote and no cell np.loadtxt refuses, in blocks
+        of four lines with blank lines among them and each line ending, go
+        through np.loadtxt alone: csv.reader reads each header and nothing
+        more, and no row or file is scanned."""
+        paths = []
+        for day, ending in enumerate(["\n", "\r\n", "\r", "\n"]):
+            rows = [f"10.0.0.{i},{day}.{i},{i}e-3, {' DoS' if i % 3 else 'Benign'}"
+                    for i in range(13 * (day != 3))]
+            rows[5:5] = ["", ""] if rows else []
+            paths.append(write_csv(tmp_path / f"day{day}.csv",
+                                   ending.join(["Src IP,a,b,Label", *rows]) + ending))
+        want = merge_scanned([dataset._scan_csv(p, "Label", ("Src IP",)) for p in paths])
+        headers, reader = [], csv.reader
+
+        def header_only(lines):
+            headers.append(lines)
+            yield next(reader(lines))
+            pytest.fail("csv.reader read past a header")
+
+        def no_scan(*args):
+            pytest.fail("scanned a clean file")
+
+        monkeypatch.setattr(dataset, "_PARSE_CELLS", 16)
+        monkeypatch.setattr(csv, "reader", header_only)
+        monkeypatch.setattr(dataset, "_scan_csv", no_scan)
+        monkeypatch.setattr(dataset, "_scan_row", no_scan)
+        got = load_csv(paths, drop_columns=("Src IP",))
+        assert len(headers) == len(paths)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.label_names == want.label_names == ("Benign", "DoS")
+        assert got.label_codes.tobytes() == want.label_codes.tobytes()
+        assert got.n_rows == 39
 
 
 class TestSeveralFiles:
