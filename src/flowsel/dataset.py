@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import warnings
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,9 +146,21 @@ class _Part:
     dropped: tuple[str, ...]
 
 
+def _records(reader, path: str, record: int):
+    """The records of csv ``reader`` numbered from ``record``; one it cannot
+    read (a cell over its field limit) raises DataError naming it."""
+    try:
+        for row in reader:
+            yield record, row
+            record += 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{record}: csv cannot read this record ({exc}); "
+                        "shorten or remove its long cell") from None
+
+
 def _read_header(reader, path: str, label_column: str, drop_columns) -> _Part:
     """Read and check the header row."""
-    header = next(reader, None)
+    _, header = next(_records(reader, path, 1), (1, None))
     if header is None:
         raise DataError(f"{path}: empty file, no header row")
     header = [h.strip() for h in header]
@@ -163,29 +174,6 @@ def _read_header(reader, path: str, label_column: str, drop_columns) -> _Part:
                  tuple(h for h in header if h in drop_columns))
 
 
-def _scan_csv(path: str, label_column: str, drop_columns) -> RawTable:
-    """The reference parser: one ``float()`` per kept cell, row by row.
-
-    Every cell and row error of ``load_csv`` comes from here or from a
-    block of lines it scans the same way.  A row's line number counts the
-    records after the header from 2.
-    """
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        part = _read_header(reader, path, label_column, drop_columns)
-        rows: list[list[float]] = []
-        index: dict[str, int] = {}
-        codes = array("i")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # ignore blank lines
-            rows.append(_scan_row(row, path, line_no, part.header, part.keep))
-            codes.append(index.setdefault(row[part.label].strip(), len(index)))
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(part.keep))
-    return RawTable(part.columns, values, np.asarray(codes, dtype=np.int32), tuple(index),
-                    label_column, part.dropped, (path,))
-
-
 # load_csv hands np.loadtxt the lines of a file in blocks of about this
 # many cells.  A block's lines are held as Python strings, far larger than
 # their floats, so a block is kept small beside the table it fills.
@@ -194,7 +182,10 @@ _PARSE_CELLS = 1 << 13
 
 def _line_bound(path: str) -> int:
     """One more than the line breaks of a regular file, counted 64 KiB at
-    a time: a bound on its records."""
+    a time: a bound on its records.  Any other path is refused unopened,
+    so that no pipe is used up and no FIFO waited on."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise DataError(f"{path}: not a regular file; save it to a file first")
     lines = 1
     with _open_csv(path, binary=True) as fh:
         while chunk := fh.read(1 << 16):
@@ -242,7 +233,7 @@ def _scan_block(part: _Part, lines: list[str], more, first: int, out, codes, ind
     ragged or refused rows and all other rows go to ``_scan_row``."""
     reader = csv.reader(itertools.chain(lines, more))
     rows = []
-    for record, row in enumerate(reader, start=first):
+    for record, row in _records(reader, part.path, first):
         if row:
             rows.append((record, row))
         if reader.line_num >= len(lines):
@@ -315,50 +306,40 @@ def load_csv(path, label_column: str = "Label", drop_columns=()) -> RawTable:
     a time (about ``_PARSE_CELLS`` cells) to one ``np.loadtxt`` call for the
     kept cells and the labels; a block with a quote character, a ragged or
     whitespace-only line or cells np.loadtxt refuses (empty, underscores,
-    non-ASCII digits, ...) goes to ``csv.reader`` and ``float()`` instead,
-    with the scanner's values, errors and record numbers (``_scan_block``).
-    A path that is not a regular file, such as a pipe, is read whole by
-    ``_scan_csv``.  Errors come in the order a file-by-file scan meets
-    them; a file that is not UTF-8 raises DataError naming its first bad
-    line.  The caller owns the returned table's array.
+    non-ASCII digits, ...) goes to ``csv.reader`` and ``float()`` instead
+    (``_scan_block``), with the values, errors and record numbers of a
+    row-by-row scan.  A path that is not a regular file (a pipe, a FIFO, a
+    directory) raises DataError naming it, unopened.  Errors come in the
+    order a file-by-file scan meets them; a file that is not UTF-8 raises
+    DataError naming its first bad line, and a cell over csv's field limit
+    its record.  The caller owns the returned table's array.
     """
     paths = [path] if isinstance(path, (str, os.PathLike)) else list(path)
     if not paths:
         raise DataError("no tables to merge")
-    # a path that cannot be read twice is scanned now; its error waits its turn
-    sources = []
+    # every file is sized before any is parsed; an error waits its turn
+    bounds = []
     for p in paths:
         try:
-            sources.append(_line_bound(p) if os.path.isfile(p) else
-                           _utf8_checked(p, _scan_csv, p, label_column, drop_columns))
-        except (DataError, csv.Error) as exc:
-            sources.append(exc)
-    codes = np.empty(sum(s if isinstance(s, int) else getattr(s, "n_rows", 0) for s in sources),
-                     dtype=np.int32)
+            bounds.append(_line_bound(p))
+        except DataError as exc:
+            bounds.append(exc)
+    codes = np.empty(sum(b for b in bounds if isinstance(b, int)), dtype=np.int32)
     index: dict[str, int] = {}
     parts: list = []
     row = 0
-    for p, source in zip(paths, sources):
-        if isinstance(source, Exception):
-            raise source
-        table = source if isinstance(source, RawTable) else None
-        with contextlib.nullcontext() if table else _open_csv(p) as handle:
-            part = table or _utf8_checked(p, _read_header, csv.reader(handle), p,
-                                          label_column, drop_columns)
+    for p, bound in zip(paths, bounds):
+        if isinstance(bound, DataError):
+            raise bound
+        with _open_csv(p) as handle:
+            part = _utf8_checked(p, _read_header, csv.reader(handle), p, label_column, drop_columns)
             if not parts:
                 values = np.empty((len(codes), len(part.columns)))
             parts.append(part)
             # a file that disagrees on columns is still parsed, for its cell errors
             out = (values[row:] if part.columns == parts[0].columns
                    else np.empty((len(codes) - row, len(part.columns))))
-            if table:
-                n = table.n_rows
-                out[:n] = table.values
-                lookup = [index.setdefault(name, len(index)) for name in table.label_names]
-                codes[row:row + n] = np.array(lookup, dtype=np.int32)[table.label_codes]
-            else:
-                n = _utf8_checked(p, _parse, part, handle, out, codes[row:], index)
-        row += n
+            row += _utf8_checked(p, _parse, part, handle, out, codes[row:], index)
     del out  # the shrinks below may move the buffers
     odd = next((part for part in parts if part.columns != parts[0].columns), None)
     if odd is not None:

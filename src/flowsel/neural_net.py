@@ -262,70 +262,6 @@ def train(train_data: Dataset, config: MlpConfig, head: str = "categorical") -> 
     return model
 
 
-def gradient_check(model: MlpModel, X, y, n_samples: int = 64, step: float = 1e-5,
-                   seed: int = 0, kink_tol: float = 1e-4) -> float:
-    """Max relative error between backprop and central-difference gradients.
-
-    Samples parameter coordinates with a seeded stream.  A coordinate is
-    skipped when the perturbed passes disagree on any ReLU activation mask
-    or when a base pre-activation sits within ``kink_tol`` of zero: the
-    quadratic error model does not hold across a kink.  Batches are capped
-    at 8 rows to keep the sweep honest and fast.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] > 8:
-        raise ValueError("gradient check expects a batch of at most 8 rows")
-    _, grads_w, grads_b = _loss_and_grads(model, X, y)
-    base_pre, _ = _forward_full(model, X)
-
-    params = []
-    for i, w in enumerate(model.weights):
-        params.extend(("w", i, j) for j in range(w.size))
-    for i, b in enumerate(model.biases):
-        params.extend(("b", i, j) for j in range(b.size))
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(params), size=min(n_samples, len(params)), replace=False)
-
-    def perturbed(kind, layer, flat, delta):
-        target = model.weights[layer] if kind == "w" else model.biases[layer]
-        flat_view = target.reshape(-1)
-        old = flat_view[flat]
-        flat_view[flat] = old + delta
-        try:
-            pre, _ = _forward_full(model, X)
-            loss, _, _ = _loss_and_grads(model, X, y)
-        finally:
-            flat_view[flat] = old
-        hidden = pre[:-1]
-        masks = [p > 0 for p in hidden]
-        near_kink = any(np.any(np.abs(p) < kink_tol) for p in hidden)
-        return loss, masks, near_kink
-
-    base_masks = [p > 0 for p in base_pre[:-1]]
-    max_rel = 0.0
-    checked = 0
-    for pick in picks:
-        kind, layer, flat = params[int(pick)]
-        loss_plus, masks_plus, kink_plus = perturbed(kind, layer, flat, +step)
-        loss_minus, masks_minus, kink_minus = perturbed(kind, layer, flat, -step)
-        masks_stable = all(
-            np.array_equal(a, b) and np.array_equal(a, c)
-            for a, b, c in zip(base_masks, masks_plus, masks_minus)
-        )
-        if kink_plus or kink_minus or not masks_stable:
-            continue
-        numeric = (loss_plus - loss_minus) / (2 * step)
-        analytic = grads_w[layer].reshape(-1)[flat] if kind == "w" else grads_b[layer].reshape(-1)[flat]
-        rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
-        max_rel = max(max_rel, rel)
-        checked += 1
-    if checked == 0:
-        raise NumericError(
-            "every sampled coordinate sat on a ReLU kink; nothing was checked"
-        )
-    return max_rel
-
-
 def save_loss_trace(model: MlpModel, path: str) -> None:
     """Write the per-batch loss trace as (epoch, batch, loss) CSV."""
     rows = "".join(f"{epoch},{batch},{loss!r}\n" for epoch, batch, loss in model.loss_trace)

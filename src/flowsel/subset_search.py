@@ -506,17 +506,8 @@ def brute_force_best(corr: CorrelationMatrix, max_features: int = 20) -> SearchR
             idx = tuple(int(i) for i in np.flatnonzero(mask))
             if (len(idx), idx) < (len(best_idx), best_idx):
                 best_idx = idx
-    elapsed = time.perf_counter() - start
-    subset = FeatureSubset(best_idx, cfs=cfs_merit(corr, best_idx))
-    return SearchResult(
-        best=subset,
-        best_merit=best_merit,
-        merit_trace=(best_merit,),
-        evaluations=evaluator.evaluations,
-        elapsed=elapsed,
-        method="brute",
-        seed=0,
-    )
+    return _search_result(corr, start, FeatureSubset(best_idx).mask(k), best_merit,
+                          [best_merit], evaluator, "brute", 0)
 
 
 # ---------------------------------------------------------------------------

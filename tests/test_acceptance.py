@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GATE_LINES
+from conftest import GATE_LINES, gradient_check
 from flowsel import dataset
 from flowsel.correlation import MeritEvaluator, cfs_merit, merit_formula, spearman_matrix
 from flowsel.dataset import Dataset, one_hot, split_indices
@@ -28,7 +28,7 @@ from flowsel.metrics import (
     collapse_to_binary,
     multiclass_metrics,
 )
-from flowsel.neural_net import MlpConfig, gradient_check, init_model, sigmoid, softmax, train
+from flowsel.neural_net import MlpConfig, init_model, sigmoid, softmax, train
 from flowsel.neural_net import predict as mlp_predict
 from flowsel.pipeline import ExperimentConfig, load_grouping, run_pipeline, run_record_row
 from flowsel.random_forest import ForestConfig, entropy, gini, select_top_k, train_forest

@@ -1,5 +1,6 @@
 """CSV ingestion, cleaning, normalization, label encoding, splitting."""
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -42,6 +43,55 @@ def write_csv(path, text):
     return str(path)
 
 
+def scan_csv(path, label_column, drop_columns):
+    """The reference parser: one ``float()`` per kept cell, row by row,
+    over the whole file.  ``load_csv`` must give its table and each of its
+    errors.  A row's line number counts the records after the header from
+    2; a record csv.reader cannot read raises a DataError naming it.
+    """
+    with dataset._open_csv(path) as handle:
+        reader = csv.reader(handle)
+        part = dataset._read_header(reader, path, label_column, drop_columns)
+        rows, index, codes = [], {}, []
+        line_no = 1
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue  # ignore blank lines
+                rows.append(dataset._scan_row(row, path, line_no, part.header, part.keep))
+                codes.append(index.setdefault(row[part.label].strip(), len(index)))
+        except csv.Error as exc:
+            raise DataError(f"{path}:{line_no + 1}: csv cannot read this record ({exc}); "
+                            "shorten or remove its long cell") from None
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(part.keep))
+    return RawTable(part.columns, values, np.array(codes, dtype=np.int32), tuple(index),
+                    label_column, part.dropped, (path,))
+
+
+def refusal(paths, fifo):
+    """The DataError message ``load_csv(paths)`` raises, within ten
+    seconds; a call that opened ``fifo`` would wait there for a writer, so
+    one is given before the test fails."""
+    got = []
+
+    def call():
+        try:
+            load_csv(paths)
+        except DataError as exc:
+            got.append(str(exc))
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        with contextlib.suppress(OSError):  # no reader: the call waits elsewhere
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        worker.join(timeout=10)
+        pytest.fail(f"load_csv({paths}) blocked")
+    assert len(got) == 1, "load_csv raised no DataError"
+    return got[0]
+
+
 def merge_scanned(tables):
     """Tables of day files stacked into one: the merge ``load_csv`` does as
     it parses, kept as the reference.  One table is returned as it is."""
@@ -79,7 +129,7 @@ def same_as_scanner(path, label_column="Label", drop_columns=()):
     ``path`` is one path or a list.  Returns the table, or the message."""
     paths = [path] if isinstance(path, str) else list(path)
     try:
-        want = merge_scanned([dataset._scan_csv(p, label_column, drop_columns) for p in paths])
+        want = merge_scanned([scan_csv(p, label_column, drop_columns) for p in paths])
     except DataError as exc:
         with pytest.raises(DataError) as got:
             load_csv(path, label_column, drop_columns)
@@ -383,30 +433,48 @@ class TestLoadCsv:
         def no_scan(*args):
             raise AssertionError("rescanned a file np.loadtxt parses exactly")
 
-        monkeypatch.setattr(dataset, "_scan_csv", no_scan)
         monkeypatch.setattr(dataset, "_scan_row", no_scan)
         table = load_csv(path, drop_columns=("Flow ID",))
         assert table.values.tobytes() == np.array([[1.5, np.nan], [-np.inf, 4.0]]).tobytes()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_pipe_is_read_once(self):
-        """A pipe holds its rows for one reader only, so it is not read twice."""
+    def test_path_not_a_regular_file_is_refused(self, tmp_path):
+        """A pipe with its writer open, a FIFO with no writer and a directory
+        are each refused by name before they are opened, so none of them
+        blocks the call; the refusal comes in its turn, after an earlier
+        file's cell error."""
         read_fd, write_fd = os.pipe()
-
-        def feed():
-            with os.fdopen(write_fd, "w", encoding="utf-8") as fh:
-                fh.write("a,Label\n1,x\n2.5,y\n")
-
-        writer = threading.Thread(target=feed)
-        writer.start()
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+        folder = str(tmp_path / "folder")
+        os.mkdir(folder)
+        bad_cell = write_csv(tmp_path / "mon.csv", "a,Label\n1,x\noops,y\n")
         try:
-            table = load_csv(f"/dev/fd/{read_fd}")
+            for path in (f"/dev/fd/{read_fd}", fifo, folder):
+                assert refusal([path], fifo) == (
+                    f"{path}: not a regular file; save it to a file first")
+            assert refusal([bad_cell, fifo], fifo) == (
+                f"{bad_cell}:3: column 'a' has non-numeric cell 'oops'")
         finally:
-            writer.join(timeout=10)
             os.close(read_fd)
-        assert not writer.is_alive()
-        np.testing.assert_array_equal(table.values, [[1.0], [2.5]])
-        assert table.labels == ("x", "y")
+            os.close(write_fd)
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path, monkeypatch):
+        """A quoted cell longer than csv.reader's field limit raises one
+        DataError naming the file and its record, in a label, in a later
+        block after a record on two lines, and in the header."""
+        long = quoted("x" * 200_000)
+        limit = f"field larger than field limit ({csv.field_size_limit()})"
+        path = write_csv(tmp_path / "f.csv", f"a,b,Label\n1,2,x\n3,4,{long}\n5,6,y\n")
+        assert same_as_scanner(path) == (
+            f"{path}:3: csv cannot read this record ({limit}); shorten or remove its long cell")
+        later = write_csv(tmp_path / "g.csv",
+                          f'a,b,Label\n1,2,x\n\n3,4,"y\nz"\n5,6,x\n7,8,{long}\n')
+        monkeypatch.setattr(dataset, "_PARSE_CELLS", 6)  # blocks of two lines
+        assert same_as_scanner(later).startswith(f"{later}:6: csv cannot read")
+        head = write_csv(tmp_path / "h.csv", f"a,{long},Label\n1,2,x\n")
+        assert same_as_scanner(head) == (
+            f"{head}:1: csv cannot read this record ({limit}); shorten or remove its long cell")
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -439,7 +507,6 @@ class TestLoadCsv:
         monkeypatch.setattr(dataset, "_PARSE_CELLS", 4)  # two lines of two cells
         monkeypatch.setattr(dataset, "_scan_row", lambda row, path, line_no, *rest: (
             scanned.append(line_no), scan_row(row, path, line_no, *rest))[1])
-        monkeypatch.setattr(dataset, "_scan_csv", lambda *a: pytest.fail("scanned the file"))
         table = load_csv(path)
         np.testing.assert_array_equal(table.values[:, 0], [1, 2, 3, 40, 5, 6, 7])
         assert scanned == [4, 5]
@@ -449,19 +516,14 @@ class TestLoadCsv:
 
     def test_record_on_two_lines_is_read_in_its_block(self, tmp_path, monkeypatch):
         """A quoted line break carries a record past its block's last line;
-        csv.reader reads on to its end, and the file is not scanned whole
-        (the one scan of each file here is the reference's)."""
+        csv.reader reads on to its end."""
         monkeypatch.setattr(dataset, "_PARSE_CELLS", 6)  # blocks of two lines
-        scanned, scan_csv = [], dataset._scan_csv
-        monkeypatch.setattr(dataset, "_scan_csv",
-                            lambda path, *rest: scanned.append(path) or scan_csv(path, *rest))
         path = write_csv(tmp_path / "f.csv", 'id,a,Label\n1,2,x\n"3\n4",5,y\n6,oops,z\n')
         assert same_as_scanner(path, drop_columns=("id",)).endswith(
             ":4: column 'a' has non-numeric cell 'oops'")
         path = write_csv(tmp_path / "g.csv", 'id,a,Label\n"3\n4",5,y\n6,7,z\n')
         table = same_as_scanner(path, drop_columns=("id",))
         np.testing.assert_array_equal(table.values, [[5.0], [7.0]])
-        assert scanned == [str(tmp_path / "f.csv"), path]
 
     def test_clean_files_are_read_in_one_pass(self, tmp_path, monkeypatch):
         """Day files with no quote and no cell np.loadtxt refuses, in blocks
@@ -475,7 +537,7 @@ class TestLoadCsv:
             rows[5:5] = ["", ""] if rows else []
             paths.append(write_csv(tmp_path / f"day{day}.csv",
                                    ending.join(["Src IP,a,b,Label", *rows]) + ending))
-        want = merge_scanned([dataset._scan_csv(p, "Label", ("Src IP",)) for p in paths])
+        want = merge_scanned([scan_csv(p, "Label", ("Src IP",)) for p in paths])
         headers, reader = [], csv.reader
 
         def header_only(lines):
@@ -488,7 +550,6 @@ class TestLoadCsv:
 
         monkeypatch.setattr(dataset, "_PARSE_CELLS", 16)
         monkeypatch.setattr(csv, "reader", header_only)
-        monkeypatch.setattr(dataset, "_scan_csv", no_scan)
         monkeypatch.setattr(dataset, "_scan_row", no_scan)
         got = load_csv(paths, drop_columns=("Src IP",))
         assert len(headers) == len(paths)

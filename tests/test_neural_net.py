@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gradient_check
 from flowsel.dataset import Dataset
 from flowsel.errors import DataError, NumericError
 from flowsel.neural_net import (
@@ -20,7 +21,6 @@ from flowsel.neural_net import (
     MlpModel,
     _forward_full,
     forward,
-    gradient_check,
     init_model,
     load_model,
     predict,
