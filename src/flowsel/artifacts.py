@@ -39,8 +39,9 @@ from .errors import DataError
 MAGIC = b"FLOWSEL1"
 # Part of every stage key and run record, so a cache of another layout or
 # keying is never looked up.  Version 4 checks the header and the arrays
-# apart; version 3 had one checksum over both.
-VERSION = 4
+# apart (version 3 had one checksum over both); version 5 keys and stores
+# only the forest, bat and aquila settings that an option sets.
+VERSION = 5
 DTYPES = ("<f8", "<i8", "|u1")
 _LENGTHS = struct.Struct("<II")  # header length, header crc32
 _START = len(MAGIC) + _LENGTHS.size

@@ -3,8 +3,8 @@
 Subcommands map onto pipeline stages (preprocess, correlate, select),
 plus report/sweep-depth/synth utilities and `run` for the whole chain,
 which trains and scores the model.  Exit codes: 0 success, 1 usage error
-(including a setting out of its range and an unknown config-file key),
-2 data error, 3 numeric failure.
+(including a setting out of its range, a config-file value outside its
+choices and an unknown config-file key), 2 data error, 3 numeric failure.
 
 Every option is one row of OPTIONS, and a setting's row also names its
 INI ``section.key`` and the ExperimentConfig field it sets; the parser's
@@ -72,7 +72,7 @@ class _Option(NamedTuple):
     field: str | None  # the ExperimentConfig field it sets, nested as forest.n_trees
     convert: Callable  # the value's type: of the flag to argparse, and of a file value
     from_flag: Callable | None  # converts a flag value that argparse leaves raw
-    options: dict  # the other add_argument keywords
+    options: dict  # the other add_argument keywords; choices also bind a file value
 
 
 def _opt(flag, key=None, convert=str, *, field=None, from_flag=None, dest=None, **options):
@@ -103,7 +103,8 @@ OPTIONS = {
              field="normalize_before_split",
              help="fit normalization bounds on all rows before splitting"),
     ),
-    "mode": (_opt(("--binary", "--categorical"), "run.mode", field="mode", dest="mode"),),
+    "mode": (_opt(("--binary", "--categorical"), "run.mode", field="mode", dest="mode",
+                  choices=pipeline.MODES),),
     "selection": (
         _opt("--method", "run.method", field="method", choices=pipeline.METHODS),
         _opt("--k", "run.k", int, field="k", help="subset size (required for rf-ig)"),
@@ -147,7 +148,7 @@ OPTIONS = {
 
 
 def _add_option(p: argparse.ArgumentParser, o: _Option) -> None:
-    if isinstance(o.flag, tuple):
+    if isinstance(o.flag, tuple):  # its flags are its choices
         group = p.add_mutually_exclusive_group()
         for flag in o.flag:
             group.add_argument(flag, dest=o.dest, action="store_const", const=flag[2:])
@@ -233,7 +234,8 @@ def _check_distinct_inputs(paths) -> None:
 def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     """Defaults, then config file, then flags, for every setting.
 
-    A file value is converted even when a flag overrides it.  Settings are
+    A file value is converted, and checked against its row's choices,
+    even when a flag overrides it.  Settings are
     settled an INI section at a time: the data section's inputs must be
     distinct files, the run section's ratio and k in range, and a nested
     config (bat, aquila, forest, mlp) passes its own checks.  A command
@@ -254,6 +256,10 @@ def build_config(args: argparse.Namespace) -> pipeline.ExperimentConfig:
                     in_file = o.convert(file_values[o.key])
                 except (ValueError, DataError) as exc:
                     raise DataError(f"{path}: bad value for {o.key}: {exc}") from None
+                choices = o.options.get("choices")
+                if choices and in_file not in choices:
+                    raise UsageError(f"{path}: bad value for {o.key}: {in_file!r} is not one "
+                                     f"of {', '.join(choices)}")
             name = o.field.rpartition(".")[2]
             if value is None:
                 value = getattr(owner, name) if in_file is None else in_file

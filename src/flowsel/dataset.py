@@ -179,6 +179,13 @@ def _read_header(reader, path: str, label_column: str, drop_columns) -> _Part:
 # their floats, so a block is kept small beside the table it fills.
 _PARSE_CELLS = 1 << 13
 
+# np.loadtxt reads a block's labels into a text field as wide as the block's
+# longest line, for every line, at 4 bytes a character.  A block whose field
+# would pass this many bytes (one long cell is enough) goes to csv.reader,
+# which holds only the text; so does a line longer than csv's field limit,
+# since np.loadtxt takes a cell of any length and csv.reader refuses one.
+_LABEL_BYTES = 1 << 20
+
 
 def _line_bound(path: str) -> int:
     """One more than the line breaks of a regular file, counted 64 KiB at
@@ -199,7 +206,8 @@ def _load_block(part: _Part, lines: list[str], out, codes, index) -> int | None:
     """Fill ``out`` and ``codes`` from a block of lines with one np.loadtxt
     call, which skips blank lines as csv.reader does; returns the rows, or
     None if the block holds a quote (or a NUL, which a numpy string drops
-    from the end of a label), a line not cut into the header's cells, or
+    from the end of a label), a line not cut into the header's cells, a
+    label field over ``_LABEL_BYTES`` or a line over csv's field limit, or
     cells np.loadtxt refuses."""
     text = "".join(lines)
     if '"' in text or "\0" in text:
@@ -213,7 +221,10 @@ def _load_block(part: _Part, lines: list[str], out, codes, index) -> int | None:
     if not n:
         return 0
     # as wide as the longest line, since np.loadtxt cuts a longer text short
-    dtype = np.dtype([("v", np.float64, (len(part.keep),)), ("l", f"U{max(map(len, lines))}")])
+    width = max(map(len, lines))
+    if 4 * n * width > _LABEL_BYTES or width > csv.field_size_limit():
+        return None
+    dtype = np.dtype([("v", np.float64, (len(part.keep),)), ("l", f"U{width}")])
     got = None
     with contextlib.suppress(ValueError):
         got = np.loadtxt(lines, dtype=dtype, delimiter=",", usecols=[*part.keep, part.label],
@@ -305,7 +316,8 @@ def load_csv(path, label_column: str = "Label", drop_columns=()) -> RawTable:
     all files, trimmed in place to the rows read.  Its lines go a block at
     a time (about ``_PARSE_CELLS`` cells) to one ``np.loadtxt`` call for the
     kept cells and the labels; a block with a quote character, a ragged or
-    whitespace-only line or cells np.loadtxt refuses (empty, underscores,
+    whitespace-only line, a line so long that its label field would pass
+    ``_LABEL_BYTES``, or cells np.loadtxt refuses (empty, underscores,
     non-ASCII digits, ...) goes to ``csv.reader`` and ``float()`` instead
     (``_scan_block``), with the values, errors and record numbers of a
     row-by-row scan.  A path that is not a regular file (a pipe, a FIFO, a

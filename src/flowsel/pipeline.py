@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import stat
 import sys
@@ -410,12 +409,11 @@ def importance_stage(cfg: ExperimentConfig, pair: dataset.SplitPair, keys: dict 
 def save_importance(forest: random_forest.TrainedForest, feature_names, path: str) -> None:
     """The importances as a CSV at ``path``, largest first under a
     ``# key=value`` block, and as a container beside it."""
-    oob = forest.oob_accuracy
     lines = [
         f"# seed={forest.config.seed}",
         f"# n_trees={forest.config.n_trees}",
         f"# max_depth={forest.config.max_depth}",
-        f"# oob_accuracy={'nan' if math.isnan(oob) else repr(oob)}",
+        f"# oob_accuracy={forest.oob_accuracy!r}",
         f"# oob_skipped={forest.oob_skipped}",
         f"# build_seconds={forest.build_seconds!r}",
         "feature,importance",

@@ -93,12 +93,14 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """Breiman's random forest (Machine Learning, 2001): every tree grows on
+    a bootstrap draw of the rows and splits on the best of floor(sqrt(p))
+    candidate features drawn at each node; a split's importance is its
+    entropy gain weighted by the fraction of the tree's rows that reach it."""
+
     n_trees: int = 100
     max_depth: int = 20
     min_node_size: int = 2
-    features_per_split: int | str = "sqrt"  # "sqrt", "all", or a count
-    bootstrap: bool = True
-    weighted_importance: bool = True
     n_workers: int = 1
     seed: int = 0
 
@@ -111,13 +113,6 @@ class ForestConfig:
             raise ValueError(f"min_node_size must be positive, got {self.min_node_size}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be positive, got {self.n_workers}")
-        if isinstance(self.features_per_split, str):
-            if self.features_per_split not in ("sqrt", "all"):
-                raise ValueError("features_per_split must be 'sqrt', 'all', or an int, "
-                                 f"got {self.features_per_split!r}")
-        elif self.features_per_split < 1:
-            raise ValueError(
-                f"features_per_split must be positive, got {self.features_per_split}")
 
 
 @dataclass
@@ -292,14 +287,6 @@ def best_split(X, y, n_classes: int, candidates):
     return feature, threshold, weighted_gini
 
 
-def _resolve_m(setting, n_features: int) -> int:
-    if setting == "sqrt":
-        return max(1, int(math.floor(math.sqrt(n_features))))
-    if setting == "all":
-        return n_features
-    return min(int(setting), n_features)
-
-
 def _buffer(X: np.ndarray):
     """A flat view of ``X``'s buffer, with the steps one row and one column
     take in it, so element (r, c) is ``flat[r * row_step + c * col_step]``.
@@ -319,7 +306,8 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
     ``sample`` may repeat rows, as a bootstrap draw does, and the tree is
     the one grown on ``X[sample]`` and ``y[sample]``.  Nodes are grown from
     an explicit stack in preorder, left subtree first, so candidate draws
-    come from ``rng`` in that order.  A node stays a leaf at purity, at the
+    (floor(sqrt(p)) of the p features, unless that is all of them) come
+    from ``rng`` in that order.  A node stays a leaf at purity, at the
     configured depth, below min_node_size, or when no split strictly
     reduces the size-weighted gini.
 
@@ -339,7 +327,7 @@ def grow_tree(X, y, n_classes: int, config: ForestConfig, rng: np.random.Generat
     if sample.size == 0:
         raise ValueError("cannot grow a tree on zero rows")
     p = X.shape[1]
-    m = _resolve_m(config.features_per_split, p)
+    m = math.isqrt(p)
     max_depth, min_node_size = config.max_depth, config.min_node_size
 
     def splittable(c, size, depth):
@@ -433,7 +421,7 @@ def _finish_tree(counts, feature, threshold, weighted_gini, left, right) -> Tree
     )
 
 
-def _tree_importance_sums(tree: Tree, n_features: int, weighted: bool) -> np.ndarray:
+def _tree_importance_sums(tree: Tree, n_features: int) -> np.ndarray:
     # Splits are summed node, right subtree, left subtree: the float sums
     # depend on this order.
     feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
@@ -445,16 +433,9 @@ def _tree_importance_sums(tree: Tree, n_features: int, weighted: bool) -> np.nda
             stack.append(left[node])
             stack.append(right[node])
     order = np.array(order, dtype=np.int64)
-    f = tree.feature[order]
-    gain = tree.entropy_gain[order]
     sums = np.zeros(n_features)
-    if weighted:
-        np.add.at(sums, f, gain * tree.sample_fraction[order])
-        return sums
-    np.add.at(sums, f, gain)
-    counts = np.bincount(f, minlength=n_features)
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    np.add.at(sums, tree.feature[order], tree.entropy_gain[order] * tree.sample_fraction[order])
+    return sums
 
 
 @dataclass
@@ -462,7 +443,7 @@ class TrainedForest:
     trees: list[Tree]
     in_bag: np.ndarray  # (n_trees, n_rows) bool
     importances: np.ndarray
-    oob_accuracy: float  # nan when undefined (bootstrap disabled)
+    oob_accuracy: float
     oob_skipped: int
     build_seconds: float
     n_features: int
@@ -474,11 +455,10 @@ class TrainedForest:
     def summary(self) -> dict:
         """Each tree's nodes and depth and the out-of-bag score, as the run
         record and the container header hold them."""
-        oob = self.oob_accuracy
         return {
             "nodes": [t.n_nodes for t in self.trees],
             "depth": [t.depth for t in self.trees],
-            "oob_accuracy": None if math.isnan(oob) else oob,
+            "oob_accuracy": self.oob_accuracy,
             "oob_skipped": self.oob_skipped,
         }
 
@@ -523,10 +503,7 @@ def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
 
     def build(tree_idx: int):
         rng = np.random.default_rng([config.seed, tree_idx])
-        if config.bootstrap:
-            idx = rng.integers(0, n, n)
-        else:
-            idx = np.arange(n)
+        idx = rng.integers(0, n, n)
         bag = np.zeros(n, dtype=bool)
         bag[idx] = True
         return grow_tree(X, y, n_classes, config, rng, idx), bag
@@ -539,7 +516,7 @@ def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
         built = [build(i) for i in range(config.n_trees)]
     trees = [t for t, _ in built]
     in_bag = np.array([b for _, b in built])
-    importances = feature_importance(trees, p, config.weighted_importance)
+    importances = feature_importance(trees, p)
     build_seconds = time.perf_counter() - start
 
     forest = TrainedForest(
@@ -554,22 +531,14 @@ def train_forest(train: Dataset, config: ForestConfig) -> TrainedForest:
         class_names=tuple(train.class_names),
         config=config,
     )
-    if config.bootstrap:
-        acc, skipped = oob_score(forest, X, y)
-        forest.oob_accuracy = acc
-        forest.oob_skipped = skipped
+    forest.oob_accuracy, forest.oob_skipped = oob_score(forest, X, y)
     return forest
 
 
-def feature_importance(trees, n_features: int, weighted: bool = True) -> np.ndarray:
-    """Entropy-gain importance, averaged over trees and normalized to sum 1.
-
-    ``weighted`` scales each split's gain by its sample fraction; the
-    unweighted mode averages each feature's raw gains within a tree.
-    """
-    per_tree = np.array(
-        [_tree_importance_sums(t, n_features, weighted) for t in trees]
-    )
+def feature_importance(trees, n_features: int) -> np.ndarray:
+    """Entropy-gain importance, each split's gain scaled by its sample
+    fraction, averaged over trees and normalized to sum 1."""
+    per_tree = np.array([_tree_importance_sums(t, n_features) for t in trees])
     mean = per_tree.mean(axis=0)
     total = float(mean.sum())
     if total <= 0:
@@ -690,12 +659,11 @@ def _forest_from_arrays(header: dict, arrays: dict) -> TrainedForest:
             raise ValueError("a node names a feature, child or class out of range")
         trees.append(tree)
     in_bag = np.unpackbits(arrays["in_bag"])[: cfg.n_trees * n_rows]
-    oob = header["oob_accuracy"]
     return TrainedForest(
         trees=trees,
         in_bag=in_bag.reshape(cfg.n_trees, n_rows).astype(bool),
         importances=arrays["importances"],
-        oob_accuracy=math.nan if oob is None else float(oob),
+        oob_accuracy=float(header["oob_accuracy"]),
         oob_skipped=int(header["oob_skipped"]),
         build_seconds=float(header["build_seconds"]),
         n_features=int(n_features),

@@ -80,24 +80,24 @@ def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
 # bat algorithm
 
 
+# Fixed swarm constants: frequencies are drawn from [0, F_MAX] and initial
+# loudness from LOUDNESS_INIT.  The local walk is Yang's eq. 5 (NICSO 2010),
+# x_new = x_best + eps * A with eps in [-WALK_SCALE, WALK_SCALE] = [-1, 1];
+# much smaller scales never carry a coordinate across the 0.5 decode
+# threshold, so the walk re-scores the incumbent subset.
+F_MAX = 0.1
+LOUDNESS_INIT = (1.0, 2.0)
+WALK_SCALE = 1.0
+
+
 @dataclass(frozen=True)
 class BatConfig:
-    """Swarm parameters; the defaults are the reference operating point.
-
-    ``walk_scale`` bounds the local-walk draw of Yang's bat algorithm
-    (NICSO 2010, eq. 5): x_new = x_best + eps * A with eps in
-    [-walk_scale, walk_scale].  The default 1.0 is eq. 5's eps in [-1, 1];
-    much smaller scales never carry a coordinate across the 0.5 decode
-    threshold, so the walk re-scores the incumbent subset.
-    """
+    """Swarm parameters; the defaults are the reference operating point."""
 
     n: int = 100
     t_max: int = 1000
     alpha: float = 0.95
     gamma: float = 0.95
-    f_max: float = 0.1
-    loudness_init: tuple[float, float] = (1.0, 2.0)
-    walk_scale: float = 1.0
     canonical_pulse: bool = False
     seed: int = 0
 
@@ -109,9 +109,6 @@ class BatConfig:
         if not 0 < self.alpha <= 1 or not 0 < self.gamma <= 1:
             raise ValueError(
                 f"alpha and gamma must be in (0, 1], got {self.alpha} and {self.gamma}")
-        lo, hi = self.loudness_init
-        if not 0 < lo <= hi:
-            raise ValueError(f"bad loudness range {self.loudness_init}")
 
 
 @dataclass
@@ -143,9 +140,8 @@ def bat_init(config: BatConfig, n_features: int) -> BatPopulation:
     rng = np.random.default_rng(config.seed)
     x = rng.uniform(0.0, 1.0, (config.n, n_features))
     v = rng.uniform(-1.0, 1.0, (config.n, n_features))
-    freq = rng.uniform(0.0, config.f_max, config.n)
-    lo, hi = config.loudness_init
-    loudness = rng.uniform(lo, hi, config.n)
+    freq = rng.uniform(0.0, F_MAX, config.n)
+    loudness = rng.uniform(*LOUDNESS_INIT, config.n)
     pulse_init = rng.uniform(0.0, 1.0, config.n)
     return BatPopulation(
         x=x,
@@ -197,14 +193,14 @@ def bat_epoch(pop: BatPopulation, evaluator: MeritEvaluator, config: BatConfig, 
     """
     n, _ = pop.x.shape
     rng = _epoch_rng(config.seed, epoch, stream=0)
-    pop.freq[:] = rng.uniform(0.0, config.f_max, n)
+    pop.freq[:] = rng.uniform(0.0, F_MAX, n)
     gate_walk = rng.uniform(0.0, 1.0, n)
-    walk_steps = rng.uniform(-config.walk_scale, config.walk_scale, pop.x.shape)
+    walk_steps = rng.uniform(-WALK_SCALE, WALK_SCALE, pop.x.shape)
     gate_accept = rng.uniform(0.0, 1.0, n)
 
     cruise = (pop.pulse >= gate_walk)[:, None]
     # local walk around the incumbent (eq. 5): eps drawn from
-    # [-walk_scale, walk_scale], scaled by each bat's loudness
+    # [-WALK_SCALE, WALK_SCALE], scaled by each bat's loudness
     walk = walk_steps * pop.loudness[:, None]
     may_accept = pop.loudness > gate_accept
     s = 0
@@ -266,6 +262,14 @@ def bat_run(corr: CorrelationMatrix, config: BatConfig) -> SearchResult:
 # aquila optimizer
 
 
+# The exploitation moves' alpha and delta, and the Levy flight's exponent
+# beta and step scale, at the optimizer's published values.
+EXPLOIT_ALPHA = 0.1
+EXPLOIT_DELTA = 0.1
+LEVY_BETA = 1.5
+LEVY_SCALE = 0.01
+
+
 @dataclass(frozen=True)
 class AquilaConfig:
     """Population parameters for the aquila search.
@@ -277,10 +281,6 @@ class AquilaConfig:
 
     n: int = 100
     t_max: int = 1000
-    exploit_alpha: float = 0.1
-    exploit_delta: float = 0.1
-    levy_beta: float = 1.5
-    levy_scale: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -317,10 +317,10 @@ def _levy_sigma(beta: float) -> float:
     return (num / den) ** (1 / beta)
 
 
-def _levy(u: np.ndarray, v: np.ndarray, config: AquilaConfig) -> np.ndarray:
+def _levy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Mantegna's levy step from its two normal draws, u ~ N(0, sigma^2) and
     # v ~ N(0, 1); rows that drew none hold u = 0, v = 1 and step 0
-    return config.levy_scale * u / np.abs(v) ** (1 / config.levy_beta)
+    return LEVY_SCALE * u / np.abs(v) ** (1 / LEVY_BETA)
 
 
 def _exploration(rng: np.random.Generator, pop: AquilaPopulation, config: AquilaConfig,
@@ -332,7 +332,7 @@ def _exploration(rng: np.random.Generator, pop: AquilaPopulation, config: Aquila
     current incumbent and positions.
     """
     n, k = pop.positions.shape
-    sigma = _levy_sigma(config.levy_beta)
+    sigma = _levy_sigma(LEVY_BETA)
     expand = np.zeros(n, dtype=bool)
     peer = np.arange(n)
     r = np.zeros(n)
@@ -349,7 +349,7 @@ def _exploration(rng: np.random.Generator, pop: AquilaPopulation, config: Aquila
             u[i] = rng.normal(0.0, sigma, k)
             v[i] = rng.normal(0.0, 1.0, k)
             r[i] = rng.random()
-    levy = _levy(u, v, config)
+    levy = _levy(u, v)
     # log-spiral offset of the contour flight: (y - x) * r on the spiral
     # of radius r1 + 0.00565 d at angle 1.5 pi - 0.005 d, d = 1..k
     d1 = np.arange(1, k + 1, dtype=np.float64)
@@ -377,7 +377,7 @@ def _exploitation(rng: np.random.Generator, pop: AquilaPopulation, config: Aquil
                   t: int, mean_x: np.ndarray):
     """Replay an exploitation epoch's draws; returns as ``_exploration``."""
     n, k = pop.positions.shape
-    sigma = _levy_sigma(config.levy_beta)
+    sigma = _levy_sigma(LEVY_BETA)
     expand = np.zeros(n, dtype=bool)
     qf = np.zeros(n)
     g1 = np.zeros(n)
@@ -400,8 +400,8 @@ def _exploitation(rng: np.random.Generator, pop: AquilaPopulation, config: Aquil
             v[i] = rng.normal(0.0, 1.0, k)
             b[i] = rng.random()
     g2 = 2.0 * (1.0 - t / config.t_max)
-    offset = (2.0 * b - 1.0) * config.exploit_delta
-    levy = g2 * _levy(u, v, config)
+    offset = (2.0 * b - 1.0) * EXPLOIT_DELTA
+    levy = g2 * _levy(u, v)
     tail = b * g1
 
     def moves(s: int) -> np.ndarray:
@@ -410,7 +410,7 @@ def _exploitation(rng: np.random.Generator, pop: AquilaPopulation, config: Aquil
             expand[s:, None],
             # expanded exploitation: shrunk incumbent/mean gap plus a
             # bounded random offset
-            (best - mean_x) * config.exploit_alpha - a[s:, None] + offset[s:, None],
+            (best - mean_x) * EXPLOIT_ALPHA - a[s:, None] + offset[s:, None],
             # narrowed exploitation: quality-function swoop at the incumbent
             qf[s:, None] * best - g1[s:, None] * pop.positions[s:] * a[s:, None] - levy[s:]
             + tail[s:, None],

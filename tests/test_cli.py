@@ -1,7 +1,8 @@
 """The command line's option table against the hand-written parser and
-build_config it replaced, kept here as the reference, and the two ways
-the table's config file differs from it: ``[run] out_dir`` is read, and a
-key no setting reads is refused."""
+build_config it replaced, kept here as the reference, and the three ways
+the table's config file differs from it: ``[run] out_dir`` is read, a key
+no setting reads is refused, and a value outside its row's choices is
+refused as its flag's value is."""
 
 import argparse
 import configparser
@@ -149,13 +150,19 @@ def reference_build_config(args):
     cfg = pipeline.ExperimentConfig()
     file_values = _ref_read_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def file_get(key, convert=str):
+    def file_get(key, convert=str, choices=()):
         if key not in file_values:
             return None
         try:
-            return convert(file_values[key])
+            value = convert(file_values[key])
         except (ValueError, DataError) as exc:
             raise DataError(f"{args.config}: bad value for {key}: {exc}") from None
+        # not in the reference as written: the table binds a file value to
+        # its flag's choices
+        if choices and value not in choices:
+            raise UsageError(f"{args.config}: bad value for {key}: {value!r} is not one "
+                             f"of {', '.join(choices)}")
+        return value
 
     def pick(flag_value, file_value, default):
         if flag_value is not None:
@@ -184,11 +191,14 @@ def reference_build_config(args):
         cfg.normalize_before_split,
     )
 
-    cfg.mode = pick(getattr(args, "mode", None), file_get("run.mode"), cfg.mode)
-    cfg.method = pick(getattr(args, "method", None), file_get("run.method"), cfg.method)
-    cfg.model = pick(getattr(args, "model", None), file_get("run.model"), cfg.model)
+    cfg.mode = pick(getattr(args, "mode", None), file_get("run.mode", choices=pipeline.MODES),
+                    cfg.mode)
+    cfg.method = pick(getattr(args, "method", None),
+                      file_get("run.method", choices=pipeline.METHODS), cfg.method)
+    cfg.model = pick(getattr(args, "model", None), file_get("run.model", choices=pipeline.MODELS),
+                     cfg.model)
     cfg.averaging = pick(getattr(args, "averaging", None),
-                         file_get("run.averaging"), cfg.averaging)
+                         file_get("run.averaging", choices=pipeline.AVERAGINGS), cfg.averaging)
     cfg.collapse = pick(getattr(args, "collapse", None),
                         file_get("run.collapse", _parse_bool), cfg.collapse)
     cfg.k = pick(getattr(args, "k", None), file_get("run.k", int), cfg.k)
@@ -244,7 +254,7 @@ def reference_build_config(args):
                            file_get("mlp.learning_rate", float),
                            cfg.mlp.learning_rate),
         optimizer=pick(getattr(args, "optimizer", None),
-                       file_get("mlp.optimizer"), cfg.mlp.optimizer),
+                       file_get("mlp.optimizer", choices=("sgd", "adam")), cfg.mlp.optimizer),
     )
     reads_data = ("preprocess", "correlate", "select", "run", "sweep-depth")
     if getattr(args, "command", None) in reads_data and not cfg.data_paths:
@@ -398,14 +408,25 @@ class TestOptionTable:
                         assert getattr(now, attr) == getattr(was, attr), (name, flag, attr)
                 assert type(now) is type(was)
 
+    @pytest.mark.parametrize("part", ["bat", "aquila", "forest", "mlp"])
+    def test_every_nested_setting_is_set_by_one_row(self, part):
+        """The table is all a run can vary: each field of a nested config
+        but its seed, which the pipeline derives, is one row's."""
+        rows = [o.field for group in cli.OPTIONS.values() for o in group if o.key]
+        cls = type(getattr(pipeline.ExperimentConfig(), part))
+        for f in dataclasses.fields(cls):
+            if f.name != "seed":
+                assert rows.count(f"{part}.{f.name}") == 1, f"{part}.{f.name}"
+
     @settings(max_examples=600, deadline=None)
     @given(data=st.data())
     def test_same_config_or_same_error_as_the_reference(self, inputs, data):
         """Drawn command lines of every subcommand, with abbreviated and
         unknown flags and bad values, and config files of every key: the
-        same ExperimentConfig, or the same exit code and stderr.  The one
-        difference allowed is that [run] out_dir is read when --out is not
-        given."""
+        same ExperimentConfig, or the same exit code and stderr.  The
+        differences allowed are that [run] out_dir is read when --out is not
+        given, and that a file value outside its row's choices exits 1 (the
+        reference's file_get checks them too)."""
         command = data.draw(st.sampled_from(list(_subparsers(reference_parser()))))
         actions = _subparsers(reference_parser())[command]._option_string_actions
         flags = sorted(f for f in actions if f.startswith("--") and f not in ("--help",
@@ -494,6 +515,24 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {ini}: unknown config key {key}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "correlate"])
+    @pytest.mark.parametrize("key", ["mode", "method", "model", "averaging"])
+    def test_a_value_outside_its_choices_exits_1_naming_them(self, tmp_path, capsys, command,
+                                                             key):
+        """A file value binds as its flag's does, for every command, before
+        any input is read or any file written."""
+        choices = {"mode": pipeline.MODES, "method": pipeline.METHODS,
+                   "model": pipeline.MODELS, "averaging": pipeline.AVERAGINGS}[key]
+        ini = self.write(tmp_path, f"[run]\n{key} = foo\n")
+        out = tmp_path / "runs"
+        assert main([command, "--data", str(tmp_path / "unread.csv"), "--out", str(out),
+                     "--config", ini]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {ini}: bad value for run.{key}: 'foo' is not one of {', '.join(choices)}"]
         assert not out.exists()
 
     def test_a_lone_percent_exits_2_naming_the_file(self, tmp_path, capsys):

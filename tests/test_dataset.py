@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsel import dataset
@@ -475,6 +475,26 @@ class TestLoadCsv:
         head = write_csv(tmp_path / "h.csv", f"a,{long},Label\n1,2,x\n")
         assert same_as_scanner(head) == (
             f"{head}:1: csv cannot read this record ({limit}); shorten or remove its long cell")
+
+    def test_a_long_unquoted_label_is_held_as_text(self, tmp_path, traced_peak):
+        """One 5,000-character unquoted label in a 3,000-row, 3-column file
+        sends its block to csv.reader, which holds only the text: the table
+        is the scanner's, and load_csv peaks under 4 MB (about 0.9 MB; 53.5
+        MB while the block's label field was as wide as that line for every
+        line).  At 200,000 characters the label is over csv's field limit,
+        and refused by its record as the scanner refuses it, in a block of
+        3,000 lines or of one."""
+        rows = [f"{i},{i % 7}.5,{'xy'[i % 2]}\n" for i in range(3000)]
+        for length, name in ((5000, "long.csv"), (200_000, "over.csv")):
+            rows[1500] = f"1500,1.5,{'z' * length}\n"
+            path = write_csv(tmp_path / name, "a,b,Label\n" + "".join(rows))
+            got = same_as_scanner(path)
+        assert got.startswith(f"{path}:1502: csv cannot read this record (field larger")
+        one = write_csv(tmp_path / "one.csv", "a,b,Label\n" + rows[1500])
+        assert same_as_scanner(one).startswith(f"{one}:2: csv cannot read this record")
+        path = str(tmp_path / "long.csv")
+        peak, _ = traced_peak(lambda: load_csv(path))
+        assert peak < 4 * 2**20, peak
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -1048,7 +1068,10 @@ def reference_prepare_splits(table, benign, grouping, ratio, seed, stratified,
         raise DataError("no feature columns survived cleaning")
     labels_cat, labels_bin, class_names = reference_encode_labels(cleaned, benign, grouping)
     if normalize_before_split:
-        scaled, _, bounds = reference_minmax_normalize(cleaned.values)
+        # bounds over a C-ordered copy: cleaning leaves the cells F-ordered,
+        # and over two or more columns the sign of a zero bound depends on
+        # the order the reduction reads them; prepare_splits reads C order
+        scaled, _, bounds = reference_minmax_normalize(np.ascontiguousarray(cleaned.values))
         full = Dataset(scaled, cleaned.columns, labels_cat, labels_bin, class_names)
         pair = reference_split(full, ratio, seed, stratified)
     else:
@@ -1087,41 +1110,71 @@ FINITE_CELLS = st.one_of(
 )
 
 
-def table_column(data, n, zero_bounds=False):
+def table_column(draw, n, zero_bounds=False):
     """A column of ties, signed zeros, one value, or any finite floats;
     with ``zero_bounds`` also signed zeros at one end of its range (a bound
-    of +/-0.0)."""
+    of +/-0.0).  ``draw`` is hypothesis's draw function."""
     kinds = ["ties", "zeros", "constant", "floats"] + ["zero bound"] * zero_bounds
-    kind = data.draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(kinds))
     if kind == "constant":
-        return np.full(n, data.draw(FINITE_CELLS))
+        return np.full(n, draw(FINITE_CELLS))
     cells = {"ties": st.integers(0, 3).map(float),
              "zeros": st.sampled_from([0.0, -0.0, 0.5, -0.5]),
-             "zero bound": st.sampled_from([0.0, -0.0, data.draw(st.sampled_from([1.0, -1.0]))]),
+             "zero bound": st.sampled_from([0.0, -0.0, draw(st.sampled_from([1.0, -1.0]))]),
              "floats": FINITE_CELLS}[kind]
-    return np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
 
 
-def drawn_tables(data, zero_bounds=False):
-    """One to three day tables that share their columns: drawn columns, a
-    named identifier column, NaN and infinite cells in some rows, and
-    repeated labels, as the new and the reference tables."""
-    n_columns = data.draw(st.integers(1, 4))
-    names = ["Flow ID", *(f"f{j}" for j in range(n_columns))]
-    names = data.draw(st.permutations(names))
+def day_tables(names, days):
+    """Day tables of columns ``names`` from (values, labels) pairs, as the
+    new and the reference tables."""
     new, ref = [], []
-    for day in range(data.draw(st.integers(1, 3))):
-        n = data.draw(st.integers(0, 25))
-        values = np.empty((n, len(names)))
-        for j in range(len(names)):
-            values[:, j] = table_column(data, n, zero_bounds)
-        for _ in range(data.draw(st.integers(0, 4)) if n else 0):
-            row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, len(names) - 1))
-            values[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        labels = tuple(data.draw(st.lists(st.sampled_from(RAW_LABELS), min_size=n, max_size=n)))
+    for day, (values, labels) in enumerate(days):
         new.append(table_from_labels(names, values, labels, "Label", sources=(f"day{day}.csv",)))
         ref.append(ReferenceTable(tuple(names), values, labels, "Label"))
     return new, ref
+
+
+def drawn_tables(draw, zero_bounds=False):
+    """One to three day tables that share their columns: drawn columns, a
+    named identifier column, NaN and infinite cells in some rows, and
+    repeated labels, as the new and the reference tables."""
+    n_columns = draw(st.integers(1, 4))
+    names = ["Flow ID", *(f"f{j}" for j in range(n_columns))]
+    names = draw(st.permutations(names))
+    days = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 25))
+        values = np.empty((n, len(names)))
+        for j in range(len(names)):
+            values[:, j] = table_column(draw, n, zero_bounds)
+        for _ in range(draw(st.integers(0, 4)) if n else 0):
+            row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, len(names) - 1))
+            values[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        days.append((values, tuple(draw(st.lists(st.sampled_from(RAW_LABELS), min_size=n,
+                                                 max_size=n)))))
+    return day_tables(names, days)
+
+
+@st.composite
+def selections(draw):
+    """Day tables, as the new and the reference tables, prepare_splits'
+    other arguments, and a block size for the compaction."""
+    tables, ref_tables = drawn_tables(draw)
+    grouping = draw(st.sampled_from([None, GROUPING, {"Benign": "Benign", "Bot": "Bot"}]))
+    args = (grouping, draw(st.sampled_from([0.3, 0.5, 0.8])), draw(st.integers(0, 2**32 - 1)),
+            draw(st.booleans()), draw(st.booleans()), DEFAULT_DROP_COLUMNS)
+    return tables, ref_tables, args, draw(st.sampled_from([1, 3, 8, 1 << 16]))
+
+
+# One table whose f0 is seven 0.0, then -0.0, then 0.5, beside a varying
+# f1, normalized before the split: over two or more columns the bound's
+# sign depends on the layout its reduction reads.
+SIGNED_ZERO_BOUND = (
+    *day_tables(("Flow ID", "f0", "f1"), [(
+        np.column_stack([np.arange(9.0), [0.0] * 7 + [-0.0, 0.5], np.arange(9.0) % 3]),
+        ("Benign", "Bot") * 4 + ("Benign",))]),
+    (None, 0.3, 0, False, True, DEFAULT_DROP_COLUMNS), 1 << 16)
 
 
 def outcome(prepare, *args):
@@ -1157,17 +1210,14 @@ REWORDED = {"every row has a missing": "every row has a missing",
 
 class TestSelectionsMatchReference:
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_same_splits_and_report(self, data):
-        tables, ref_tables = drawn_tables(data)
-        grouping = data.draw(st.sampled_from([None, GROUPING, {"Benign": "Benign", "Bot": "Bot"}]))
-        args = (grouping, data.draw(st.sampled_from([0.3, 0.5, 0.8])),
-                data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans()),
-                data.draw(st.booleans()), DEFAULT_DROP_COLUMNS)
+    @given(problem=selections())
+    @example(problem=SIGNED_ZERO_BOUND)
+    def test_same_splits_and_report(self, problem):
+        tables, ref_tables, args, block_cells = problem
         want = outcome(reference_prepare_splits, merged_reference(ref_tables), "Benign", *args)
         with pytest.MonkeyPatch.context() as patch:
             # blocks of a few cells, so that compaction moves many blocks
-            patch.setattr(dataset, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 3, 8, 1 << 16])))
+            patch.setattr(dataset, "_BLOCK_CELLS", block_cells)
             got = outcome(splits, merged(tables), "Benign", *args)
         if isinstance(want, DataError):
             assert isinstance(got, DataError), got
@@ -1194,7 +1244,7 @@ class TestSelectionsMatchReference:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_cleaning_selects_the_reference_table(self, data):
-        tables, ref_tables = drawn_tables(data)
+        tables, ref_tables = drawn_tables(data.draw)
         table, ref_table = merged(tables), merged_reference(ref_tables)
         want = outcome(reference_clean_table, ref_table, DEFAULT_DROP_COLUMNS)
         got = outcome(dataset._cleaning, table, DEFAULT_DROP_COLUMNS)
@@ -1276,7 +1326,7 @@ class TestStreamedTestSplit:
         normalization orders, stratified splits, blocks of a few cells and
         columns whose bounds are +/-0.0 (the order the bounds fold in
         decides the sign of a zero)."""
-        tables, _ = drawn_tables(data, zero_bounds=True)
+        tables, _ = drawn_tables(data.draw, zero_bounds=True)
         args = (data.draw(st.sampled_from([None, GROUPING])),
                 data.draw(st.sampled_from([0.3, 0.5, 0.8])),
                 data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans()),
@@ -1327,10 +1377,11 @@ class TestStreamedTestSplit:
     def test_a_zero_bound_has_the_sign_of_a_fold_in_file_order(self, tmp_path, before):
         """Over two or more kept columns, the bounds are np.minimum and
         np.maximum folded over the bounded rows in file order, and so is the
-        sign of a zero bound.  The copying pipeline (reference_prepare_splits)
-        reduced an F-ordered copy under normalize_before_split and wrote 0.0
-        for the bound that is -0.0 here; the preprocess stage key was revised
-        so that no split it cached is served."""
+        sign of a zero bound.  The copying pipeline reduced an F-ordered
+        copy under normalize_before_split and wrote 0.0 for the bound that
+        is -0.0 here (reference_prepare_splits, which keeps it, now reduces
+        a C-ordered copy); the preprocess stage key was revised so that no
+        split it cached is served."""
         values = np.zeros((20, 5))
         values[17, 2] = -0.0
         values[18:, 2] = 0.5
@@ -1353,11 +1404,7 @@ class TestStreamedTestSplit:
         assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
         if before:
             assert np.signbit(got[0, 0])
-            old_table = ReferenceTable(("f0", "Flow ID", "f1", "f2", "f3"), values.copy(),
-                                       ("Benign",) * 20, "Label")
-            _, old = reference_prepare_splits(old_table, "Benign", None, 0.8, 0, False, True,
-                                              DEFAULT_DROP_COLUMNS)
-            assert not np.signbit(old["normalization"]["f1"][0])
+            assert not np.signbit(np.asfortranarray(values[rows][:, [2, 4]]).min(axis=0)[0])
 
     @pytest.mark.parametrize("before", [False, True])
     def test_returns_the_training_split_and_writes_the_test_split(self, tmp_path, before):

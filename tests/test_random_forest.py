@@ -1,6 +1,5 @@
 """Forest training: impurity, splits, importance, bagging, persistence."""
 
-import dataclasses
 import json
 import math
 import re
@@ -222,42 +221,43 @@ class TestBlockSplitMatchesReference:
         return path.read_bytes()
 
     @staticmethod
-    def forest_data(n_classes):
+    def forest_data(n_classes, n_features):
+        """A 300-row table; nodes draw 3 candidates of 9 features, 5 of 25."""
         rng = np.random.default_rng(n_classes)
         labels = rng.integers(0, n_classes, 300)
-        feats = rng.normal(size=(300, 9)) + 0.5 * (labels[:, None] % 3)
+        feats = rng.normal(size=(300, n_features)) + 0.5 * (labels[:, None] % 3)
         feats[:, 1::3] = np.round(feats[:, 1::3])  # tied columns
         return Dataset(
             features=feats,
-            feature_names=tuple(f"f{i}" for i in range(9)),
+            feature_names=tuple(f"f{i}" for i in range(n_features)),
             labels_cat=labels.astype(np.int64),
             labels_bin=labels != 0,
             class_names=tuple(f"c{i}" for i in range(n_classes)),
         )
 
     @pytest.mark.parametrize("n_classes", [5, 9])
-    @pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
+    @pytest.mark.parametrize("n_features", [9, 25])
     def test_a_block_gathered_in_groups_grows_the_same_forest(
-        self, tmp_path, monkeypatch, n_classes, features_per_split
+        self, tmp_path, monkeypatch, n_classes, n_features
     ):
         """At 700 cells a 300-row root gathers its candidates two at a
         time, the last group alone; the forest is the one grown from
         blocks gathered in one group each."""
-        data = self.forest_data(n_classes)
-        config = ForestConfig(n_trees=3, seed=4, features_per_split=features_per_split)
+        data = self.forest_data(n_classes, n_features)
+        config = ForestConfig(n_trees=3, seed=4)
         whole = self.forest_bytes(data, config, tmp_path, "whole.rf")
         monkeypatch.setattr(random_forest, "BLOCK_CELLS", 700)
         assert self.forest_bytes(data, config, tmp_path, "groups.rf") == whole
 
     @pytest.mark.parametrize("n_classes", [5, 9])
-    @pytest.mark.parametrize("features_per_split", ["sqrt", "all"])
+    @pytest.mark.parametrize("n_features", [9, 25])
     @pytest.mark.parametrize("block_cells", [1 << 20, 700])
     def test_forest_bytes_equal_the_reference_forest(
-        self, tmp_path, monkeypatch, n_classes, features_per_split, block_cells
+        self, tmp_path, monkeypatch, n_classes, n_features, block_cells
     ):
         monkeypatch.setattr(random_forest, "BLOCK_CELLS", block_cells)
-        data = self.forest_data(n_classes)
-        config = ForestConfig(n_trees=3, seed=4, features_per_split=features_per_split)
+        data = self.forest_data(n_classes, n_features)
+        config = ForestConfig(n_trees=3, seed=4)
         block = self.forest_bytes(data, config, tmp_path, "block.rf")
         calls, per_tree = [], []
 
@@ -293,16 +293,12 @@ class TestClassSum:
 
 
 class TestGrowTree:
-    def config(self, **kw):
-        kw.setdefault("features_per_split", "all")
-        return ForestConfig(**kw)
-
     def test_hand_tree_bookkeeping(self):
         """One clean split: gain is the full parent entropy, children are
         pure half-sized leaves."""
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1])
-        tree = grow_tree(X, y, 2, self.config(), np.random.default_rng(0))
+        tree = grow_tree(X, y, 2, ForestConfig(), np.random.default_rng(0))
         assert tree.n_nodes == 3
         np.testing.assert_array_equal(tree.counts, [[2, 2], [2, 0], [0, 2]])
         np.testing.assert_array_equal(tree.sample_fraction, [1.0, 0.5, 0.5])
@@ -320,7 +316,7 @@ class TestGrowTree:
     def test_pure_node_is_a_leaf(self):
         tree = grow_tree(
             np.array([[1.0], [2.0]]), np.array([1, 1]), 2,
-            self.config(), np.random.default_rng(0),
+            ForestConfig(), np.random.default_rng(0),
         )
         assert tree.n_nodes == 1 and tree.feature[0] == -1
         assert tree.majority[0] == 1
@@ -330,7 +326,7 @@ class TestGrowTree:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(64, 3))
         y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
-        tree = grow_tree(X, y, 2, self.config(max_depth=1), np.random.default_rng(1))
+        tree = grow_tree(X, y, 2, ForestConfig(max_depth=1), np.random.default_rng(1))
         np.testing.assert_array_equal(tree.feature >= 0, [True, False, False])
         assert tree.depth == 1
 
@@ -338,14 +334,25 @@ class TestGrowTree:
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0])
         tree = grow_tree(
-            X, y, 2, self.config(min_node_size=4), np.random.default_rng(0)
+            X, y, 2, ForestConfig(min_node_size=4), np.random.default_rng(0)
         )
         assert tree.n_nodes == 1 and tree.feature[0] == -1
 
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError):
             grow_tree(np.zeros((0, 1)), np.array([], dtype=np.int64), 2,
-                      self.config(), np.random.default_rng(0))
+                      ForestConfig(), np.random.default_rng(0))
+
+    def test_row_order_is_irrelevant(self):
+        """Grown on every row (no sample), shuffled rows grow the same
+        tree: a cut never falls between equal values, so each node sees
+        the same sets of rows on either side."""
+        data = toy_dataset(rows=120, seed=8)
+        perm = np.random.default_rng(9).permutation(120)
+        trees = [grow_tree(X, y, 2, ForestConfig(max_depth=6), np.random.default_rng(3))
+                 for X, y in ((data.features, data.labels_cat),
+                              (data.features[perm], data.labels_cat[perm]))]
+        assert tree_lists(trees[0]) == tree_lists(trees[1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +389,7 @@ def reference_grow_tree(X, y, n_classes, config, rng, depth=0, root_size=None):
     if pure or depth >= config.max_depth or y.size < config.min_node_size:
         return node
     p = X.shape[1]
-    m = random_forest._resolve_m(config.features_per_split, p)
+    m = max(1, int(math.floor(math.sqrt(p))))
     candidates = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
     found = best_split(X, y, n_classes, candidates)
     if found is None:
@@ -404,24 +411,16 @@ def reference_grow_tree(X, y, n_classes, config, rng, depth=0, root_size=None):
     return node
 
 
-def reference_importance_sums(root, n_features, weighted):
+def reference_importance_sums(root, n_features):
     sums = np.zeros(n_features)
-    counts = np.zeros(n_features)
     stack = [root]
     while stack:
         node = stack.pop()
         if node.is_leaf:
             continue
-        if weighted:
-            sums[node.feature] += node.entropy_gain * node.sample_fraction
-        else:
-            sums[node.feature] += node.entropy_gain
-            counts[node.feature] += 1
+        sums[node.feature] += node.entropy_gain * node.sample_fraction
         stack.append(node.left)
         stack.append(node.right)
-    if not weighted:
-        with np.errstate(invalid="ignore"):
-            sums = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     return sums
 
 
@@ -449,19 +448,16 @@ def reference_forest(X, y, n_classes, config):
     trees, bags = [], []
     for tree_idx in range(config.n_trees):
         rng = np.random.default_rng([config.seed, tree_idx])
-        idx = rng.integers(0, n, n) if config.bootstrap else np.arange(n)
+        idx = rng.integers(0, n, n)
         bag = np.zeros(n, dtype=bool)
         bag[idx] = True
         trees.append(reference_grow_tree(X[idx], y[idx], n_classes, config, rng))
         bags.append(bag)
-    per_tree = np.array(
-        [reference_importance_sums(t, p, config.weighted_importance) for t in trees])
+    per_tree = np.array([reference_importance_sums(t, p) for t in trees])
     mean = per_tree.mean(axis=0)
     if float(mean.sum()) <= 0:
         raise NumericError("no splits")
     importances = mean / float(mean.sum())
-    if not config.bootstrap:
-        return trees, importances, math.nan, n
     votes = np.zeros((n, n_classes))
     for tree, bag in zip(trees, bags):
         rows = np.flatnonzero(~bag)
@@ -517,10 +513,10 @@ def hex_list(values):
 def forest_problem(data):
     """A training set and forest config drawn for one reference comparison:
     2, 5, 9 or 15 classes, continuous, tied, constant and copied columns,
-    every features_per_split kind, bootstrap and weighting on or off."""
+    one feature (every feature a candidate) up to 30 (5 candidates)."""
     n = data.draw(st.integers(8, 160), label="rows")
     n_classes = data.draw(st.sampled_from([2, 5, 9, 15]), label="classes")
-    p = data.draw(st.integers(1, 7), label="features")
+    p = data.draw(st.integers(1, 30), label="features")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     present = data.draw(st.integers(2, n_classes), label="classes present")
     y = np.arange(n) % present  # every present class occurs
@@ -540,9 +536,6 @@ def forest_problem(data):
         n_trees=data.draw(st.integers(1, 4), label="trees"),
         max_depth=data.draw(st.integers(1, 12), label="max_depth"),
         min_node_size=data.draw(st.integers(1, 6), label="min_node_size"),
-        features_per_split=data.draw(st.sampled_from(["sqrt", "all", 3]), label="m"),
-        bootstrap=data.draw(st.booleans(), label="bootstrap"),
-        weighted_importance=data.draw(st.booleans(), label="weighted"),
         seed=data.draw(st.integers(0, 1000), label="forest seed"),
     )
     dataset = Dataset(
@@ -605,7 +598,7 @@ def copying_grow_tree(X, y, n_classes, config, rng):
     if y.size == 0:
         raise ValueError("cannot grow a tree on zero rows")
     p = X.shape[1]
-    m = random_forest._resolve_m(config.features_per_split, p)
+    m = max(1, int(math.floor(math.sqrt(p))))
     max_depth, min_node_size = config.max_depth, config.min_node_size
 
     def splittable(c, size, depth):
@@ -699,7 +692,7 @@ class TestGrowthInPlaceMatchesCopies:
         X, y = laid_out(train.features, layout), train.labels_cat
         n_classes = len(train.class_names)
         draw = np.random.default_rng(config.seed)
-        sample = draw.integers(0, y.size, y.size) if config.bootstrap else np.arange(y.size)
+        sample = draw.integers(0, y.size, y.size)
         seed = data.draw(st.integers(0, 1000), label="tree seed")
         tree = grow_tree(X, y, n_classes, config, np.random.default_rng(seed), sample)
         want = copying_grow_tree(X[sample], y[sample], n_classes, config,
@@ -758,17 +751,6 @@ class TestMemoryBounds:
         peak, _ = traced_peak(lambda: train_forest(data, self.CONFIG))
         assert peak <= 3 * data.features.nbytes, peak / data.features.nbytes
 
-    def test_every_feature_per_split_gathers_the_root_a_group_at_a_time(
-            self, traced_peak, monkeypatch):
-        """Under ``features_per_split="all"`` the root block is the whole
-        table; its gather offsets are held a group of candidates at a time,
-        not as one more table of int64 (about 2.2x here)."""
-        monkeypatch.setattr(random_forest, "BLOCK_CELLS", 1)
-        data = self.table(columns=60)
-        config = dataclasses.replace(self.CONFIG, features_per_split="all")
-        peak, _ = traced_peak(lambda: train_forest(data, config))
-        assert peak <= 1.8 * data.features.nbytes, peak / data.features.nbytes
-
     def test_oob_score_allocates_under_half_a_table(self, traced_peak):
         """About 37% of the rows are out of bag in each tree; they are
         routed where they lie, not gathered."""
@@ -802,16 +784,11 @@ class TestTrainForest:
         expect = 1.0 - (1.0 - 1.0 / 1000) ** 1000
         assert abs(fractions.mean() - expect) < 0.02
 
-    def test_oob_defined_only_with_bootstrap(self):
+    def test_oob_scores_the_rows_some_tree_left_out(self):
         data = toy_dataset(rows=150, seed=4)
         bagged = train_forest(data, ForestConfig(n_trees=20, seed=0))
         assert 0.0 <= bagged.oob_accuracy <= 1.0
         assert bagged.oob_skipped < data.n_rows
-        plain = train_forest(
-            data, ForestConfig(n_trees=20, seed=0, bootstrap=False)
-        )
-        assert math.isnan(plain.oob_accuracy)
-        assert plain.oob_skipped == data.n_rows
 
     def test_oob_with_full_coverage_raises(self):
         data = toy_dataset(rows=60, seed=6)
@@ -840,23 +817,6 @@ class TestTrainForest:
         data.features[[0, 9], 4] = np.nan
         with pytest.raises(DataError, match=r"NaN in feature column\(s\) f1, f4"):
             train_forest(data, ForestConfig(n_trees=2))
-
-    def test_row_order_is_irrelevant_without_bootstrap(self):
-        data = toy_dataset(rows=120, seed=8)
-        perm = np.random.default_rng(9).permutation(120)
-        shuffled = Dataset(
-            features=data.features[perm],
-            feature_names=data.feature_names,
-            labels_cat=data.labels_cat[perm],
-            labels_bin=data.labels_bin[perm],
-            class_names=data.class_names,
-        )
-        cfg = ForestConfig(n_trees=12, seed=3, bootstrap=False)
-        grid = np.random.default_rng(1).normal(size=(40, 5))
-        np.testing.assert_array_equal(
-            predict(train_forest(data, cfg), grid),
-            predict(train_forest(shuffled, cfg), grid),
-        )
 
     def test_importance_lands_on_the_informative_feature(self):
         rng = np.random.default_rng(10)
@@ -913,13 +873,8 @@ class TestFeatureImportance:
         # same gain, but the second split saw half the rows
         tree_a = stump(0, 0.6, fraction=1.0)
         tree_b = stump(1, 0.6, fraction=0.5)
-        imp = feature_importance([tree_a, tree_b], 2, weighted=True)
+        imp = feature_importance([tree_a, tree_b], 2)
         np.testing.assert_allclose(imp, [2 / 3, 1 / 3], rtol=0, atol=1e-15)
-
-    def test_unweighted_averages_raw_gains(self):
-        imp = feature_importance([stump(0, 0.6, 1.0), stump(1, 0.6, 0.5)], 2,
-                                 weighted=False)
-        np.testing.assert_allclose(imp, [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_always_sums_to_one(self):
         data = toy_dataset(rows=200, n_features=6, seed=11)
@@ -990,20 +945,11 @@ class TestForestFiles:
         assert back.config == forest.config
         assert back.class_names == forest.class_names
 
-    def test_nan_oob_survives_the_trip(self, tmp_path):
-        data = toy_dataset(rows=60, seed=16)
-        forest = train_forest(data, ForestConfig(n_trees=4, seed=0, bootstrap=False))
-        path = str(tmp_path / "model.rf")
-        save_forest(forest, path)
-        assert math.isnan(load_forest(path).oob_accuracy)
-
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_the_header_holds_the_summary(self, tmp_path, bootstrap):
+    def test_the_header_holds_the_summary(self, tmp_path):
         """Tree sizes and depths and the out-of-bag score read from the
         header alone, as the grown forest and the loaded one give them."""
         data = toy_dataset(rows=120, n_features=4, seed=17)
-        forest = train_forest(data, ForestConfig(n_trees=5, max_depth=6, seed=1,
-                                                 bootstrap=bootstrap))
+        forest = train_forest(data, ForestConfig(n_trees=5, max_depth=6, seed=1))
         path = str(tmp_path / "model.rf")
         save_forest(forest, path)
         header = random_forest.load_forest_header(path)
@@ -1011,7 +957,7 @@ class TestForestFiles:
         assert load_forest(path).summary == forest.summary
         assert forest.summary["nodes"] == [t.n_nodes for t in forest.trees]
         assert all(1 <= d <= 6 for d in forest.summary["depth"])
-        assert (forest.summary["oob_accuracy"] is None) == (not bootstrap)
+        assert forest.summary["oob_accuracy"] == forest.oob_accuracy
 
     @pytest.mark.parametrize("side,value,depth", [(None, None, 2), ("left", 0, 1),
                                                   ("right", 10**6, 2)])

