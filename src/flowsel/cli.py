@@ -351,6 +351,8 @@ def _cmd_sweep_depth(args) -> int:
         raise DataError(f"bad depth list {args.depths!r}") from None
     if not depths:
         raise DataError("empty depth list")
+    for depth in depths:  # each depth is a forest setting, checked before any stage runs
+        _settings("forest", functools.partial(dataclasses.replace, cfg.forest), max_depth=depth)
     pair, _ = pipeline.preprocess_stage(cfg)
     rows = pipeline.depth_sweep(pipeline.train_view(cfg, pair), depths,
                                 pipeline.seeded(cfg, "forest", "importance"))

@@ -1,10 +1,11 @@
 """CSV ingestion and preprocessing for labeled network-flow tables.
 
-The cleaning pass follows the usual flow-record hygiene: drop environment-bound
-columns (addresses, flow ids, timestamps), remove rows containing missing or
-infinite cells, prune zero-variance columns, min-max normalize into [0, 1],
-encode labels, and split train/test with a seeded shuffle.  Everything here
-is deterministic given the seed.
+Preprocessing follows the usual flow-record hygiene: the parser skips the
+environment-bound columns (addresses, flow ids, timestamps) unread; cleaning
+removes rows containing missing or infinite cells and prunes zero-variance
+columns; then features are min-max normalized into [0, 1], labels encoded,
+and train/test split with a seeded shuffle.  Everything here is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class RawTable:
     kept as codes: row ``i`` carries the text ``label_names[label_codes[i]]``,
     and ``label_names`` lists each distinct text once, in first-seen order
     (a name may have no rows left after rows are dropped).  ``dropped``
-    names the columns removed by name so far, unread by the parser or
-    dropped after it; ``sources`` names the files the rows came from.
+    names the columns the parser skipped by name, unread; ``sources``
+    names the files the rows came from.
     """
 
     columns: tuple[str, ...]
@@ -159,7 +160,8 @@ def _records(reader, path: str, record: int):
 
 
 def _read_header(reader, path: str, label_column: str, drop_columns) -> _Part:
-    """Read and check the header row."""
+    """Read and check the header row: the label column must be in it and
+    not among ``drop_columns``, the columns skipped unread."""
     _, header = next(_records(reader, path, 1), (1, None))
     if header is None:
         raise DataError(f"{path}: empty file, no header row")
@@ -167,7 +169,8 @@ def _read_header(reader, path: str, label_column: str, drop_columns) -> _Part:
     if label_column not in header:
         raise DataError(f"{path}: header has no column named {label_column!r}")
     if label_column in drop_columns:
-        raise DataError(f"cannot drop the label column {label_column!r}")
+        raise DataError(f"{path}: the label column {label_column!r} is an identifier column, "
+                        "which flowsel drops unread; give another --label-column")
     label = header.index(label_column)
     keep = [j for j, h in enumerate(header) if j != label and h not in drop_columns]
     return _Part(path, header, label, keep, tuple(header[j] for j in keep),
@@ -304,12 +307,13 @@ def load_csv(path, label_column: str = "Label", drop_columns=()) -> RawTable:
 
     ``path`` is a file path or a list of them.  Columns named in
     ``drop_columns`` are skipped without being parsed, so identifier
-    columns may hold text.  Every other non-label column must parse as a
-    float (missing/inf tokens included); anything else raises DataError
-    with the offending line number.  The label column is kept as codes
-    into its distinct texts, each stripped of surrounding space, first
-    seen first over the files in order.  Files must agree on their kept
-    columns.
+    columns may hold text; this is the one place a column is dropped by
+    name, and the table's ``dropped`` lists them.  Every other non-label
+    column must parse as a float (missing/inf tokens included); anything
+    else raises DataError with the offending line number.  The label
+    column is kept as codes into its distinct texts, each stripped of
+    surrounding space, first seen first over the files in order.  Files
+    must agree on their kept columns.
 
     Each file is read once.  Its line breaks, counted in chunks of bytes,
     bound its records and size one (rows, kept columns) float64 array for
@@ -373,45 +377,23 @@ def _where(table: RawTable) -> str:
     return ", ".join(table.sources) + ": " if table.sources else ""
 
 
-def _named_drop(table: RawTable, names) -> tuple[list[int], tuple[str, ...]]:
-    """The indices of the columns not in ``names``, and the table's dropped
-    names with the newly dropped ones after them."""
-    names = set(names)
-    if table.label_column in names:
-        raise DataError(f"cannot drop the label column {table.label_column!r}")
-    keep = [i for i, c in enumerate(table.columns) if c not in names]
-    return keep, table.dropped + tuple(c for c in table.columns if c in names)
-
-
 # Cleaning scans the table in blocks of about this many cells, so that no
 # scan holds more than a block's copy of it.
 _BLOCK_CELLS = 1 << 16
 
 
-def _blocks(table: RawTable, cols, rows=None):
-    """The first row index and the cells of ``cols`` of each row block;
-    only the rows set in the boolean ``rows`` when it is given."""
-    values = table.values
-    every = len(cols) == table.n_columns
-    step = max(1, _BLOCK_CELLS // max(1, len(cols)))
-    for start in range(0, table.n_rows, step):
-        block = values[start:start + step]
-        if rows is not None:
-            kept = np.flatnonzero(rows[start:start + step])
-            yield start, block[kept] if every else block[np.ix_(kept, cols)]
-        else:
-            yield start, block if every else block[:, cols]
-
-
-def _finite_rows(table: RawTable, cols) -> np.ndarray:
-    """Boolean mask of the rows with a finite cell in every column of
-    ``cols``; a DataError naming the files and columns when a table with
-    rows has none."""
+def _finite_rows(table: RawTable) -> np.ndarray:
+    """Boolean mask of the rows with a finite cell in every column; a
+    DataError naming the files and columns when a table with rows has
+    none."""
     finite = np.empty(table.n_rows, dtype=bool)
-    for start, block in _blocks(table, cols):
-        np.isfinite(block).all(axis=1, out=finite[start:start + len(block)])
+    step = max(1, _BLOCK_CELLS // max(1, table.n_columns))
+    for start in range(0, table.n_rows, step):
+        block = slice(start, start + step)
+        np.isfinite(table.values[block]).all(axis=1, out=finite[block])
     if table.n_rows and not finite.any():
-        bad = [table.columns[j] for j in cols if not np.isfinite(table.values[:, j]).all()]
+        bad = [c for j, c in enumerate(table.columns)
+               if not np.isfinite(table.values[:, j]).all()]
         raise DataError(
             f"{_where(table)}every row has a missing or non-finite cell, in columns "
             f"{bad}; fill those cells or drop those columns"
@@ -419,36 +401,35 @@ def _finite_rows(table: RawTable, cols) -> np.ndarray:
     return finite
 
 
-def _varying_columns(table: RawTable, cols, rows=None) -> np.ndarray:
-    """For each column of ``cols``, whether it holds more than one distinct
-    value over the rows set in the boolean ``rows`` (all rows when None)."""
-    if table.n_rows == 0 or (rows is not None and not rows.any()):
+def _varying_columns(table: RawTable, rows: np.ndarray) -> np.ndarray:
+    """For each column, whether it holds more than one distinct value over
+    ``rows`` (ascending indices)."""
+    if not rows.size:
         raise DataError(f"{_where(table)}no data rows below the header; "
                         "give input files that hold flows")
-    first = table.values[0 if rows is None else int(np.argmax(rows)), cols]
-    varies = np.zeros(len(cols), dtype=bool)
-    for _, block in _blocks(table, cols, rows):
+    first = table.values[rows[0]]
+    varies = np.zeros(table.n_columns, dtype=bool)
+    for block in _row_blocks(table.values, rows, range(table.n_columns)):
         varies |= (block != first).any(axis=0)
     return varies
 
 
-def _cleaning(table: RawTable, drop_columns):
+def _cleaning(table: RawTable):
     """What cleaning keeps, found by scanning the table without copying it:
     the indices of the kept rows and columns, and the report.
 
-    Columns named in ``drop_columns`` go first; then every row with a
-    missing or infinite cell in a remaining column; then every remaining
-    column that is constant over the remaining rows.
+    Every row with a missing or infinite cell goes, then every column that
+    is constant over the remaining rows.  The columns dropped by name were
+    never parsed (``load_csv``); the report lists them from ``table.dropped``.
     """
-    cols, named = _named_drop(table, drop_columns)
-    finite = _finite_rows(table, cols)
-    varies = _varying_columns(table, cols, finite)
+    rows = np.flatnonzero(_finite_rows(table))
+    varies = _varying_columns(table, rows)
     report = {
-        "columns_dropped_named": list(named),
-        "rows_removed_nonfinite": table.n_rows - int(np.count_nonzero(finite)),
-        "columns_dropped_constant": [table.columns[j] for j, v in zip(cols, varies) if not v],
+        "columns_dropped_named": list(table.dropped),
+        "rows_removed_nonfinite": table.n_rows - rows.size,
+        "columns_dropped_constant": [c for c, v in zip(table.columns, varies) if not v],
     }
-    return np.flatnonzero(finite), [j for j, v in zip(cols, varies) if v], report
+    return rows, np.flatnonzero(varies).tolist(), report
 
 
 def _span(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -634,13 +615,17 @@ def prepare_splits(
     seed: int = 0,
     stratified: bool = False,
     normalize_before_split: bool = False,
-    drop_columns=DEFAULT_DROP_COLUMNS,
     *,
     test_path: str,
 ):
     """Full preprocessing: clean, encode, normalize, split.  The test
     partition is written to ``test_path`` as ``save_dataset`` writes it;
     returns (training Dataset, report dict).
+
+    Cleaning removes every row with a missing or infinite cell, then every
+    column constant over the rows left.  It drops no column by name:
+    ``load_csv`` skipped the identifier columns unparsed, and the report
+    lists them from ``table.dropped``.
 
     By default normalization bounds come from the training partition only
     and the test partition is clamped into [0, 1] with them.
@@ -660,7 +645,7 @@ def prepare_splits(
     compacts and normalizes the kept rows first, then streams the test
     rows out of them and compacts the training rows the same way.
     """
-    rows, cols, report = _cleaning(table, drop_columns)
+    rows, cols, report = _cleaning(table)
     if not cols:
         raise DataError("no feature columns survived cleaning")
     names = tuple(table.columns[j] for j in cols)

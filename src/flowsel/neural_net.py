@@ -20,9 +20,8 @@ from .dataset import Dataset
 from .errors import DataError, NumericError
 
 
-# Two stock layouts: a funnel and a wide constant-width stack.
+# The default layout: a funnel.
 PRESET_FUNNEL = (50, 25)
-PRESET_WIDE = (100, 100, 100)
 
 
 def relu(z):
@@ -159,7 +158,7 @@ def predict(model: MlpModel, X) -> np.ndarray:
     return probs.argmax(axis=1)
 
 
-def _loss_and_grads(model: MlpModel, X, y, batch_scale: float = 1.0):
+def _loss_and_grads(model: MlpModel, X, y):
     """Mean cross-entropy on the batch and gradients for every parameter."""
     pre_acts, activations = _forward_full(model, X)
     n = X.shape[0]
@@ -171,18 +170,17 @@ def _loss_and_grads(model: MlpModel, X, y, batch_scale: float = 1.0):
         t = y.astype(np.float64)
         # stable binary cross-entropy straight from the logits
         loss = float(np.mean(np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))))
-        d_out = ((sigmoid(z) - t) / n).reshape(-1, 1)
+        delta = ((sigmoid(z) - t) / n).reshape(-1, 1)
     else:
         shifted = z_out - z_out.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         loss = float(-np.mean(log_probs[np.arange(n), y]))
         probs = np.exp(log_probs)
         probs[np.arange(n), y] -= 1.0
-        d_out = probs / n
+        delta = probs / n
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
-    delta = d_out * batch_scale
     for i in range(len(model.weights) - 1, -1, -1):
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)

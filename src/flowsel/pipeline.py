@@ -52,7 +52,6 @@ class ExperimentConfig:
     label_column: str = "Label"
     benign: str = "Benign"
     grouping: str | None = None  # None, "default", or a JSON file path
-    drop_columns: tuple[str, ...] = dataset.DEFAULT_DROP_COLUMNS
 
     ratio: float = 0.5
     stratified: bool = False
@@ -128,9 +127,8 @@ def load_grouping(spec: str | None) -> dict | None:
 # (``<stage>_seed`` is a derived seed, ``subset`` the trained indices).  A
 # key hashes exactly these, so only a setting its stage reads splits it.
 _READS = {
-    "preprocess": lambda c: ("data_paths", "label_column", "benign", "grouping",
-                             "drop_columns", "ratio", "stratified",
-                             "normalize_before_split", "split_seed"),
+    "preprocess": lambda c: ("data_paths", "label_column", "benign", "grouping", "ratio",
+                             "stratified", "normalize_before_split", "split_seed"),
     "correlate": lambda c: ("preprocess", "mode"),
     "importance": lambda c: ("preprocess", "mode", "forest", "importance_seed"),
     "select": lambda c: ("correlate", "method", *{"ba": ("bat", "select_seed"),
@@ -327,18 +325,17 @@ def preprocess_stage(cfg: ExperimentConfig,
     seed = stage_seed(cfg.seed, "split")
 
     def compute(files) -> dataset.Dataset:
-        # Day files may disagree only on columns we drop anyway.  The parsed
-        # table becomes the training split (prepare_splits takes its array
-        # over), so nothing here keeps another reference to it.
+        # Day files may disagree only on the identifier columns the parser
+        # skips.  The parsed table becomes the training split (prepare_splits
+        # takes its array over), so nothing here keeps another reference to it.
         train, report = dataset.prepare_splits(
-            dataset.load_csv(cfg.data_paths, cfg.label_column, cfg.drop_columns),
+            dataset.load_csv(cfg.data_paths, cfg.label_column, dataset.DEFAULT_DROP_COLUMNS),
             benign=cfg.benign,
             grouping=load_grouping(cfg.grouping),
             ratio=cfg.ratio,
             seed=seed,
             stratified=cfg.stratified,
             normalize_before_split=cfg.normalize_before_split,
-            drop_columns=cfg.drop_columns,
             test_path=files["test"],
         )
         dataset.save_dataset(train, files["train"])

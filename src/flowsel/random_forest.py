@@ -582,7 +582,7 @@ def select_top_k(importances, k: int) -> FeatureSubset:
     return FeatureSubset(chosen)
 
 
-def predict(forest: TrainedForest, X, return_votes: bool = False):
+def predict(forest: TrainedForest, X):
     """Majority vote over trees; vote ties resolve to the lower class index."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
@@ -593,10 +593,7 @@ def predict(forest: TrainedForest, X, return_votes: bool = False):
     rows = np.arange(X.shape[0])
     for tree in forest.trees:
         votes[rows, tree_predict(tree, X)] += 1
-    labels = votes.argmax(axis=1)
-    if return_votes:
-        return labels, votes / len(forest.trees)
-    return labels
+    return votes.argmax(axis=1)
 
 
 def save_forest(forest: TrainedForest, path: str) -> None:

@@ -2,7 +2,8 @@
 build_config it replaced, kept here as the reference, and the three ways
 the table's config file differs from it: ``[run] out_dir`` is read, a key
 no setting reads is refused, and a value outside its row's choices is
-refused as its flag's value is."""
+refused as its flag's value is.  Last, settings refused in one line before
+any stage writes a split."""
 
 import argparse
 import configparser
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsel import cli, pipeline
+from flowsel import cli, pipeline, synth
 from flowsel.cli import (
     _check_distinct_inputs,
     _parse_bool,
@@ -418,6 +419,14 @@ class TestOptionTable:
             if f.name != "seed":
                 assert rows.count(f"{part}.{f.name}") == 1, f"{part}.{f.name}"
 
+    def test_every_top_level_setting_is_set_by_one_row(self):
+        """Each of ExperimentConfig's own fields is one row's too, but the
+        nested configs (above) and force, which only its flag sets."""
+        rows = [o.field for group in cli.OPTIONS.values() for o in group if o.key]
+        for f in dataclasses.fields(pipeline.ExperimentConfig):
+            if f.name not in ("force", "bat", "aquila", "forest", "mlp"):
+                assert rows.count(f.name) == 1, f.name
+
     @settings(max_examples=600, deadline=None)
     @given(data=st.data())
     def test_same_config_or_same_error_as_the_reference(self, inputs, data):
@@ -569,3 +578,41 @@ class TestConfigFile:
             r"^\| `([a-z_]+\.[a-z_]+)` \| ([^|]+) \|", open(readme).read(), re.M)}
         assert listed == {o.key: list(o.flag) if isinstance(o.flag, tuple) else [o.flag]
                           for group in cli.OPTIONS.values() for o in group if o.key}
+
+
+class TestRefusedBeforeAnySplit:
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        path, _ = synth.write_fixture(str(tmp_path_factory.mktemp("data")), "flows", 2, 2, 60,
+                                      seed=3)
+        return path
+
+    @pytest.mark.parametrize("depths", ["0", "5,0", "4,-3"])
+    def test_a_depth_below_1_exits_1_before_preprocessing(self, csv_path, tmp_path, capsys,
+                                                          depths):
+        """Every depth of --depths is a forest setting, checked as
+        --max-depth is: one line, and no split or forest computed."""
+        out = tmp_path / "runs"
+        assert main(["sweep-depth", "--data", csv_path, "--out", str(out),
+                     "--depths", depths, "--trees", "2"]) == 1
+        captured = capsys.readouterr()
+        bad = next(d for d in depths.split(",") if int(d) < 1)
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: bad forest setting: max_depth must be positive, got {bad}"]
+        assert not out.exists()
+
+    def test_an_identifier_label_column_exits_2_naming_the_file(self, tmp_path, capsys):
+        """The label column cannot be one the parser drops; the one line
+        names the file and the flag to change."""
+        path = tmp_path / "ids.csv"
+        path.write_text("Flow ID,a,Label\n1-2,1,Benign\n2-3,2,Bot\n")
+        out = tmp_path / "runs"
+        assert main(["preprocess", "--data", str(path), "--label-column", "Flow ID",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {path}: the label column 'Flow ID' is an identifier column, which "
+            "flowsel drops unread; give another --label-column"]
+        assert not list(out.glob("clean_*"))

@@ -157,16 +157,6 @@ def table_from_labels(columns, values, labels, label_column, dropped=(), sources
                     tuple(index), label_column, tuple(dropped), tuple(sources))
 
 
-def drop_named_columns(table, names):
-    """The table without the listed columns; names absent from it are
-    skipped."""
-    keep, dropped = dataset._named_drop(table, names)
-    if len(keep) == len(table.columns):
-        return table
-    return dataclasses.replace(table, columns=tuple(table.columns[i] for i in keep),
-                               values=table.values[:, keep], dropped=dropped)
-
-
 def splits(table, benign, *args, **kwargs):
     """``prepare_splits`` with its test split written to a temporary file
     and read back: (SplitPair, report)."""
@@ -643,15 +633,22 @@ class TestSeveralFiles:
 
 
 class TestColumnAndRowHygiene:
-    def test_drop_named_columns(self):
-        table = small_table()
-        out = drop_named_columns(table, ["b", "not_there"])
-        assert out.columns == ("a",)
-        np.testing.assert_array_equal(out.values, table.values[:, :1])
+    def test_drop_named_columns(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,b,Label\n1,10,x\n2,20,y\n")
+        out = load_csv(path, drop_columns=["b", "not_there"])
+        assert (out.columns, out.dropped) == (("a",), ("b",))
+        np.testing.assert_array_equal(out.values, [[1.0], [2.0]])
 
-    def test_label_column_protected(self):
-        with pytest.raises(DataError, match="label column"):
-            drop_named_columns(small_table(), ["Label"])
+    @pytest.mark.parametrize("label", ["Label", "Flow ID"])
+    def test_label_column_protected(self, tmp_path, label):
+        """A label column among the columns to drop is refused naming the
+        file and the flag to change."""
+        path = write_csv(tmp_path / "f.csv", "Flow ID,a,Label\nx,1,y\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path, label, (*DEFAULT_DROP_COLUMNS, "Label"))
+        assert str(err.value) == (
+            f"{path}: the label column {label!r} is an identifier column, which flowsel "
+            "drops unread; give another --label-column")
 
     def test_nonfinite_rows_are_dropped(self):
         table = table_from_labels(
@@ -660,7 +657,7 @@ class TestColumnAndRowHygiene:
             ("w", "x", "y", "z"),
             "Label",
         )
-        rows, cols, report = dataset._cleaning(table, ())
+        rows, cols, report = dataset._cleaning(table)
         assert report["rows_removed_nonfinite"] == 2
         np.testing.assert_array_equal(rows, [0, 2])
         assert [table.label_names[c] for c in table.label_codes[rows]] == ["w", "y"]
@@ -669,14 +666,14 @@ class TestColumnAndRowHygiene:
     def test_all_rows_bad(self):
         table = table_from_labels(("a",), np.array([[np.nan], [np.inf]]), ("x", "y"), "Label")
         with pytest.raises(DataError, match="every row"):
-            dataset._cleaning(table, ())
+            dataset._cleaning(table)
 
     def test_all_rows_bad_names_the_files_and_columns(self):
         values = np.array([[np.nan, 1.0, 2.0], [3.0, 1.0, np.inf], [5.0, 1.0, np.inf]])
         table = table_from_labels(("a", "b", "c"), values, ("x", "y", "x"), "Label",
                                      sources=("mon.csv", "tue.csv"))
         with pytest.raises(DataError) as err:
-            dataset._cleaning(table, ())
+            dataset._cleaning(table)
         assert str(err.value) == (
             "mon.csv, tue.csv: every row has a missing or non-finite cell, in columns "
             "['a', 'c']; fill those cells or drop those columns")
@@ -684,9 +681,7 @@ class TestColumnAndRowHygiene:
     def test_no_data_rows_names_the_files(self, tmp_path):
         paths = [write_csv(tmp_path / f"{day}.csv", "a,b,Label\n") for day in ("mon", "tue")]
         table = load_csv(paths)
-        for clean in (lambda t: dataset._cleaning(t, DEFAULT_DROP_COLUMNS),
-                      lambda t: dataset._cleaning(t, ()),
-                      lambda t: splits(t, "Benign")):
+        for clean in (dataset._cleaning, lambda t: splits(t, "Benign")):
             with pytest.raises(DataError) as err:
                 clean(table)
             assert str(err.value) == (f"{paths[0]}, {paths[1]}: no data rows below the "
@@ -699,27 +694,30 @@ class TestColumnAndRowHygiene:
             ("x", "y"),
             "Label",
         )
-        _, cols, report = dataset._cleaning(table, ())
+        _, cols, report = dataset._cleaning(table)
         assert report["columns_dropped_constant"] == ["dead"]
         assert [table.columns[j] for j in cols] == ["live"]
 
-    def test_cleaning_report(self):
-        table = table_from_labels(
-            ("Flow ID", "a", "dead"),
-            np.array([[1.0, 1.0, 5.0], [2.0, np.nan, 5.0], [3.0, 2.0, 5.0]]),
-            ("x", "y", "x"),
-            "Label",
-        )
-        rows, cols, report = dataset._cleaning(table, DEFAULT_DROP_COLUMNS)
+    def test_cleaning_report(self, tmp_path):
+        """The report lists the identifier columns the parser skipped."""
+        path = write_csv(tmp_path / "f.csv",
+                         "Flow ID,a,dead,Label\n1-2,1,5,x\n2-3,,5,y\n3-4,2,5,x\n")
+        table = load_csv(path, drop_columns=DEFAULT_DROP_COLUMNS)
+        rows, cols, report = dataset._cleaning(table)
         assert [table.columns[j] for j in cols] == ["a"]
         np.testing.assert_array_equal(rows, [0, 2])
         assert report["columns_dropped_named"] == ["Flow ID"]
         assert report["rows_removed_nonfinite"] == 1
         assert report["columns_dropped_constant"] == ["dead"]
 
-    def test_default_drop_list_spares_destination_port(self):
+    def test_default_drop_list_spares_destination_port(self, tmp_path):
         assert "Dst Port" not in DEFAULT_DROP_COLUMNS
         assert "Src Port" in DEFAULT_DROP_COLUMNS
+        path = write_csv(tmp_path / "f.csv", "Src Port,Dst Port,Label\n5,80,x\n6,443,y\n")
+        table = load_csv(path, drop_columns=DEFAULT_DROP_COLUMNS)
+        _, cols, report = dataset._cleaning(table)
+        assert [table.columns[j] for j in cols] == ["Dst Port"]
+        assert report["columns_dropped_named"] == ["Src Port"]
 
 
 class TestMinmaxNormalize:
@@ -1062,8 +1060,9 @@ def reference_encode_labels(table, benign, grouping):
 
 
 def reference_prepare_splits(table, benign, grouping, ratio, seed, stratified,
-                             normalize_before_split, drop_columns):
-    cleaned, report = reference_clean_table(table, drop_columns)
+                             normalize_before_split):
+    # the parser has already skipped the identifier columns
+    cleaned, report = reference_clean_table(table, ())
     if not cleaned.columns:
         raise DataError("no feature columns survived cleaning")
     labels_cat, labels_bin, class_names = reference_encode_labels(cleaned, benign, grouping)
@@ -1125,23 +1124,26 @@ def table_column(draw, n, zero_bounds=False):
     return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
 
 
-def day_tables(names, days):
+def day_tables(names, days, dropped=()):
     """Day tables of columns ``names`` from (values, labels) pairs, as the
-    new and the reference tables."""
+    new and the reference tables; ``dropped`` names the columns the parser
+    skipped."""
     new, ref = [], []
     for day, (values, labels) in enumerate(days):
-        new.append(table_from_labels(names, values, labels, "Label", sources=(f"day{day}.csv",)))
-        ref.append(ReferenceTable(tuple(names), values, labels, "Label"))
+        new.append(table_from_labels(names, values, labels, "Label", dropped,
+                                     sources=(f"day{day}.csv",)))
+        ref.append(ReferenceTable(tuple(names), values, labels, "Label", tuple(dropped)))
     return new, ref
 
 
 def drawn_tables(draw, zero_bounds=False):
-    """One to three day tables that share their columns: drawn columns, a
-    named identifier column, NaN and infinite cells in some rows, and
-    repeated labels, as the new and the reference tables."""
+    """One to three day tables that share their columns: drawn columns,
+    NaN and infinite cells in some rows, and repeated labels, as the new
+    and the reference tables; the parser may have skipped an identifier
+    column, which the tables then list as dropped."""
     n_columns = draw(st.integers(1, 4))
-    names = ["Flow ID", *(f"f{j}" for j in range(n_columns))]
-    names = draw(st.permutations(names))
+    names = [f"f{j}" for j in range(n_columns)]
+    dropped = draw(st.sampled_from([(), ("Flow ID",)]))
     days = []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(0, 25))
@@ -1153,7 +1155,7 @@ def drawn_tables(draw, zero_bounds=False):
             values[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         days.append((values, tuple(draw(st.lists(st.sampled_from(RAW_LABELS), min_size=n,
                                                  max_size=n)))))
-    return day_tables(names, days)
+    return day_tables(names, days, dropped)
 
 
 @st.composite
@@ -1163,7 +1165,7 @@ def selections(draw):
     tables, ref_tables = drawn_tables(draw)
     grouping = draw(st.sampled_from([None, GROUPING, {"Benign": "Benign", "Bot": "Bot"}]))
     args = (grouping, draw(st.sampled_from([0.3, 0.5, 0.8])), draw(st.integers(0, 2**32 - 1)),
-            draw(st.booleans()), draw(st.booleans()), DEFAULT_DROP_COLUMNS)
+            draw(st.booleans()), draw(st.booleans()))
     return tables, ref_tables, args, draw(st.sampled_from([1, 3, 8, 1 << 16]))
 
 
@@ -1171,10 +1173,10 @@ def selections(draw):
 # f1, normalized before the split: over two or more columns the bound's
 # sign depends on the layout its reduction reads.
 SIGNED_ZERO_BOUND = (
-    *day_tables(("Flow ID", "f0", "f1"), [(
-        np.column_stack([np.arange(9.0), [0.0] * 7 + [-0.0, 0.5], np.arange(9.0) % 3]),
-        ("Benign", "Bot") * 4 + ("Benign",))]),
-    (None, 0.3, 0, False, True, DEFAULT_DROP_COLUMNS), 1 << 16)
+    *day_tables(("f0", "f1"), [(
+        np.column_stack([[0.0] * 7 + [-0.0, 0.5], np.arange(9.0) % 3]),
+        ("Benign", "Bot") * 4 + ("Benign",))], ("Flow ID",)),
+    (None, 0.3, 0, False, True), 1 << 16)
 
 
 def outcome(prepare, *args):
@@ -1246,8 +1248,8 @@ class TestSelectionsMatchReference:
     def test_cleaning_selects_the_reference_table(self, data):
         tables, ref_tables = drawn_tables(data.draw)
         table, ref_table = merged(tables), merged_reference(ref_tables)
-        want = outcome(reference_clean_table, ref_table, DEFAULT_DROP_COLUMNS)
-        got = outcome(dataset._cleaning, table, DEFAULT_DROP_COLUMNS)
+        want = outcome(reference_clean_table, ref_table, ())
+        got = outcome(dataset._cleaning, table)
         if isinstance(want, DataError):
             assert isinstance(got, DataError)
             return
@@ -1257,13 +1259,6 @@ class TestSelectionsMatchReference:
         assert tuple(table.label_names[c] for c in table.label_codes[rows]) == ref_cleaned.labels
         assert tuple(report["columns_dropped_named"]) == ref_cleaned.dropped
         assert table.values[np.ix_(rows, cols)].tobytes() == ref_cleaned.values.tobytes()
-        # dropping the named columns first selects the same cells
-        step = drop_named_columns(table, DEFAULT_DROP_COLUMNS)
-        step_rows, step_cols, step_report = dataset._cleaning(step, ())
-        assert (step_report["rows_removed_nonfinite"], step_report["columns_dropped_constant"]) == (
-            report["rows_removed_nonfinite"], report["columns_dropped_constant"])
-        np.testing.assert_array_equal(step_rows, rows)
-        assert step.values[np.ix_(step_rows, step_cols)].tobytes() == ref_cleaned.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1286,9 +1281,8 @@ def minmax_in_place(train, apply_to=None):
 
 
 def gathered_prepare_splits(table, benign, grouping=None, ratio=0.5, seed=0,
-                            stratified=False, normalize_before_split=False,
-                            drop_columns=DEFAULT_DROP_COLUMNS):
-    rows, cols, report = dataset._cleaning(table, drop_columns)
+                            stratified=False, normalize_before_split=False):
+    rows, cols, report = dataset._cleaning(table)
     if not cols:
         raise DataError("no feature columns survived cleaning")
     names = tuple(table.columns[j] for j in cols)
@@ -1330,7 +1324,7 @@ class TestStreamedTestSplit:
         args = (data.draw(st.sampled_from([None, GROUPING])),
                 data.draw(st.sampled_from([0.3, 0.5, 0.8])),
                 data.draw(st.integers(0, 2**32 - 1)), data.draw(st.booleans()),
-                data.draw(st.booleans()), DEFAULT_DROP_COLUMNS)
+                data.draw(st.booleans()))
         want = outcome(gathered_prepare_splits, merged(tables), "Benign", *args)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             cells = data.draw(st.sampled_from([1, 2, 3, 8, 1 << 16]))
@@ -1361,12 +1355,12 @@ class TestStreamedTestSplit:
             rng = np.random.default_rng(seed)
             column = np.full(60, end)
             column[rng.choice(60, 4, replace=False)] = rng.permutation([0.0, -0.0, 0.0, -0.0])
-            values = np.column_stack([np.arange(60.0), column])
+            values = np.column_stack([column])
             labels = ["Benign" if i % 3 else "Bot" for i in range(60)]
-            table = table_from_labels(("Flow ID", "f"), values, labels, "Label")
+            table = table_from_labels(("f",), values, labels, "Label", ("Flow ID",))
             want, want_report = gathered_prepare_splits(
-                table_from_labels(("Flow ID", "f"), values.copy(), labels, "Label"), "Benign",
-                ratio=0.8, seed=seed)
+                table_from_labels(("f",), values.copy(), labels, "Label", ("Flow ID",)),
+                "Benign", ratio=0.8, seed=seed)
             train, report = prepare_splits(table, "Benign", ratio=0.8, seed=seed,
                                            test_path=path)
             assert json.dumps(report) == json.dumps(want_report)
@@ -1382,15 +1376,15 @@ class TestStreamedTestSplit:
         is -0.0 here (reference_prepare_splits, which keeps it, now reduces
         a C-ordered copy); the preprocess stage key was revised so that no
         split it cached is served."""
-        values = np.zeros((20, 5))
-        values[17, 2] = -0.0
-        values[18:, 2] = 0.5
-        values[19, 4] = 1.0
+        values = np.zeros((20, 4))
+        values[17, 1] = -0.0
+        values[18:, 1] = 0.5
+        values[19, 3] = 1.0
         values[0, 0] = np.nan
 
         def table():
-            return table_from_labels(("f0", "Flow ID", "f1", "f2", "f3"), values.copy(),
-                                     ["Benign"] * 20, "Label")
+            return table_from_labels(("f0", "f1", "f2", "f3"), values.copy(),
+                                     ["Benign"] * 20, "Label", ("Flow ID",))
 
         args = dict(ratio=0.8, seed=0, normalize_before_split=before)
         _, report = prepare_splits(table(), "Benign", test_path=str(tmp_path / "t.ds"), **args)
@@ -1398,13 +1392,13 @@ class TestStreamedTestSplit:
         rows = np.arange(1, 20)  # row 0 holds a NaN
         if not before:
             rows = rows[split_indices(rows.size, 0.8, 0, False, None)[0]]
-        lo = functools.reduce(np.minimum, values[rows][:, [2, 4]])
-        hi = functools.reduce(np.maximum, values[rows][:, [2, 4]])
+        lo = functools.reduce(np.minimum, values[rows][:, [1, 3]])
+        hi = functools.reduce(np.maximum, values[rows][:, [1, 3]])
         got = np.array(list(report["normalization"].values()))
         assert got.tobytes() == np.column_stack([lo, hi]).tobytes()
         if before:
             assert np.signbit(got[0, 0])
-            assert not np.signbit(np.asfortranarray(values[rows][:, [2, 4]]).min(axis=0)[0])
+            assert not np.signbit(np.asfortranarray(values[rows][:, [1, 3]]).min(axis=0)[0])
 
     @pytest.mark.parametrize("before", [False, True])
     def test_returns_the_training_split_and_writes_the_test_split(self, tmp_path, before):
@@ -1428,13 +1422,14 @@ class TestMemoryBounds:
 
     def table(self, rows=12000, columns=30):
         rng = np.random.default_rng(3)
-        values = rng.normal(size=(rows, columns))
-        values[::50, 4] = np.nan
-        values[::70, 9] = np.inf
-        values[:, 6] = 7.0
+        # the parser has skipped a first column, Flow ID
+        values = rng.normal(size=(rows, columns - 1))
+        values[::50, 3] = np.nan
+        values[::70, 8] = np.inf
+        values[:, 5] = 7.0
         labels = [RAW_LABELS[i % 3] for i in range(rows)]
-        names = ["Flow ID", *(f"f{j}" for j in range(1, columns))]
-        return table_from_labels(names, values, labels, "Label")
+        names = [f"f{j}" for j in range(1, columns)]
+        return table_from_labels(names, values, labels, "Label", ("Flow ID",))
 
     @pytest.mark.parametrize("stratified", [False, True])
     def test_prepare_splits_allocates_little_beyond_the_table(self, monkeypatch, tmp_path,
@@ -1488,7 +1483,8 @@ class TestMemoryBounds:
         monkeypatch.setattr(dataset, "_PARSE_CELLS", 1 << 10, raising=False)
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", 1 << 10)
         peak, (train, _) = traced_peak(
-            lambda: prepare_splits(load_csv(path), "Benign", seed=2, test_path=test_path))
+            lambda: prepare_splits(load_csv(path, drop_columns=DEFAULT_DROP_COLUMNS), "Benign",
+                                   seed=2, test_path=test_path))
         test = load_dataset(test_path)
         kept = train.features.nbytes + test.features.nbytes
         assert train.n_rows + test.n_rows == rows - blank
